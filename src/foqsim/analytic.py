@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-_MAX_RAMP_INTERVALS = 10_000_000
-
 
 @dataclass(frozen=True)
 class StepScenario:
@@ -56,7 +54,7 @@ class StepResponse:
     coeff2: float
     rate_gap: float          # arrival minus desired rate
     drop_sequence: list[float] = field(repr=False)
-    queue_sequence: list[float] = field(repr=False)
+    queue_sequence: list[float] = field(repr=False)  # ramp backlog, to the horizon
 
 
 def poles(gain_p: float, gain_i: float) -> tuple[float, float]:
@@ -104,22 +102,38 @@ def queue_trajectory(scenario: StepScenario, count: int) -> list:
 def initial_period(scenario: StepScenario) -> tuple[int, float, float]:
     """Length of the saturated ramp: (n0, s_n0, max_queue).
 
-    n0 is the smallest n with q_{n-1} <= 0, found by integer search over the
-    backlog quadratic; s_n0 = gain_i * n0 * (sc - r_opt) is the accumulator
-    value carried into the closed loop; max_queue is the ramp's backlog peak.
-    Zero everything when the arrival rate never saturates the fabric.
+    n0 is the smallest n with q_{n-1} <= 0. It starts from the first positive
+    root of the backlog quadratic q_m / T = -a m^2 + b m + e and moves to the
+    integer by evaluating queue_at, so it is the n0 an interval-by-interval
+    scan of queue_at would find, float rounding included. s_n0 = gain_i * n0
+    * (sc - r_opt) is the accumulator value carried into the closed loop;
+    max_queue is the ramp's backlog peak, at the vertex or an end of the
+    ramp. Zero everything when the arrival rate never saturates the fabric.
     """
-    if scenario.arrival_rate <= scenario.fabric_capacity:
+    e = scenario.arrival_rate - scenario.fabric_capacity
+    if e <= 0:
         return 0, 0.0, 0.0
-    max_queue = 0.0
-    for n in range(_MAX_RAMP_INTERVALS):
-        q = queue_at(scenario, n)
-        if q <= 0.0:
-            gap = scenario.fabric_capacity - scenario.desired_rate
-            return n + 1, scenario.gain_i * (n + 1) * gap, max_queue
-        if q > max_queue:
-            max_queue = q
-    raise ValueError("fabric queue never drains; check the gains")
+    gap = scenario.fabric_capacity - scenario.desired_rate
+    a = scenario.gain_i * gap / 2
+    b = e - scenario.gain_p * gap - a
+    disc = b * b + 4 * a * e
+    # the first positive root is (b + sqrt(disc)) / 2a, written without
+    # cancellation; with b >= 0 it exists only for a concave quadratic
+    if disc < 0 or (b >= 0 and a <= 0):
+        raise ValueError("fabric queue never drains; check the gains")
+    root = math.sqrt(disc)
+    m = 2 * e / (root - b) if b < 0 else (b + root) / (2 * a)
+    n = math.ceil(m)
+    while n > 0 and queue_at(scenario, n - 1) <= 0:
+        n -= 1
+    while queue_at(scenario, n) > 0:
+        n += 1
+    candidates = {0, n - 1}
+    if a > 0:
+        vertex = math.floor(b / (2 * a))
+        candidates.update(k for k in (vertex, vertex + 1) if 0 < k < n - 1)
+    max_queue = max(queue_at(scenario, k) for k in sorted(candidates))
+    return n + 1, scenario.gain_i * (n + 1) * gap, max_queue
 
 
 def step_response_recurrence(scenario: StepScenario, horizon: int) -> list[float]:
@@ -159,6 +173,9 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
     Requires stable gains; outside the stability region only the recurrence
     is meaningful. The ramp part is gain-linear; from n0 on the response is
     D (1 - A1 z1**m + A2 z2**m) with m = n - n0 and D the arrival/desired gap.
+    Both sequences stop at the horizon: queue_sequence holds the ramp's
+    backlog for n < min(n0, horizon), so a ramp of 1e9 intervals costs no
+    more memory than the horizon asks for.
     """
     if not is_stable(scenario.gain_p, scenario.gain_i):
         raise ValueError(
@@ -198,7 +215,7 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
         coeff2=a2,
         rate_gap=d,
         drop_sequence=seq,
-        queue_sequence=queue_trajectory(scenario, n0),
+        queue_sequence=queue_trajectory(scenario, ramp),
     )
 
 

@@ -284,12 +284,14 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
         if sw_vals["feedback.table_size"] is not None else fdef.table_size,
         measure=sw_vals["feedback.measure"] or fdef.measure,
     )
+    # required keys pass through as parsed (None only when already
+    # reported), so validate() judges the value the file gave
     switch = SwitchConfig(
-        num_ports=sw_vals["num_ports"] or 1,
-        line_rate=sw_vals["line_rate"] or 1.0,
-        speedup=sw_vals["speedup"] or 1.01,
-        fabric_memory=sw_vals["fabric_memory"] or 1,
-        out_queue_size=sw_vals["out_queue_size"] or 1,
+        num_ports=sw_vals["num_ports"],
+        line_rate=sw_vals["line_rate"],
+        speedup=sw_vals["speedup"],
+        fabric_memory=sw_vals["fabric_memory"],
+        out_queue_size=sw_vals["out_queue_size"],
         flows=flows,
         red=red,
         feedback=feedback,
@@ -301,10 +303,11 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
         bad.extend(switch.validate())
         for spec in sources:
             p = f"source.{spec.source_id}."
-            if not 0 <= spec.ingress < switch.num_ports:
-                bad.append(f"{p}ingress: port out of range")
-            if not 0 <= spec.egress < switch.num_ports:
-                bad.append(f"{p}egress: port out of range")
+            if switch.num_ports >= 1:  # else validate() named num_ports
+                if not 0 <= spec.ingress < switch.num_ports:
+                    bad.append(f"{p}ingress: port out of range")
+                if not 0 <= spec.egress < switch.num_ports:
+                    bad.append(f"{p}egress: port out of range")
             if spec.packet_size <= 0:
                 bad.append(f"{p}packet_size: must be positive")
     if bad:

@@ -4,6 +4,10 @@ Timestamps are integer nanoseconds. Events at equal timestamps order by
 (rank, port, flow, insertion sequence): control updates first, then sampler
 and reporter ticks, then packet motion, so an interval boundary always sees
 feedback applied and counters harvested before the next interval's traffic.
+
+Handlers schedule with `at(now + delay, ...)`. Timers are lazy: a TCP source
+keeps one pending retransmission event and a deadline, so an ack that only
+moves the deadline later pushes nothing (see `TcpSource._arm_timer`).
 """
 
 from __future__ import annotations
@@ -27,6 +31,18 @@ def ns(seconds: float) -> int:
 def tx_ns(nbytes: int, rate_bps: float) -> int:
     """Serialization time of nbytes at rate_bps, in integer nanoseconds."""
     return int(round(nbytes * 8 * NS / rate_bps))
+
+
+class TxTimes(dict):
+    """tx_ns at one rate, memoised per packet size: size -> ns."""
+
+    def __init__(self, rate_bps: float):
+        super().__init__()
+        self.rate_bps = rate_bps
+
+    def __missing__(self, nbytes: int) -> int:
+        value = self[nbytes] = tx_ns(nbytes, self.rate_bps)
+        return value
 
 
 def stream(seed: int, name: str) -> random.Random:
@@ -53,10 +69,6 @@ class EventLoop:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._heap, (when, rank, port, flow, self._seq, fn))
         self._seq += 1
-
-    def after(self, delay: int, fn, rank: int = RANK_DATA, port: int = -1,
-              flow: int = -1) -> None:
-        self.at(self.now + delay, fn, rank, port, flow)
 
     def run(self, until: int) -> None:
         """Process every event with timestamp <= until."""

@@ -31,7 +31,7 @@ from .control import (
     gb_signal_from_congestion,
     pi_update,
 )
-from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, ns, stream, tx_ns
+from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, TxTimes, ns, stream
 from .timeseries import TimeSeries
 
 
@@ -240,6 +240,8 @@ class Switch:
         self.seed = seed
         self.loop = loop if loop is not None else EventLoop()
         self.fabric_line_rate = config.speedup * config.line_rate
+        self._drain_ns = TxTimes(self.fabric_line_rate)
+        self._line_ns = TxTimes(config.line_rate)
         self.delivery_hooks = []  # callables (packet) at egress completion
 
         self._queues: dict[tuple[int, int], _OutQueue] = {}
@@ -400,8 +402,9 @@ class Switch:
         self._fq_bytes[j][prio] -= packet.size
         self._occupancy -= packet.size
         self._in_drain[j] = packet
-        self.loop.after(tx_ns(packet.size, self.fabric_line_rate),
-                        lambda: self._drain_done(j), port=j, flow=packet.flow_id)
+        loop = self.loop
+        loop.at(loop.now + self._drain_ns[packet.size],
+                lambda: self._drain_done(j), port=j, flow=packet.flow_id)
 
     def _drain_done(self, j: int) -> None:
         packet = self._in_drain[j]
@@ -477,8 +480,9 @@ class Switch:
             self._vtime[(j, oq.svc_class)] = tag
         self._out_busy[j] = True
         self._in_tx[j] = packet
-        self.loop.after(tx_ns(packet.size, self.config.line_rate),
-                        lambda: self._out_done(j, packet), port=j, flow=fid)
+        loop = self.loop
+        loop.at(loop.now + self._line_ns[packet.size],
+                lambda: self._out_done(j, packet), port=j, flow=fid)
 
     def _out_done(self, j: int, packet: Packet) -> None:
         key = (j, packet.flow_id)
@@ -521,9 +525,9 @@ class Switch:
         if fb.mode == "gearbox":
             signal = gb_signal_from_congestion(measured, self._gb_params)
             if signal is not FeedbackAction.HOLD:
-                self.loop.after(self._delay_ns,
-                                lambda: self._apply_gb(key, signal),
-                                rank=RANK_CONTROL, port=j, flow=k)
+                self.loop.at(self.loop.now + self._delay_ns,
+                             lambda: self._apply_gb(key, signal),
+                             rank=RANK_CONTROL, port=j, flow=k)
             return signal
         interval = fb.interval
         rate_in = in_b * 8.0 / interval
@@ -533,8 +537,9 @@ class Switch:
                                self._pi_params)
         prob = drop_prob_from_rate(rho, rate_in, state.last_drop_prob)
         self._pi_state[key] = replace(state, last_drop_prob=prob)
-        self.loop.after(self._delay_ns, lambda: self._apply_prob(key, prob),
-                        rank=RANK_CONTROL, port=j, flow=k)
+        self.loop.at(self.loop.now + self._delay_ns,
+                     lambda: self._apply_prob(key, prob),
+                     rank=RANK_CONTROL, port=j, flow=k)
         return prob
 
     def _apply_gb(self, key, signal) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .events import NS, RANK_DATA, ns, stream, tx_ns
+from .events import NS, RANK_DATA, TxTimes, ns, stream, tx_ns
 from .switch import Packet, ServiceClass
 
 
@@ -65,6 +65,7 @@ class AccessLink:
         self.rate_bps = rate_bps
         self.buffer_bytes = buffer_bytes
         self.sink = sink
+        self._tx_ns = TxTimes(rate_bps)
         self._queue = []
         self._head = 0
         self._qbytes = 0
@@ -101,9 +102,9 @@ class AccessLink:
             self.sink(packet)
             self._next()
 
-        self.loop.after(tx_ns(packet.size, self.rate_bps), done,
-                        rank=RANK_DATA, port=packet.ingress_port,
-                        flow=packet.flow_id)
+        loop = self.loop
+        loop.at(loop.now + self._tx_ns[packet.size], done, RANK_DATA,
+                packet.ingress_port, packet.flow_id)
 
     @property
     def queued_bytes(self) -> int:
@@ -120,6 +121,11 @@ class TcpSource:
     path is the access link plus the switch; 'one_way' covers propagation of
     the delivered data to the receiver and of the ack back, so the base
     round trip is twice that plus queueing.
+
+    The retransmission timer is lazy, as in ns-2: `deadline` says when it
+    expires and at most one timer event per source is pending on the loop.
+    Arming only moves the deadline unless it falls before the pending event;
+    an event that fires early re-arms itself at the deadline.
     """
 
     INIT_CWND = 2.0
@@ -156,7 +162,8 @@ class TcpSource:
         self.rto = self.INIT_RTO
         self._send_time: dict[int, int] = {}
         self._rexmit: set[int] = set()
-        self._timer_gen = 0
+        self.deadline: int | None = None  # ns; None while no timer is armed
+        self._timer_at: int | None = None  # ns of the pending timer event
 
         self.rcv_next = 0
         self._ooo: set[int] = set()
@@ -179,26 +186,38 @@ class TcpSource:
                               seq=seq, source=self.source_id))
 
     def _try_send(self) -> None:
+        """Send what the window allows, then time what is outstanding."""
         window = self.snd_una + int(self.cwnd)
-        sent = False
         while self.next_seq < window:
             self._emit(self.next_seq)
             if self.next_seq not in self._send_time:
                 self._send_time[self.next_seq] = self.loop.now
             self.next_seq += 1
-            sent = True
-        if sent:
+        if self.snd_una < self.next_seq:
             self._arm_timer()
+        else:
+            self.deadline = None  # nothing outstanding, cancel
 
-    def _arm_timer(self) -> None:
-        self._timer_gen += 1
-        gen = self._timer_gen
-        delay = ns(min(self.rto * self.backoff, 120.0))
-        self.loop.after(delay, lambda: self._timer_fire(gen), rank=RANK_DATA,
-                        port=self.ingress_port, flow=self.flow_id)
+    def _arm_timer(self, when: int | None = None) -> None:
+        """Set the deadline one backed-off RTO from now, or re-arm an early
+        event at `when`; push an event only if none is pending by then."""
+        if when is None:
+            when = self.deadline = self.loop.now + ns(
+                min(self.rto * self.backoff, 120.0))
+        if self._timer_at is not None and self._timer_at <= when:
+            return
+        self._timer_at = when
+        self.loop.at(when, lambda: self._timer_fire(when), RANK_DATA,
+                     self.ingress_port, self.flow_id)
 
-    def _timer_fire(self, gen: int) -> None:
-        if gen != self._timer_gen or self.snd_una == self.next_seq:
+    def _timer_fire(self, when: int) -> None:
+        if when != self._timer_at:
+            return  # superseded by an earlier event
+        self._timer_at = None
+        if self.deadline is None:
+            return  # cancelled: nothing outstanding
+        if self.deadline > when:
+            self._arm_timer(self.deadline)  # acks moved the deadline on
             return
         self.timeouts += 1
         self.ssthresh = max(int(self.cwnd) // 2, 2)
@@ -238,10 +257,6 @@ class TcpSource:
                 self.cwnd = min(self.cwnd + newly, self.MAX_CWND)
             else:
                 self.cwnd = min(self.cwnd + newly / self.cwnd, self.MAX_CWND)
-            if self.snd_una == self.next_seq:
-                self._timer_gen += 1  # nothing outstanding, cancel
-            else:
-                self._arm_timer()
             self._try_send()
         elif self.snd_una < self.next_seq:
             self.dup_acks += 1
@@ -276,9 +291,9 @@ class TcpSource:
         elif seq > self.rcv_next:
             self._ooo.add(seq)
         ackno = self.rcv_next
-        self.loop.after(self._rtt_ns, lambda: self._handle_ack(ackno),
-                        rank=RANK_DATA, port=self.ingress_port,
-                        flow=self.flow_id)
+        loop = self.loop
+        loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
+                RANK_DATA, self.ingress_port, self.flow_id)
 
     @property
     def delivered_segments(self) -> int:

@@ -13,8 +13,12 @@ bound was frozen.
    regulated ingress dropping with it.
 6. Core invariants hold standalone: conservation, WFQ shares, gear-box
    band containment, admit-table composition, pole identities, determinism.
+
+The golden digests pin the CSV bytes of the four shipped configs across
+commits; they reuse the runs of criteria 4 and 5.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -48,8 +52,35 @@ from foqsim.switch import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
+# SHA-256 of `run` CSV output for each shipped config at its shipped seed:
+# the cross-commit behavioural contract. A change that moves one records
+# the old hash, the new hash and the reason, and keeps criteria 4 and 5.
+GOLDEN_DIGESTS = {
+    "cbr_scaled":
+        "d9df36892c33a18d975e339d4af0534a27374cf44c527562e794fed4dab9498d",
+    "cbr_scaled_nofoq":
+        "9b9d022d88a351abf05a621de837d694ad243146b2af1262bf1ffb78cecdecdd",
+    "tcp_scaled":
+        "4253ee71cda1d01eaf87513fac3735148e15c10f737ec17cda26ad5204169cd6",
+    "tcp_scaled_nofoq":
+        "330dbc27ea0138b54fa3679971aeada3ede6215b5eaa6b341d0a531b792c40d5",
+}
+
 GRID = [(k10 / 10, f / 10 * 2 * (1 - k10 / 10))
         for k10 in range(10) for f in range(1, 10)]  # 90 stable points
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """Shipped config name -> its run at the shipped seed, each run at most
+    once per module so the bands and the digests share the simulations."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = run_experiment(load_config(CONFIGS / f"{name}.cfg"))
+        return runs[name]
+    return run
 
 
 def series_values(ts, metric, port, flow, lo=None, hi=None):
@@ -135,10 +166,10 @@ def test_criterion_3_hysteresis_constants():
           f"symmetry residual {max(abs(post_increase - mid), abs(post_decrease - mid)):.1e})")
 
 
-def test_criterion_4_cbr_experiment_bands():
+def test_criterion_4_cbr_experiment_bands(shipped):
     t0 = time.perf_counter()
-    ts_off = run_experiment(load_config(CONFIGS / "cbr_scaled_nofoq.cfg"))
-    ts_on = run_experiment(load_config(CONFIGS / "cbr_scaled.cfg"))
+    ts_off = shipped("cbr_scaled_nofoq")
+    ts_on = shipped("cbr_scaled")
 
     # (a) feedback off: flow 1 pinned near its fabric-FIFO share, with the
     # fabric dropping in essentially every steady window
@@ -175,13 +206,13 @@ def test_criterion_4_cbr_experiment_bands():
           f"{f2_on / 1e6:.2f} Mb/s, premium 9.52, {elapsed:.1f}s)")
 
 
-def test_criterion_5_tcp_experiment_bands():
+def test_criterion_5_tcp_experiment_bands(shipped):
     t0 = time.perf_counter()
     span = 10e-3  # report window of the fixtures
 
     # (a) feedback off: the output saturates at the speedup bound
     # 1 - 1/1.28 = 0.21875 while the fabric sits at its cap and drops
-    ts_off = run_experiment(load_config(CONFIGS / "tcp_scaled_nofoq.cfg"))
+    ts_off = shipped("tcp_scaled_nofoq")
     c_tail = relative_congestion(ts_off, 5, 0, 8.0, 10.0, span)
     assert c_tail == pytest.approx(0.21875, abs=0.02)
     occupancy = max(r.value for r in
@@ -193,7 +224,7 @@ def test_criterion_5_tcp_experiment_bands():
 
     # (b) gear-box on: judged on the settled tail of each 2 s stage (the
     # last 0.4 s), past the stage-arrival transients
-    ts_on = run_experiment(load_config(CONFIGS / "tcp_scaled.cfg"))
+    ts_on = shipped("tcp_scaled")
     settled = [(2 * k + 1.6, 2 * k + 2.0) for k in range(5)]
     for lo, hi in settled:
         assert sum(series_values(ts_on, "fabric_drop_bps", 5, 0, lo, hi)) == 0
@@ -217,6 +248,12 @@ def test_criterion_5_tcp_experiment_bands():
     print(f"criterion 5: PASS (off tail C {c_tail:.4f}, on long-run C "
           f"{c_long:.4f}, ingress Mb/s "
           f"{['%.2f' % (v / 1e6) for v in ingress]}, {elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_digest(shipped, name):
+    digest = hashlib.sha256(shipped(name).to_csv().encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[name]
 
 
 def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,

@@ -5,10 +5,11 @@ backlog quadratic q_n = T[(n+1)(lam-sc) - nK(sc-r) - n(n+1)/2 KI(sc-r)].
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foqsim.analytic import (
     StepScenario,
@@ -29,6 +30,44 @@ FLOAT_CASE = StepScenario(arrival_rate=2.0, desired_rate=0.9,
 EXACT_CASE = StepScenario(arrival_rate=Fraction(2), desired_rate=Fraction(9, 10),
                           fabric_capacity=Fraction(1), gain_p=Fraction(0),
                           gain_i=Fraction(1, 2), interval=Fraction(1))
+
+
+def scan_initial_period(scenario):
+    """The interval-by-interval scan initial_period replaced, kept as the
+    reference it must equal wherever the scan finishes."""
+    if scenario.arrival_rate <= scenario.fabric_capacity:
+        return 0, 0.0, 0.0
+    max_queue = 0.0
+    n = 0
+    while True:
+        q = queue_at(scenario, n)
+        if q <= 0.0:
+            gap = scenario.fabric_capacity - scenario.desired_rate
+            return n + 1, scenario.gain_i * (n + 1) * gap, max_queue
+        if q > max_queue:
+            max_queue = q
+        n += 1
+
+
+def exact_ramp(lam, ropt, sc, gain_p, gain_i):
+    """(n0, peak backlog) of a T = 1 ramp, by bisection over the exact
+    rationals the float inputs stand for."""
+    e = Fraction(lam) - Fraction(sc)
+    g = Fraction(sc) - Fraction(ropt)
+    k, ki = Fraction(gain_p), Fraction(gain_i)
+
+    def q(m):
+        return (m + 1) * e - m * k * g - Fraction(m * (m + 1), 2) * ki * g
+
+    vertex = math.floor((e - k * g - ki * g / 2) / (ki * g))
+    lo = max(vertex, 0)  # q(lo) > 0: the concave backlog is still rising
+    hi = 2 * lo + 1
+    while q(hi) > 0:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if q(mid) > 0 else (lo, mid)
+    return hi + 1, max(q(m) for m in {0, lo, max(vertex, 0), vertex + 1})
 
 
 class TestPoles:
@@ -102,6 +141,45 @@ class TestRampAlgebra:
         assert queue_at(FLOAT_CASE, 40) == pytest.approx(0.0, abs=1e-13)
         assert queue_at(FLOAT_CASE, 40) > 0.0
 
+    @settings(deadline=None)
+    @given(sc=st.floats(0.5, 2.0), share=st.floats(0.0, 0.9),
+           excess=st.floats(-0.5, 2.0), k=st.floats(0.0, 0.99),
+           ki=st.floats(0.01, 2.0), interval=st.floats(1e-4, 10.0))
+    def test_matches_the_scan(self, sc, share, excess, k, ki, interval):
+        scenario = StepScenario(arrival_rate=sc * (1.0 + excess),
+                                desired_rate=sc * share, fabric_capacity=sc,
+                                gain_p=k, gain_i=ki, interval=interval)
+        assert initial_period(scenario) == scan_initial_period(scenario)
+
+    def test_linear_backlog_matches_the_scan(self):
+        # K_I = 0: q_n = (n+1) e - n K g falls linearly once K g > e; here
+        # e = 0.05, K g = 0.053, so q_n <= 0 from n = 50/3 on
+        scenario = StepScenario(arrival_rate=1.05, desired_rate=0.9,
+                                fabric_capacity=1.0, gain_p=0.53, gain_i=0.0)
+        assert initial_period(scenario) == scan_initial_period(scenario)
+        assert initial_period(scenario)[0] == 18
+
+    def test_long_ramp_matches_exact_oracle(self):
+        # K_I = 1e-9: (e - K g) / (K_I g / 2) puts the ramp's end near
+        # n = 1.6e9, far past any scan
+        scenario = StepScenario(arrival_rate=1.08, desired_rate=0.9,
+                                fabric_capacity=1.0, gain_p=0.0, gain_i=1e-9)
+        n0, s_n0, peak = initial_period(scenario)
+        want_n0, want_peak = exact_ramp(1.08, 0.9, 1.0, 0.0, 1e-9)
+        assert n0 == want_n0
+        assert 1.5e9 < n0 < 1.7e9
+        assert s_n0 == 1e-9 * n0 * (1.0 - 0.9)
+        assert peak == pytest.approx(float(want_peak), rel=1e-12)
+
+    def test_no_positive_root_raises(self):
+        # without integral action, or with it negative, a backlog that
+        # never stops growing has no end to its ramp
+        for gain_p, gain_i in ((0.0, 0.0), (0.5, 0.0), (0.0, -0.1)):
+            with pytest.raises(ValueError, match="never drains"):
+                initial_period(StepScenario(arrival_rate=2.0, desired_rate=0.9,
+                                            fabric_capacity=1.0,
+                                            gain_p=gain_p, gain_i=gain_i))
+
     def test_no_saturation(self):
         calm = StepScenario(arrival_rate=0.8, desired_rate=0.5,
                             fabric_capacity=1.0)
@@ -130,6 +208,23 @@ class TestClosedForm:
         assert resp.drop_sequence[2] == pytest.approx(0.15, rel=1e-12)
         assert resp.n0 == 42
         assert len(resp.queue_sequence) == resp.n0
+
+    def test_long_ramp_stops_at_the_horizon(self):
+        # K_I = 1e-6 puts n0 near 1.6e6; both sequences must stop at the
+        # horizon rather than hold the whole ramp, which at K_I = 1e-9
+        # (test_cli) would be tens of GB of floats
+        scenario = StepScenario(arrival_rate=1.08, desired_rate=0.9,
+                                fabric_capacity=1.0, gain_p=0.0, gain_i=1e-6)
+        tracemalloc.start()
+        try:
+            resp = step_response_closed_form(scenario, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resp.n0 > 1.5e6
+        assert peak < 1_000_000
+        assert len(resp.drop_sequence) == len(resp.queue_sequence) == 100
+        assert resp.queue_sequence == queue_trajectory(scenario, 100)
 
     def test_converges_to_rate_gap(self):
         # the drop rate must settle at lam - r_opt = 1.1

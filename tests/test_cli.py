@@ -1,8 +1,15 @@
 """CLI tests: exit codes, output routing, CSV shapes for run, analyze and
 validate."""
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import foqsim
 from foqsim.cli import STABILITY_MSG, main
 from foqsim.timeseries import COLUMNS, TimeSeries
 
@@ -124,6 +131,27 @@ class TestAnalyze:
         assert float(closed) >= 0.0
         assert rec == ""  # recurrence column empty unless requested
         float(q)
+
+    def test_long_ramp_is_bounded_by_the_horizon(self):
+        # K_I = 1e-9 gives a ramp of about 1.6e9 intervals, which the command
+        # must answer within the horizon's memory. It runs in a child process
+        # capped at 1 GiB of address space, so a regression fails the test
+        # instead of filling the host's memory.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        args = ["analyze", "--k", "0", "--ki", "1e-9", "--lambda", "1.08",
+                "--ropt", "0.9", "--sc", "1", "--horizon", "20", "--recurrence"]
+        env = dict(os.environ, PYTHONPATH=str(Path(foqsim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from foqsim.cli import main; sys.exit(main(sys.argv[1:]))",
+             *args],
+            capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert int(lines[0].split("n0=")[1].split()[0]) > 1.5e9
+        assert len(lines) == 22
 
     def test_recurrence_column(self, capsys):
         assert main(analyze("--horizon", "50", "--recurrence")) == 0

@@ -177,6 +177,29 @@ class TestBuildExperiment:
         assert any("flow id must be an integer" in v
                    for v in exc.value.violations)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_ports", "0", "must be at least 1"),
+        ("line_rate", "0", "must be positive"),
+        ("speedup", "0", "must exceed 1"),
+        ("fabric_memory", "0", "must be positive"),
+        ("out_queue_size", "0", "must be positive"),
+    ])
+    def test_zero_values_are_judged_not_defaulted(self, key, value, message):
+        pairs = minimal(**{
+            f"switch.{key}": value,
+            "source.0.kind": "cbr",
+            "source.0.flow": "1",
+            "source.0.ingress": "0",
+            "source.0.egress": "1",
+            "source.0.packet_size": "1000",
+            "source.0.rate": "1e6",
+        })
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        # the one violation names the key; a port count of 0 does not also
+        # put every source's ports out of range
+        assert exc.value.violations == [f"switch.{key}: {message}"]
+
 
 class TestShippedConfigs:
     def test_all_fixture_files_load(self):

@@ -178,6 +178,95 @@ class TestTcpLoss:
         assert src.delivered_segments > 10
 
 
+class RecordingLink:
+    """Access-link stand-in that records every send and delivers nothing;
+    tests hand the receiver its data by scheduling on_data_arrival."""
+
+    def __init__(self, loop):
+        self.loop = loop
+        self.sent = []
+
+    def send(self, packet):
+        self.sent.append((self.loop.now, packet.seq))
+        return True
+
+
+def timer_events(loop):
+    return sum(1 for entry in loop._heap
+               if entry[-1].__qualname__.startswith("TcpSource._arm_timer."))
+
+
+class TestLazyTimer:
+    def silent_source(self):
+        loop = EventLoop()
+        link = RecordingLink(loop)
+        src = TcpSource(loop, link, source_id=0, flow_id=1,
+                        ingress_port=0, egress_port=1)
+        return loop, link, src
+
+    def test_later_deadlines_give_one_timeout_at_the_last(self):
+        # seq 0 and 1 reach the receiver 0.3 s and 0.6 s in; each ack comes
+        # back a round trip later and pushes the deadline past the first
+        # one (1 s) and past the pending event
+        loop, link, src = self.silent_source()
+        src.start_at(0)
+        for seq, t in ((0, 0.3), (1, 0.6)):
+            loop.at(ns(t), lambda seq=seq: src.on_data_arrival(mk_packet(seq)))
+        loop.run(ns(0.7))
+        final = src.deadline
+        assert final > ns(1.36)  # where the first ack had put it
+        loop.run(final - 1)
+        assert src.timeouts == 0
+        loop.run(final)
+        assert src.timeouts == 1
+        assert link.sent[-1] == (final, 2)  # first unacked seq, at once
+        loop.run(final + ns(1.0))  # the backed-off deadline is farther out
+        assert src.timeouts == 1
+
+    def test_backoff_reset_pulls_the_deadline_earlier(self):
+        # nothing arrives: timeout at 1 s, backoff 2 puts the next deadline
+        # at 3 s; then the retransmitted seq 0 arrives, its ack at 1.14 s
+        # resets the backoff (Karn: no RTT sample, RTO stays 1 s), and the
+        # timer must fire at 2.14 s, before the event pending for 3 s
+        loop, link, src = self.silent_source()
+        src.start_at(0)
+        loop.run(ns(1.0))
+        assert src.timeouts == 1 and src.deadline == ns(3.0)
+        loop.at(ns(1.1), lambda: src.on_data_arrival(mk_packet(0)))
+        loop.run(ns(1.2))
+        assert src.backoff == 1 and src.deadline == ns(2.14)
+        loop.run(ns(2.14) - 1)
+        assert src.timeouts == 1
+        loop.run(ns(2.14))
+        assert src.timeouts == 2
+        assert link.sent[-1] == (ns(2.14), 1)
+        loop.run(ns(4.0))  # the superseded 3 s event fires as a no-op
+        assert src.timeouts == 2
+        assert timer_events(loop) == 1  # the one for the 4.14 s deadline
+
+    def test_fully_acked_windows_fire_no_timeout(self):
+        # lossless loop: every window is acked well inside its RTO, so the
+        # timer's events only ever re-arm at the moving deadline
+        loop, src = tcp_pair()
+        src.start_at(0)
+        loop.run(ns(3.0))
+        assert src.timeouts == 0 and src.retransmits == 0
+        assert src.snd_una > 1000
+        assert loop.now < src.deadline <= loop.now + ns(TcpSource.MIN_RTO)
+
+    def test_one_pending_timer_event_while_acks_arrive(self):
+        # 64 segments per 40 ms round trip: ~1600 acks/s each move the
+        # deadline, yet at most one timer event waits on the loop
+        loop, src = tcp_pair()
+        src.start_at(0)
+        peak = 0
+        for k in range(1, 31):
+            loop.run(ns(0.1 * k))
+            peak = max(peak, timer_events(loop))
+        assert src.delivered_segments > 3000
+        assert 1 <= peak <= 2
+
+
 class TestReceiver:
     def test_out_of_order_buffering(self):
         loop, src = tcp_pair()
