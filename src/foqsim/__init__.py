@@ -29,9 +29,7 @@ from .config import (
 from .control import (
     FeedbackAction,
     GbParams,
-    GbState,
     PiParams,
-    PiState,
     apply_gb_signal,
     d_mid,
     derive_beta,
@@ -54,7 +52,7 @@ from .switch import (
     ingress_admit,
     red_drop_probability,
 )
-from .timeseries import Record, TimeSeries, sliding_window
+from .timeseries import Record, TimeSeries
 from .traffic import AccessLink, CbrSource, SubnetGroup, TcpSource, staged_start
 
 __version__ = "0.1.0"
@@ -62,8 +60,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AccessLink", "CbrSource", "ConfigError", "ConfigSyntaxError",
     "EventLoop", "Experiment", "ExperimentConfig", "FeedbackAction",
-    "FeedbackConfig", "FlowSpec", "GbParams", "GbState", "Packet",
-    "PiParams", "PiState", "Record", "RedParams", "ServiceClass",
+    "FeedbackConfig", "FlowSpec", "GbParams", "Packet", "PiParams",
+    "Record", "RedParams", "ServiceClass",
     "SourceSpec", "StepResponse", "StepScenario", "SubnetGroup", "Switch",
     "SwitchConfig", "TcpSource", "TimeSeries", "apply_gb_signal", "d_mid",
     "derive_beta", "derive_thresholds", "drop_level_table",
@@ -71,6 +69,6 @@ __all__ = [
     "initial_period", "is_stable", "load_config", "multiflow_initial_rate",
     "ns", "parse_pairs", "pi_update", "poles", "queue_at",
     "queue_trajectory", "red_drop_probability", "run_experiment",
-    "sliding_window", "staged_start", "step_response_closed_form",
+    "staged_start", "step_response_closed_form",
     "step_response_recurrence", "stream", "tx_ns",
 ]

@@ -8,7 +8,7 @@ the file is reported, each prefixed by the offending key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .switch import FeedbackConfig, FlowSpec, RedParams, ServiceClass, SwitchConfig
@@ -169,6 +169,13 @@ def _section_ids(pairs, prefix, bad):
     return sorted(ids)
 
 
+def _given(values: dict, prefix: str, cls) -> dict:
+    """Keyword arguments for the fields of cls the file gave a value for;
+    the dataclass supplies the rest."""
+    return {f.name: values[prefix + f.name] for f in fields(cls)
+            if values[prefix + f.name] is not None}
+
+
 def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
     """Typed experiment from raw pairs; raises ConfigError with every
     violation when anything is wrong."""
@@ -247,43 +254,8 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
     if mgmt == "droptail" and any(k.startswith("switch.red.") for k in pairs):
         bad.append("switch.red: red parameters given but queue_mgmt is droptail")
 
-    red = None
-    if mgmt == "red":
-        defaults = RedParams()
-        red = RedParams(
-            max_p=sw_vals["red.max_p"] if sw_vals["red.max_p"] is not None
-            else defaults.max_p,
-            min_th=sw_vals["red.min_th"] if sw_vals["red.min_th"] is not None
-            else defaults.min_th,
-            max_th=sw_vals["red.max_th"] if sw_vals["red.max_th"] is not None
-            else defaults.max_th,
-            weight=sw_vals["red.weight"] if sw_vals["red.weight"] is not None
-            else defaults.weight,
-            sample_interval=sw_vals["red.sample_interval"]
-            if sw_vals["red.sample_interval"] is not None
-            else defaults.sample_interval,
-        )
-    fdef = FeedbackConfig()
-    feedback = FeedbackConfig(
-        mode=sw_vals["feedback.mode"] or fdef.mode,
-        interval=sw_vals["feedback.interval"] if sw_vals["feedback.interval"]
-        is not None else fdef.interval,
-        delay=sw_vals["feedback.delay"] if sw_vals["feedback.delay"] is not None
-        else fdef.delay,
-        alpha=sw_vals["feedback.alpha"] if sw_vals["feedback.alpha"] is not None
-        else fdef.alpha,
-        gain_p=sw_vals["feedback.gain_p"] if sw_vals["feedback.gain_p"]
-        is not None else fdef.gain_p,
-        gain_i=sw_vals["feedback.gain_i"] if sw_vals["feedback.gain_i"]
-        is not None else fdef.gain_i,
-        d_max=sw_vals["feedback.d_max"] if sw_vals["feedback.d_max"] is not None
-        else fdef.d_max,
-        d_min=sw_vals["feedback.d_min"] if sw_vals["feedback.d_min"] is not None
-        else fdef.d_min,
-        table_size=sw_vals["feedback.table_size"]
-        if sw_vals["feedback.table_size"] is not None else fdef.table_size,
-        measure=sw_vals["feedback.measure"] or fdef.measure,
-    )
+    red = RedParams(**_given(sw_vals, "red.", RedParams)) if mgmt == "red" else None
+    feedback = FeedbackConfig(**_given(sw_vals, "feedback.", FeedbackConfig))
     # required keys pass through as parsed (None only when already
     # reported), so validate() judges the value the file gave
     switch = SwitchConfig(

@@ -1,14 +1,16 @@
 """Feedback drop controllers: a discrete PI law and its quantized gear-box variant.
 
 Rates are bits/second throughout, probabilities plain fractions in [0, 1].
-Controller state lives in small immutable records owned by exactly one
-output-queue sampler, so distinct (output, flow) loops never share state.
+Every controller step is a pure function on scalars: the caller passes in
+the loop's state (a PI accumulator and last drop probability, or a gear-box
+drop level) and stores what comes back. Each output queue owns its own
+state, so distinct (output, flow) loops never share it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -42,42 +44,26 @@ class PiParams:
             raise ValueError("line_rate must be positive")
 
 
-@dataclass(frozen=True)
-class PiState:
-    """Per-(output, flow) PI memory.
+def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
+              desired_rate: float, params: PiParams) -> tuple[float, float]:
+    """Advance the PI law one interval and return (drop_rate, accumulator).
 
     accumulator holds the integral term already scaled by gain_i, so the
-    emitted drop rate is gain_p * e[n] + accumulator.
-    """
-
-    accumulator: float = 0.0
-    last_error: float = 0.0
-    last_drop_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.last_drop_prob <= 1.0:
-            raise ValueError("last_drop_prob must be a probability")
-
-
-def pi_update(state: PiState, measured_rate: float, desired_rate: float,
-              params: PiParams) -> tuple[float, PiState]:
-    """Advance the PI law one interval and return (drop_rate, new_state).
-
-    The emitted value is clamped to [0, measured/(1 - last_drop_prob)]: a
-    drop rate can be neither negative nor larger than the estimated arrival
-    rate. While the output is pinned at a limit the accumulator is frozen so
-    it cannot wind up.
+    emitted drop rate is gain_p * e[n] + accumulator. The emitted value is
+    clamped to [0, measured/(1 - last_drop_prob)]: a drop rate can be
+    neither negative nor larger than the estimated arrival rate. While the
+    output is pinned at a limit the accumulator is frozen so it cannot wind
+    up.
     """
     error = measured_rate - desired_rate
-    grown = state.accumulator + params.gain_i * error
+    grown = accumulator + params.gain_i * error
     raw = params.gain_p * error + grown
-    if state.last_drop_prob < 1.0:
-        ceiling = measured_rate / (1.0 - state.last_drop_prob)
+    if last_drop_prob < 1.0:
+        ceiling = measured_rate / (1.0 - last_drop_prob)
     else:
         ceiling = math.inf
     value = min(max(raw, 0.0), ceiling)
-    accumulator = grown if value == raw else state.accumulator
-    return value, replace(state, accumulator=accumulator, last_error=error)
+    return value, grown if value == raw else accumulator
 
 
 def drop_prob_from_rate(drop_rate: float, fabric_out_rate: float,
@@ -121,44 +107,6 @@ class GbParams:
             raise ValueError("beta must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class GbState:
-    """Drop-level pointer into the quantized drop table."""
-
-    level: int = 0
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be non-negative")
-
-
-def gb_delta(error: float, prev_error: float, fabric_out_rate: float,
-             params: PiParams) -> float:
-    """Incremental drop-probability demand of the PI law over one interval.
-
-    Equals ((gain_p + gain_i) * e[n] - gain_p * e[n-1]) / r[n]; the gear-box
-    quantizes this to three levels instead of applying it exactly.
-    """
-    if fabric_out_rate == 0.0:
-        raise ValueError("undefined delta: fabric output rate is zero")
-    num = (params.gain_p + params.gain_i) * error - params.gain_p * prev_error
-    return num / fabric_out_rate
-
-def quantize_delta(delta: float, delta_max: float, delta_min: float,
-                   beta: float) -> float:
-    """Three-level quantization of the incremental demand.
-
-    Demands above delta_max map to beta (one step up the drop table), ones
-    below -delta_min map to beta/(beta - 1) (one step down), anything in the
-    dead band maps to zero.
-    """
-    if delta > delta_max:
-        return beta
-    if delta < -delta_min:
-        return beta / (beta - 1.0)
-    return 0.0
-
-
 def gb_signal_from_congestion(congestion: float, params: GbParams) -> FeedbackAction:
     """Map a relative-congestion measurement onto the two-bit signal."""
     if congestion > params.d_max:
@@ -184,14 +132,13 @@ def drop_level_table(beta: float, table_size: int) -> list[float]:
     return [1.0 - a for a in admit_level_table(beta, table_size)]
 
 
-def apply_gb_signal(state: GbState, signal: FeedbackAction,
-                    table_size: int) -> GbState:
+def apply_gb_signal(level: int, signal: FeedbackAction, table_size: int) -> int:
     """Move the drop-level pointer one step, saturating at both table ends."""
     if signal is FeedbackAction.INCREASE:
-        return GbState(min(state.level + 1, table_size - 1))
+        return min(level + 1, table_size - 1)
     if signal is FeedbackAction.DECREASE:
-        return GbState(max(state.level - 1, 0))
-    return state
+        return max(level - 1, 0)
+    return level
 
 
 # --- derived constants ------------------------------------------------------
@@ -232,15 +179,3 @@ def derive_thresholds(alpha: float, speedup: float, gain_i: float,
     dmax = base + delta_max / scale
     dmin = max(base - delta_min / scale, 0.0)
     return dmax, dmin
-
-
-def deltas_from_thresholds(alpha: float, speedup: float, gain_i: float,
-                           dmax: float, dmin: float) -> tuple[float, float]:
-    """Inverse of derive_thresholds, used to seed quantizer defaults."""
-    if alpha * speedup <= 1.0:
-        raise ValueError("no congestion headroom: alpha * speedup must exceed 1")
-    if gain_i <= 0.0:
-        raise ValueError("gain_i must be positive")
-    base = 1.0 - 1.0 / (alpha * speedup)
-    scale = alpha * speedup * gain_i
-    return (dmax - base) * scale, (base - dmin) * scale

@@ -16,15 +16,13 @@ bit-identical runs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .control import (
     FeedbackAction,
     GbParams,
-    GbState,
     PiParams,
-    PiState,
     apply_gb_signal,
     drop_level_table,
     drop_prob_from_rate,
@@ -194,12 +192,50 @@ class _TokenBucket:
         return False
 
 
-class _OutQueue:
-    __slots__ = ("egress", "flow_id", "svc_class", "weight", "packets",
-                 "backlog", "last_tag", "in_bytes", "out_bytes",
-                 "dropped_bytes", "red_avg")
+class _Port:
+    """One egress: its two fabric FIFOs (premium first), the packets in
+    drain and on the line, and its scheduler's queues and virtual times."""
 
-    def __init__(self, egress, flow_id, svc_class, weight):
+    __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx", "busy",
+                 "premium", "assured", "besteffort",
+                 "vt_assured", "vt_besteffort")
+
+    def __init__(self, index):
+        self.index = index
+        self.fifos = (deque(), deque())
+        self.fifo_bytes = [0, 0]
+        self.in_drain = None
+        self.in_tx = None
+        self.busy = False
+        # output queues by service class, each in flow-id order; the
+        # attribute names are the ServiceClass values
+        self.premium = []
+        self.assured = []
+        self.besteffort = []
+        self.vt_assured = 0.0
+        self.vt_besteffort = 0.0
+
+
+# the output-queue counters summed into each flow's ledger, in its order
+_TOTALS = ("injected", "ingress_dropped", "fabric_dropped", "egress_dropped",
+           "delivered")
+
+
+class _OutQueue:
+    """One (egress, flow) queue with its dropper, controller and counters.
+
+    Each byte event adds to exactly one of the six cumulative byte counters.
+    The sampler and the report each keep a snapshot of the counters they
+    read last; their interval and window values are differences against it.
+    """
+
+    __slots__ = ("egress", "flow_id", "svc_class", "weight", "packets",
+                 "backlog", "last_tag", "red_avg", "red_rng", "drop_prob",
+                 "level", "accumulator", "last_drop_prob", "delays",
+                 "injected", "ingress_dropped", "fabric_dropped", "arrived",
+                 "egress_dropped", "delivered", "sampled", "reported")
+
+    def __init__(self, egress, flow_id, svc_class, weight, red_rng):
         self.egress = egress
         self.flow_id = flow_id
         self.svc_class = svc_class
@@ -207,25 +243,21 @@ class _OutQueue:
         self.packets = deque()  # (packet, finish_tag)
         self.backlog = 0        # bytes
         self.last_tag = 0.0
-        self.in_bytes = 0       # sampler counters, reset every interval
-        self.out_bytes = 0
-        self.dropped_bytes = 0
         self.red_avg = 0.0
-
-
-class _Ledger:
-    __slots__ = ("injected", "ingress_dropped", "fabric_dropped",
-                 "egress_dropped", "delivered")
-
-    def __init__(self):
+        self.red_rng = red_rng
+        self.drop_prob = 0.0    # applied at every ingress dropper
+        self.level = 0          # gear-box drop level
+        self.accumulator = 0.0  # PI integral term
+        self.last_drop_prob = 0.0
+        self.delays = []        # ns, of this report window's deliveries
         self.injected = 0
         self.ingress_dropped = 0
         self.fabric_dropped = 0
+        self.arrived = 0        # drained into the output, before its dropper
         self.egress_dropped = 0
         self.delivered = 0
-
-
-_REP_FIELDS = ("delivered", "ingress", "fabric", "egress")
+        self.sampled = (0, 0, 0)     # arrived, delivered, egress_dropped
+        self.reported = (0, 0, 0, 0)  # delivered and the three drop stages
 
 
 class Switch:
@@ -244,26 +276,14 @@ class Switch:
         self._line_ns = TxTimes(config.line_rate)
         self.delivery_hooks = []  # callables (packet) at egress completion
 
-        self._queues: dict[tuple[int, int], _OutQueue] = {}
-        self._port_flows: dict[int, dict[ServiceClass, list[int]]] = {}
-        self._fq: dict[int, tuple[deque, deque]] = {}
-        self._fq_bytes: dict[int, list[int]] = {}
-        self._in_drain: dict[int, Packet | None] = {}
-        self._in_tx: dict[int, Packet | None] = {}
-        self._out_busy: dict[int, bool] = {}
-        self._vtime: dict[tuple[int, ServiceClass], float] = {}
+        self._queues: dict[tuple[int, int], _OutQueue] = {}  # sorted by run()
+        # in port order, which the report and the eviction scan (ties to
+        # the lowest port) walk; eviction can run before run()
+        self._ports: dict[int, _Port] = {}
         self._occupancy = 0
-
-        self._drop_prob: dict[tuple[int, int], float] = {}
-        self._gb_state: dict[tuple[int, int], GbState] = {}
-        self._pi_state: dict[tuple[int, int], PiState] = {}
-        self._rep: dict[tuple[int, int], dict] = {}
-        self._ledger: dict[int, _Ledger] = {}
         self._buckets: dict[tuple[int, int], _TokenBucket] = {}
-
         self._ingress_rng = [stream(seed, f"ingress.{i}")
                              for i in range(config.num_ports)]
-        self._red_rng: dict[tuple[int, int], object] = {}
 
         fb = config.feedback
         self._delay_ns = ns(fb.delay)
@@ -296,39 +316,28 @@ class Switch:
         if not 0 <= egress < self.config.num_ports:
             raise ValueError(f"egress port {egress} out of range")
         spec = self.config.flows[flow_id]
-        self._queues[key] = _OutQueue(egress, flow_id, spec.svc_class, spec.weight)
-        port = self._port_flows.setdefault(egress, {
-            ServiceClass.PREMIUM: [], ServiceClass.ASSURED: [],
-            ServiceClass.BEST_EFFORT: []})
-        port[spec.svc_class].append(flow_id)
-        port[spec.svc_class].sort()
-        if egress not in self._fq:
-            self._fq[egress] = (deque(), deque())
-            self._fq_bytes[egress] = [0, 0]
-            self._in_drain[egress] = None
-            self._in_tx[egress] = None
-            self._out_busy[egress] = False
-            self._vtime[(egress, ServiceClass.ASSURED)] = 0.0
-            self._vtime[(egress, ServiceClass.BEST_EFFORT)] = 0.0
-        self._drop_prob[key] = 0.0
-        self._gb_state[key] = GbState()
-        self._pi_state[key] = PiState()
-        self._rep[key] = {f: 0 for f in _REP_FIELDS}
-        self._rep[key]["delays"] = []
-        self._red_rng[key] = stream(self.seed, f"red.{egress}.{flow_id}")
-        self._ledger.setdefault(flow_id, _Ledger())
+        oq = _OutQueue(egress, flow_id, spec.svc_class, spec.weight,
+                       stream(self.seed, f"red.{egress}.{flow_id}"))
+        self._queues[key] = oq
+        port = self._ports.get(egress)
+        if port is None:
+            port = self._ports[egress] = _Port(egress)
+            self._ports = dict(sorted(self._ports.items()))
+        tier = getattr(port, spec.svc_class.value)
+        tier.append(oq)
+        tier.sort(key=lambda q: q.flow_id)
 
     # --- ingress ---------------------------------------------------------
 
     def ingress_arrival(self, packet: Packet) -> None:
         """Full ingress pipeline: policer, dropper, fabric admission."""
         key = (packet.egress_port, packet.flow_id)
-        if key not in self._queues:
+        oq = self._queues.get(key)
+        if oq is None:
             raise ValueError(f"no queue registered for egress/flow {key}")
         packet.arrived_at = self.loop.now
         size = packet.size
-        led = self._ledger[packet.flow_id]
-        led.injected += size
+        oq.injected += size
         spec = self.config.flows[packet.flow_id]
         if packet.svc_class is ServiceClass.PREMIUM and spec.police_rate is not None:
             bkey = (packet.ingress_port, packet.flow_id)
@@ -338,13 +347,11 @@ class Switch:
                                       self.loop.now)
                 self._buckets[bkey] = bucket
             if not bucket.admit(size, self.loop.now):
-                led.ingress_dropped += size
-                self._rep[key]["ingress"] += size
+                oq.ingress_dropped += size
                 return
         rng = self._ingress_rng[packet.ingress_port]
-        if not ingress_admit(packet, self._drop_prob[key], rng):
-            led.ingress_dropped += size
-            self._rep[key]["ingress"] += size
+        if not ingress_admit(packet, oq.drop_prob, rng):
+            oq.ingress_dropped += size
             return
         self.fabric_enqueue(packet)
 
@@ -368,80 +375,79 @@ class Switch:
                 self._count_fabric_drop(packet)
                 return False
         self._occupancy += size
-        j = packet.egress_port
-        self._fq[j][prio].append(packet)
-        self._fq_bytes[j][prio] += size
-        if self._in_drain[j] is None:
-            self._start_drain(j)
+        port = self._ports[packet.egress_port]
+        port.fifos[prio].append(packet)
+        port.fifo_bytes[prio] += size
+        if port.in_drain is None:
+            self._start_drain(port)
         return True
 
     def _evict_low_priority(self, needed: int) -> None:
         while needed > 0:
-            victim_port = -1
-            victim_bytes = -1
-            for j in sorted(self._fq):
-                if self._fq_bytes[j][1] > victim_bytes and self._fq[j][1]:
-                    victim_bytes = self._fq_bytes[j][1]
-                    victim_port = j
-            if victim_port < 0:
+            victim = None
+            for port in self._ports.values():
+                if port.fifos[1] and (victim is None or
+                                      port.fifo_bytes[1] > victim.fifo_bytes[1]):
+                    victim = port
+            if victim is None:
                 return
-            victim = self._fq[victim_port][1].pop()
-            self._fq_bytes[victim_port][1] -= victim.size
-            self._occupancy -= victim.size
-            needed -= victim.size
-            self._count_fabric_drop(victim)
+            packet = victim.fifos[1].pop()
+            victim.fifo_bytes[1] -= packet.size
+            self._occupancy -= packet.size
+            needed -= packet.size
+            self._count_fabric_drop(packet)
 
     def _count_fabric_drop(self, packet: Packet) -> None:
-        self._ledger[packet.flow_id].fabric_dropped += packet.size
-        self._rep[(packet.egress_port, packet.flow_id)]["fabric"] += packet.size
+        oq = self._queues[(packet.egress_port, packet.flow_id)]
+        oq.fabric_dropped += packet.size
 
-    def _start_drain(self, j: int) -> None:
-        hi, lo = self._fq[j]
+    def _start_drain(self, port: _Port) -> None:
+        hi, lo = port.fifos
         queue, prio = (hi, 0) if hi else (lo, 1)
         packet = queue.popleft()
-        self._fq_bytes[j][prio] -= packet.size
+        port.fifo_bytes[prio] -= packet.size
         self._occupancy -= packet.size
-        self._in_drain[j] = packet
+        port.in_drain = packet
         loop = self.loop
         loop.at(loop.now + self._drain_ns[packet.size],
-                lambda: self._drain_done(j), port=j, flow=packet.flow_id)
+                lambda: self._drain_done(port), port=port.index,
+                flow=packet.flow_id)
 
-    def _drain_done(self, j: int) -> None:
-        packet = self._in_drain[j]
-        self._in_drain[j] = None
-        self._enqueue_out(packet)
-        hi, lo = self._fq[j]
+    def _drain_done(self, port: _Port) -> None:
+        packet = port.in_drain
+        port.in_drain = None
+        self._enqueue_out(port, packet)
+        hi, lo = port.fifos
         if hi or lo:
-            self._start_drain(j)
+            self._start_drain(port)
 
     # --- output queues and scheduler --------------------------------------
 
-    def _enqueue_out(self, packet: Packet) -> None:
-        key = (packet.egress_port, packet.flow_id)
-        oq = self._queues[key]
+    def _enqueue_out(self, port: _Port, packet: Packet) -> None:
+        oq = self._queues[(port.index, packet.flow_id)]
         size = packet.size
-        oq.in_bytes += size
+        oq.arrived += size
         drop = False
         if oq.backlog + size > self.config.out_queue_size:
             drop = True  # hard buffer bound applies under RED too
         elif self.config.red is not None:
             p = red_drop_probability(oq.red_avg, self.config.red)
-            if p >= 1.0 or (p > 0.0 and self._red_rng[key].random() < p):
+            if p >= 1.0 or (p > 0.0 and oq.red_rng.random() < p):
                 drop = True
         if drop:
-            oq.dropped_bytes += size
-            self._ledger[packet.flow_id].egress_dropped += size
-            self._rep[key]["egress"] += size
+            oq.egress_dropped += size
             return
         tag = 0.0
-        if oq.svc_class is not ServiceClass.PREMIUM:
-            vt = self._vtime[(packet.egress_port, oq.svc_class)]
+        svc = oq.svc_class
+        if svc is not ServiceClass.PREMIUM:
+            vt = (port.vt_assured if svc is ServiceClass.ASSURED
+                  else port.vt_besteffort)
             tag = max(oq.last_tag, vt) + size * 8.0 / oq.weight
             oq.last_tag = tag
         oq.packets.append((packet, tag))
         oq.backlog += size
-        if not self._out_busy[packet.egress_port]:
-            self._start_out(packet.egress_port)
+        if not port.busy:
+            self._start_out(port)
 
     def out_scheduler_select(self, j: int) -> int | None:
         """Flow the output scheduler would serve next, None when idle.
@@ -450,54 +456,50 @@ class Switch:
         weighted-fair selection by smallest finish tag among assured queues,
         then the same among best-effort queues.
         """
-        port = self._port_flows.get(j)
+        port = self._ports.get(j)
         if port is None:
             return None
-        for fid in port[ServiceClass.PREMIUM]:
-            if self._queues[(j, fid)].packets:
-                return fid
-        for tier in (ServiceClass.ASSURED, ServiceClass.BEST_EFFORT):
+        for oq in port.premium:
+            if oq.packets:
+                return oq.flow_id
+        for tier in (port.assured, port.besteffort):
             best = None
             best_tag = 0.0
-            for fid in port[tier]:
-                q = self._queues[(j, fid)].packets
+            for oq in tier:
+                q = oq.packets
                 if q and (best is None or q[0][1] < best_tag):
-                    best = fid
+                    best = oq
                     best_tag = q[0][1]
             if best is not None:
-                return best
+                return best.flow_id
         return None
 
-    def _start_out(self, j: int) -> None:
+    def _start_out(self, port: _Port) -> None:
+        j = port.index
         fid = self.out_scheduler_select(j)
         if fid is None:
-            self._out_busy[j] = False
+            port.busy = False
             return
         oq = self._queues[(j, fid)]
         packet, tag = oq.packets.popleft()
         oq.backlog -= packet.size
-        if oq.svc_class is not ServiceClass.PREMIUM:
-            self._vtime[(j, oq.svc_class)] = tag
-        self._out_busy[j] = True
-        self._in_tx[j] = packet
+        if oq.svc_class is ServiceClass.ASSURED:
+            port.vt_assured = tag
+        elif oq.svc_class is ServiceClass.BEST_EFFORT:
+            port.vt_besteffort = tag
+        port.busy = True
+        port.in_tx = packet
         loop = self.loop
         loop.at(loop.now + self._line_ns[packet.size],
-                lambda: self._out_done(j, packet), port=j, flow=fid)
+                lambda: self._out_done(port, oq, packet), port=j, flow=fid)
 
-    def _out_done(self, j: int, packet: Packet) -> None:
-        key = (j, packet.flow_id)
-        oq = self._queues[key]
-        size = packet.size
-        oq.out_bytes += size
-        led = self._ledger[packet.flow_id]
-        led.delivered += size
-        rep = self._rep[key]
-        rep["delivered"] += size
-        rep["delays"].append(self.loop.now - packet.arrived_at)
-        self._in_tx[j] = None
+    def _out_done(self, port: _Port, oq: _OutQueue, packet: Packet) -> None:
+        oq.delivered += packet.size
+        oq.delays.append(self.loop.now - packet.arrived_at)
+        port.in_tx = None
         for hook in self.delivery_hooks:
             hook(packet)
-        self._start_out(j)
+        self._start_out(port)
 
     # --- feedback ----------------------------------------------------------
 
@@ -507,10 +509,11 @@ class Switch:
         Returns the emitted gear-box signal, the emitted PI probability, or
         None when feedback is off or the interval carried no information.
         """
-        key = (j, k)
-        oq = self._queues[key]
-        in_b, out_b, drop_b = oq.in_bytes, oq.out_bytes, oq.dropped_bytes
-        oq.in_bytes = oq.out_bytes = oq.dropped_bytes = 0
+        oq = self._queues[(j, k)]
+        arrived0, delivered0, dropped0 = oq.sampled
+        oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
+        in_b = oq.arrived - arrived0
+        out_b = oq.delivered - delivered0
         congestion = None
         if in_b > 0:
             congestion = 1.0 - out_b / in_b
@@ -521,72 +524,73 @@ class Switch:
             return None
         if in_b == 0:
             return None  # empty interval: hold everything as-is
-        measured = congestion if fb.measure == "relcong" else drop_b / in_b
+        measured = (congestion if fb.measure == "relcong"
+                    else (oq.egress_dropped - dropped0) / in_b)
         if fb.mode == "gearbox":
             signal = gb_signal_from_congestion(measured, self._gb_params)
             if signal is not FeedbackAction.HOLD:
                 self.loop.at(self.loop.now + self._delay_ns,
-                             lambda: self._apply_gb(key, signal),
+                             lambda: self._apply_gb(oq, signal),
                              rank=RANK_CONTROL, port=j, flow=k)
             return signal
         interval = fb.interval
         rate_in = in_b * 8.0 / interval
         rate_out = out_b * 8.0 / interval
         desired = fb.alpha * self.config.speedup * rate_out
-        rho, state = pi_update(self._pi_state[key], rate_in, desired,
-                               self._pi_params)
-        prob = drop_prob_from_rate(rho, rate_in, state.last_drop_prob)
-        self._pi_state[key] = replace(state, last_drop_prob=prob)
+        rho, oq.accumulator = pi_update(oq.accumulator, oq.last_drop_prob,
+                                        rate_in, desired, self._pi_params)
+        prob = oq.last_drop_prob = drop_prob_from_rate(rho, rate_in,
+                                                       oq.last_drop_prob)
         self.loop.at(self.loop.now + self._delay_ns,
-                     lambda: self._apply_prob(key, prob),
+                     lambda: self._apply_prob(oq, prob),
                      rank=RANK_CONTROL, port=j, flow=k)
         return prob
 
-    def _apply_gb(self, key, signal) -> None:
-        state = apply_gb_signal(self._gb_state[key], signal,
-                                self.config.feedback.table_size)
-        self._gb_state[key] = state
-        self._drop_prob[key] = self._drop_table[state.level]
+    def _apply_gb(self, oq: _OutQueue, signal) -> None:
+        oq.level = apply_gb_signal(oq.level, signal,
+                                   self.config.feedback.table_size)
+        oq.drop_prob = self._drop_table[oq.level]
 
-    def _apply_prob(self, key, prob: float) -> None:
-        self._drop_prob[key] = prob
+    def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
+        oq.drop_prob = prob
 
     def drop_level(self, j: int, k: int) -> int:
-        return self._gb_state[(j, k)].level
+        return self._queues[(j, k)].level
 
     # --- measurement -------------------------------------------------------
 
     def _report(self) -> None:
         t = self.loop.now / NS
         span = self._report_ns / NS
-        for key in sorted(self._rep):
-            j, k = key
-            rep = self._rep[key]
-            s = self._series
-            s.append(t, "throughput_bps", j, k, rep["delivered"] * 8 / span, "bps")
-            s.append(t, "ingress_drop_bps", j, k, rep["ingress"] * 8 / span, "bps")
-            s.append(t, "fabric_drop_bps", j, k, rep["fabric"] * 8 / span, "bps")
-            s.append(t, "egress_drop_bps", j, k, rep["egress"] * 8 / span, "bps")
-            s.append(t, "out_queue_bytes", j, k, float(self._queues[key].backlog),
-                     "bytes")
-            delays = rep["delays"]
+        s = self._series
+        for (j, k), oq in self._queues.items():
+            delivered0, ingress0, fabric0, egress0 = oq.reported
+            oq.reported = (oq.delivered, oq.ingress_dropped, oq.fabric_dropped,
+                           oq.egress_dropped)
+            s.append(t, "throughput_bps", j, k,
+                     (oq.delivered - delivered0) * 8 / span, "bps")
+            s.append(t, "ingress_drop_bps", j, k,
+                     (oq.ingress_dropped - ingress0) * 8 / span, "bps")
+            s.append(t, "fabric_drop_bps", j, k,
+                     (oq.fabric_dropped - fabric0) * 8 / span, "bps")
+            s.append(t, "egress_drop_bps", j, k,
+                     (oq.egress_dropped - egress0) * 8 / span, "bps")
+            s.append(t, "out_queue_bytes", j, k, float(oq.backlog), "bytes")
+            delays = oq.delays
             if delays:
                 delays.sort()
                 mean = sum(delays) / len(delays) / NS
                 p99 = delays[int(round(0.99 * (len(delays) - 1)))] / NS
                 s.append(t, "delay_mean_s", j, k, mean, "s")
                 s.append(t, "delay_p99_s", j, k, p99, "s")
-            for f in _REP_FIELDS:
-                rep[f] = 0
-            rep["delays"] = []
-        for j in sorted(self._fq):
-            self._series.append(t, "fabric_queue_bytes", j, None,
-                                float(sum(self._fq_bytes[j])), "bytes")
-        self._series.append(t, "fabric_occupancy_bytes", None, None,
-                            float(self._occupancy), "bytes")
+                oq.delays = []
+        for j, port in self._ports.items():
+            s.append(t, "fabric_queue_bytes", j, None,
+                     float(sum(port.fifo_bytes)), "bytes")
+        s.append(t, "fabric_occupancy_bytes", None, None,
+                 float(self._occupancy), "bytes")
 
-    def _red_tick(self, key) -> None:
-        oq = self._queues[key]
+    def _red_tick(self, oq: _OutQueue) -> None:
         w = self.config.red.weight
         oq.red_avg = (1.0 - w) * oq.red_avg + w * oq.backlog
 
@@ -598,6 +602,7 @@ class Switch:
             raise ValueError("run() may only be called once")
         self._started = True
         until = ns(duration)
+        self._queues = dict(sorted(self._queues.items()))
 
         def tick(key, fn, period):
             def handler():
@@ -607,14 +612,14 @@ class Switch:
                                  port=key[0], flow=key[1])
             return handler
 
-        for key in sorted(self._queues):
+        for key, oq in self._queues.items():
             j, k = key
             handler = tick(key, lambda j=j, k=k: self.sample_and_feedback(j, k),
                            self._interval_ns)
             self.loop.at(self._interval_ns, handler, rank=RANK_TICK, port=j, flow=k)
             if self.config.red is not None:
                 red_ns = ns(self.config.red.sample_interval)
-                rh = tick(key, lambda key=key: self._red_tick(key), red_ns)
+                rh = tick(key, lambda oq=oq: self._red_tick(oq), red_ns)
                 self.loop.at(red_ns, rh, rank=RANK_TICK, port=j, flow=k)
         rep = tick((-1, -1), self._report, self._report_ns)
         self.loop.at(self._report_ns, rep, rank=RANK_TICK)
@@ -624,28 +629,28 @@ class Switch:
         return self._series
 
     def _emit_totals(self, duration: float) -> None:
-        resident = self._resident_bytes()
-        for fid in sorted(self._ledger):
-            led = self._ledger[fid]
-            for name, value in (
-                ("injected_bytes_total", led.injected),
-                ("ingress_drop_bytes_total", led.ingress_dropped),
-                ("fabric_drop_bytes_total", led.fabric_dropped),
-                ("egress_drop_bytes_total", led.egress_dropped),
-                ("delivered_bytes_total", led.delivered),
-                ("resident_bytes_total", resident.get(fid, 0)),
+        ledger = self.conservation()
+        for fid in sorted(ledger):
+            acct = ledger[fid]
+            for name, metric in (
+                ("injected", "injected_bytes_total"),
+                ("ingress_dropped", "ingress_drop_bytes_total"),
+                ("fabric_dropped", "fabric_drop_bytes_total"),
+                ("egress_dropped", "egress_drop_bytes_total"),
+                ("delivered", "delivered_bytes_total"),
+                ("resident", "resident_bytes_total"),
             ):
-                self._series.append(duration, name, None, fid, float(value),
-                                    "bytes")
+                self._series.append(duration, metric, None, fid,
+                                    float(acct[name]), "bytes")
 
     def _resident_bytes(self) -> dict[int, int]:
         """Bytes still inside the switch, by flow, from the live structures."""
-        res: dict[int, int] = {fid: 0 for fid in self._ledger}
-        for j in self._fq:
-            for queue in self._fq[j]:
+        res = {oq.flow_id: 0 for oq in self._queues.values()}
+        for port in self._ports.values():
+            for queue in port.fifos:
                 for packet in queue:
                     res[packet.flow_id] += packet.size
-            for packet in (self._in_drain[j], self._in_tx[j]):
+            for packet in (port.in_drain, port.in_tx):
                 if packet is not None:
                     res[packet.flow_id] += packet.size
         for oq in self._queues.values():
@@ -654,23 +659,21 @@ class Switch:
         return res
 
     def conservation(self) -> dict[int, dict]:
-        """Per-flow byte accounting; 'balanced' is an exact integer identity."""
+        """Per-flow byte accounting; 'balanced' is an exact integer identity.
+
+        The counters are the queues' own, summed over each flow's queues;
+        the resident bytes are counted from the live structures.
+        """
         resident = self._resident_bytes()
-        out = {}
-        for fid, led in self._ledger.items():
-            r = resident.get(fid, 0)
-            out[fid] = {
-                "injected": led.injected,
-                "ingress_dropped": led.ingress_dropped,
-                "fabric_dropped": led.fabric_dropped,
-                "egress_dropped": led.egress_dropped,
-                "delivered": led.delivered,
-                "resident": r,
-                "balanced": led.injected == (led.ingress_dropped
-                                             + led.fabric_dropped
-                                             + led.egress_dropped
-                                             + led.delivered + r),
-            }
+        out: dict[int, dict] = {}
+        for oq in self._queues.values():
+            acct = out.setdefault(oq.flow_id, dict.fromkeys(_TOTALS, 0))
+            for name in _TOTALS:
+                acct[name] += getattr(oq, name)
+        for fid, acct in out.items():
+            acct["resident"] = resident[fid]
+            acct["balanced"] = acct["injected"] == (
+                sum(acct[name] for name in _TOTALS[1:]) + resident[fid])
         return out
 
     @property
@@ -678,4 +681,4 @@ class Switch:
         return self._occupancy
 
     def drop_probability(self, j: int, k: int) -> float:
-        return self._drop_prob[(j, k)]
+        return self._queues[(j, k)].drop_prob

@@ -92,53 +92,3 @@ class TimeSeries:
                 float(value), unit,
             ))
         return cls(records)
-
-
-def sliding_window(series: TimeSeries, width: float) -> TimeSeries:
-    """Trailing moving average over each (metric, port, flow) group.
-
-    The native step is taken from each group's first two timestamps; width
-    must not undercut it. End-of-run *_total records pass through untouched.
-    Head points average over however many samples exist, so a constant
-    series survives unchanged and a B-byte impulse in a zero background
-    smears into rate B/width for exactly width seconds.
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    groups: dict = {}
-    for r in series.records:
-        groups.setdefault((r.metric, r.port, r.flow), []).append(r)
-
-    smoothed: dict = {}
-    for key, rows in groups.items():
-        if key[0].endswith("_total") or len(rows) < 2:
-            continue
-        native = rows[1].t - rows[0].t
-        if native <= 0:
-            continue
-        if width < native - 1e-12:
-            raise ValueError("window narrower than the native sampling interval")
-        k = max(1, int(round(width / native)))
-        if k == 1:
-            continue
-        acc = 0.0
-        vals = [r.value for r in rows]
-        means = []
-        for i, v in enumerate(vals):
-            acc += v
-            if i >= k:
-                acc -= vals[i - k]
-            means.append(acc / min(i + 1, k))
-        smoothed[key] = means
-
-    out = TimeSeries()
-    position: dict = {}
-    for r in series.records:
-        key = (r.metric, r.port, r.flow)
-        if key in smoothed:
-            i = position.get(key, 0)
-            position[key] = i + 1
-            out.append(r.t, r.metric, r.port, r.flow, smoothed[key][i], r.unit)
-        else:
-            out.records.append(r)
-    return out

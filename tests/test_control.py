@@ -11,21 +11,16 @@ from hypothesis import given, strategies as st
 from foqsim.control import (
     FeedbackAction,
     GbParams,
-    GbState,
     PiParams,
-    PiState,
     admit_level_table,
     apply_gb_signal,
     d_mid,
-    deltas_from_thresholds,
     derive_beta,
     derive_thresholds,
     drop_level_table,
     drop_prob_from_rate,
-    gb_delta,
     gb_signal_from_congestion,
     pi_update,
-    quantize_delta,
 )
 
 PARAMS = PiParams(gain_p=0.0, gain_i=0.5, interval=1.0, alpha=0.95,
@@ -35,47 +30,45 @@ PARAMS = PiParams(gain_p=0.0, gain_i=0.5, interval=1.0, alpha=0.95,
 class TestPiUpdate:
     def test_single_step(self):
         # e = 0.5, acc = 0 + 0.5 * 0.5 = 0.25, K = 0 -> rate 0.25
-        rate, state = pi_update(PiState(), 1.5, 1.0, PARAMS)
+        rate, acc = pi_update(0.0, 0.0, 1.5, 1.0, PARAMS)
         assert rate == 0.25
-        assert state.accumulator == 0.25
-        assert state.last_error == 0.5
+        assert acc == 0.25
 
     def test_integral_accumulates(self):
         # same error twice: acc 0.25 then 0.5
-        _, state = pi_update(PiState(), 1.5, 1.0, PARAMS)
-        rate, state = pi_update(state, 1.5, 1.0, PARAMS)
+        _, acc = pi_update(0.0, 0.0, 1.5, 1.0, PARAMS)
+        rate, acc = pi_update(acc, 0.0, 1.5, 1.0, PARAMS)
         assert rate == 0.5
-        assert state.accumulator == 0.5
+        assert acc == 0.5
 
     def test_proportional_term(self):
         # K = 0.4: rate = 0.4 * 0.5 + 0.25 = 0.45
         params = PiParams(gain_p=0.4, gain_i=0.5, interval=1.0)
-        rate, _ = pi_update(PiState(), 1.5, 1.0, params)
+        rate, _ = pi_update(0.0, 0.0, 1.5, 1.0, params)
         assert rate == pytest.approx(0.45, rel=1e-12)
 
     def test_floor_clamp_freezes_accumulator(self):
         # negative error pushes raw below zero; output clamps to 0 and the
         # accumulator must not wind down while pinned
-        rate, state = pi_update(PiState(), 0.5, 1.0, PARAMS)
+        rate, acc = pi_update(0.0, 0.0, 0.5, 1.0, PARAMS)
         assert rate == 0.0
-        assert state.accumulator == 0.0
-        rate, state = pi_update(state, 0.5, 1.0, PARAMS)
+        assert acc == 0.0
+        rate, acc = pi_update(acc, 0.0, 0.5, 1.0, PARAMS)
         assert rate == 0.0
-        assert state.accumulator == 0.0
+        assert acc == 0.0
 
     def test_ceiling_clamp_freezes_accumulator(self):
         # ceiling = measured / (1 - last_drop_prob) = 1.5 / 0.5 = 3.0
-        state = PiState(accumulator=10.0, last_drop_prob=0.5)
-        rate, new = pi_update(state, 1.5, 1.0, PARAMS)
+        rate, acc = pi_update(10.0, 0.5, 1.5, 1.0, PARAMS)
         assert rate == 3.0
-        assert new.accumulator == 10.0
+        assert acc == 10.0
 
     def test_accumulator_resumes_after_clamp(self):
         # once the raw value re-enters the band the integral moves again
-        _, state = pi_update(PiState(), 0.5, 1.0, PARAMS)
-        rate, state = pi_update(state, 2.0, 1.0, PARAMS)
+        _, acc = pi_update(0.0, 0.0, 0.5, 1.0, PARAMS)
+        rate, acc = pi_update(acc, 0.0, 2.0, 1.0, PARAMS)
         assert rate == 0.5  # acc = 0 + 0.5 * 1.0
-        assert state.accumulator == 0.5
+        assert acc == 0.5
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -88,8 +81,6 @@ class TestPiUpdate:
             PiParams(speedup=1.0)
         with pytest.raises(ValueError):
             PiParams(line_rate=0.0)
-        with pytest.raises(ValueError):
-            PiState(last_drop_prob=1.5)
 
 
 class TestDropProbFromRate:
@@ -110,33 +101,6 @@ class TestDropProbFromRate:
 
 
 class TestGearBox:
-    def test_delta_integral_only(self):
-        # (0 + 0.5) * 0.1 / 1.0 = 0.05
-        assert gb_delta(0.1, 0.0, 1.0, PARAMS) == 0.05
-
-    def test_delta_with_proportional(self):
-        # ((0.5 + 0.5) * 0.5 - 0.5 * 0.2) / 1.0 = 0.4
-        params = PiParams(gain_p=0.5, gain_i=0.5, interval=1.0)
-        assert gb_delta(0.5, 0.2, 1.0, params) == pytest.approx(0.4, rel=1e-12)
-
-    def test_delta_zero_rate_rejected(self):
-        with pytest.raises(ValueError, match="fabric output rate is zero"):
-            gb_delta(0.1, 0.0, 0.0, PARAMS)
-
-    def test_quantize_three_levels(self):
-        beta = 0.08
-        assert quantize_delta(0.2, 0.1, 0.1, beta) == beta
-        assert quantize_delta(-0.3, 0.1, 0.1, beta) == beta / (beta - 1.0)
-        assert quantize_delta(0.05, 0.1, 0.1, beta) == 0.0
-        # band edges belong to the dead band
-        assert quantize_delta(0.1, 0.1, 0.1, beta) == 0.0
-        assert quantize_delta(-0.1, 0.1, 0.1, beta) == 0.0
-
-    @given(st.floats(-10, 10, allow_nan=False))
-    def test_quantize_range(self, delta):
-        out = quantize_delta(delta, 0.1, 0.1, 0.08)
-        assert out in (0.08, 0.08 / (0.08 - 1.0), 0.0)
-
     def test_signal_from_congestion(self):
         params = GbParams(d_max=0.17, d_min=0.02)
         assert gb_signal_from_congestion(0.3, params) is FeedbackAction.INCREASE
@@ -147,29 +111,26 @@ class TestGearBox:
         assert gb_signal_from_congestion(0.02, params) is FeedbackAction.HOLD
 
     def test_pointer_moves_and_saturates(self):
-        state = GbState(0)
-        state = apply_gb_signal(state, FeedbackAction.INCREASE, 4)
-        assert state.level == 1
-        state = apply_gb_signal(state, FeedbackAction.HOLD, 4)
-        assert state.level == 1
-        state = apply_gb_signal(state, FeedbackAction.DECREASE, 4)
-        assert state.level == 0
-        state = apply_gb_signal(state, FeedbackAction.DECREASE, 4)
-        assert state.level == 0
+        level = apply_gb_signal(0, FeedbackAction.INCREASE, 4)
+        assert level == 1
+        level = apply_gb_signal(level, FeedbackAction.HOLD, 4)
+        assert level == 1
+        level = apply_gb_signal(level, FeedbackAction.DECREASE, 4)
+        assert level == 0
+        level = apply_gb_signal(level, FeedbackAction.DECREASE, 4)
+        assert level == 0
         for _ in range(10):
-            state = apply_gb_signal(state, FeedbackAction.INCREASE, 4)
-        assert state.level == 3
+            level = apply_gb_signal(level, FeedbackAction.INCREASE, 4)
+        assert level == 3
 
     @given(st.lists(st.sampled_from(list(FeedbackAction)), max_size=200))
     def test_pointer_stays_in_table(self, signals):
-        state = GbState(0)
+        level = 0
         for sig in signals:
-            state = apply_gb_signal(state, sig, 8)
-            assert 0 <= state.level <= 7
+            level = apply_gb_signal(level, sig, 8)
+            assert 0 <= level <= 7
 
     def test_gb_state_validation(self):
-        with pytest.raises(ValueError):
-            GbState(level=-1)
         with pytest.raises(ValueError):
             GbParams(d_max=0.02, d_min=0.17)
         with pytest.raises(ValueError):
@@ -263,8 +224,11 @@ class TestDerivedConstants:
             derive_thresholds(1.0, 1.28, 0.0, 0.1, 0.1)
 
     def test_deltas_invert_thresholds(self):
+        # solve d_max and d_min of the docstring for the deltas by hand,
+        # then map them back
         dmax, dmin = 0.17, 0.02
-        dx, dn = deltas_from_thresholds(0.95, 1.28, 0.5, dmax, dmin)
-        back = derive_thresholds(0.95, 1.28, 0.5, dx, dn)
+        base, scale = 1.0 - 1.0 / (0.95 * 1.28), 0.95 * 1.28 * 0.5
+        back = derive_thresholds(0.95, 1.28, 0.5, (dmax - base) * scale,
+                                 (base - dmin) * scale)
         assert back[0] == pytest.approx(dmax, rel=1e-12)
         assert back[1] == pytest.approx(dmin, rel=1e-12)

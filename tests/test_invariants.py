@@ -1,0 +1,155 @@
+"""Invariants over randomized small configs.
+
+A Hypothesis strategy writes config text (1-4 ports; premium, assured and
+best-effort flows; RED on and off; every feedback mode and measure; a
+nonzero feedback delay; CBR sources) that goes through `build_experiment`,
+and every generated run must keep exact byte conservation, repeat its CSV
+for its seed, keep the controller inside its range and the buffers inside
+their bounds.
+"""
+
+from collections import defaultdict
+
+from hypothesis import given, settings, strategies as st
+
+from foqsim.config import build_experiment, parse_pairs
+from foqsim.experiment import Experiment
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+CLASSES = ("premium", "assured", "besteffort")
+STAGES = (("throughput_bps", "delivered_bytes_total"),
+          ("ingress_drop_bps", "ingress_drop_bytes_total"),
+          ("fabric_drop_bps", "fabric_drop_bytes_total"),
+          ("egress_drop_bps", "egress_drop_bytes_total"))
+
+
+@st.composite
+def config_texts(draw, drained=False):
+    """Config text for a ~20 ms run of CBR sources into a small switch.
+
+    With drained=True every source stops at 10 ms and the buffers are small
+    enough to empty well before the last report edge at 40 ms, so every
+    byte meets its fate inside a reported window.
+    """
+    ports = draw(st.integers(1, 4))
+    line_rate = draw(st.sampled_from((10e6, 20e6, 50e6)))
+    report = draw(st.sampled_from((1e-3, 2e-3)))
+    mode = draw(st.sampled_from(("off", "pi", "gearbox")))
+    if drained:
+        fabric_memory = draw(st.integers(1500, 8000))
+        out_queue_size = draw(st.integers(1500, 5000))
+        duration = 40e-3
+    else:
+        fabric_memory = draw(st.integers(1000, 60000))
+        out_queue_size = draw(st.integers(1000, 30000))
+        duration = draw(st.sampled_from((15e-3, 20e-3, 21.5e-3)))
+    lines = [
+        f"switch.num_ports = {ports}",
+        f"switch.line_rate = {line_rate!r}",
+        f"switch.speedup = {draw(st.sampled_from((1.1, 1.28, 2.0)))!r}",
+        f"switch.fabric_memory = {fabric_memory}",
+        f"switch.out_queue_size = {out_queue_size}",
+        f"switch.report_interval = {report!r}",
+        f"switch.feedback.mode = {mode}",
+        f"switch.feedback.interval = "
+        f"{draw(st.sampled_from((1e-3, 2e-3, 3e-3)))!r}",
+        f"switch.feedback.delay = {draw(st.sampled_from((0.0, 0.5e-3, 2e-3)))!r}",
+        f"switch.feedback.measure = {draw(st.sampled_from(('relcong', 'dropprob')))}",
+        f"switch.feedback.table_size = {draw(st.integers(2, 16))}",
+        f"switch.feedback.gain_i = {draw(st.sampled_from((0.05, 0.5, 2.0)))!r}",
+        f"switch.feedback.gain_p = {draw(st.sampled_from((0.0, 0.3)))!r}",
+        f"experiment.duration = {duration!r}",
+        f"experiment.seed = {draw(st.integers(1, 1000))}",
+    ]
+    if draw(st.booleans()):
+        min_th = draw(st.integers(0, 3000))
+        lines += [
+            "switch.queue_mgmt = red",
+            f"switch.red.min_th = {min_th}",
+            f"switch.red.max_th = {min_th + draw(st.integers(1, 4000))}",
+            f"switch.red.max_p = {draw(st.sampled_from((0.1, 0.5, 1.0)))!r}",
+            f"switch.red.weight = {draw(st.sampled_from((0.1, 0.5, 1.0)))!r}",
+        ]
+    flows = draw(st.lists(st.sampled_from(CLASSES), min_size=1, max_size=4))
+    for fid, cls in enumerate(flows):
+        lines += [f"flow.{fid}.class = {cls}",
+                  f"flow.{fid}.weight = {draw(st.integers(1, 8))}"]
+        if cls == "premium" and draw(st.booleans()):
+            lines.append(f"flow.{fid}.police_rate = {line_rate * 0.3!r}")
+    for sid in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 2000)) * 1e-6
+        lines += [
+            f"source.{sid}.kind = cbr",
+            f"source.{sid}.flow = {draw(st.integers(0, len(flows) - 1))}",
+            f"source.{sid}.ingress = {draw(st.integers(0, ports - 1))}",
+            f"source.{sid}.egress = {draw(st.integers(0, ports - 1))}",
+            f"source.{sid}.packet_size = "
+            f"{draw(st.sampled_from((64, 200, 576, 1500)))}",
+            f"source.{sid}.rate = "
+            f"{line_rate * draw(st.sampled_from((0.2, 0.6, 1.0, 1.5)))!r}",
+            f"source.{sid}.start = {start!r}",
+        ]
+        if drained:
+            lines.append(f"source.{sid}.stop = 10e-3")
+    return "\n".join(lines) + "\n"
+
+
+def run_text(text):
+    """Run a config; return the experiment, its series, and the controller
+    readings taken at every delivery."""
+    experiment = Experiment(build_experiment(parse_pairs(text)))
+    sw = experiment.switch
+    readings = []
+    sw.delivery_hooks.append(lambda p: readings.append(
+        (sw.drop_probability(p.egress_port, p.flow_id),
+         sw.drop_level(p.egress_port, p.flow_id))))
+    series = experiment.run()
+    return experiment, series, readings
+
+
+@SETTINGS
+@given(config_texts())
+def test_randomized_run_invariants(text):
+    experiment, series, readings = run_text(text)
+    config = experiment.config.switch
+    sw = experiment.switch
+
+    ledger = sw.conservation()
+    assert ledger
+    assert all(acct["balanced"] for acct in ledger.values()), ledger
+
+    _, again, _ = run_text(text)
+    assert again.to_csv() == series.to_csv()
+
+    queues = {(spec.egress, spec.flow) for spec in experiment.config.sources}
+    readings += [(sw.drop_probability(j, k), sw.drop_level(j, k))
+                 for j, k in queues]
+    for prob, level in readings:
+        assert 0.0 <= prob <= 1.0
+        assert 0 <= level < config.feedback.table_size
+
+    occupancy = series.select("fabric_occupancy_bytes")
+    assert occupancy
+    assert all(r.value <= config.fabric_memory for r in occupancy)
+    backlog = series.select("out_queue_bytes")
+    assert backlog
+    assert all(r.value <= config.out_queue_size for r in backlog)
+
+
+@SETTINGS
+@given(config_texts(drained=True))
+def test_window_rates_sum_to_run_totals(text):
+    # every window rate is its byte count * 8 / span; summed back over the
+    # windows and queues of a flow it must give that flow's run total
+    experiment, series, _ = run_text(text)
+    span = experiment.config.switch.report_interval
+    for rate, total in STAGES:
+        windowed = defaultdict(int)
+        for r in series.select(rate):
+            windowed[r.flow] += round(r.value * span / 8)
+        totals = {r.flow: int(r.value) for r in series.select(total)}
+        assert totals
+        assert {f: windowed.get(f, 0) for f in totals} == totals, rate
+    assert all(acct["resident"] == 0
+               for acct in experiment.switch.conservation().values())
