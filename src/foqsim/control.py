@@ -24,24 +24,10 @@ class FeedbackAction(Enum):
 
 @dataclass(frozen=True)
 class PiParams:
-    """Gains and scaling for the proportional-integral drop controller."""
+    """Gains of the proportional-integral drop controller."""
 
     gain_p: float = 0.0
     gain_i: float = 0.5
-    interval: float = 1e-3  # seconds between controller updates
-    alpha: float = 0.95     # desired-rate margin, 0 < alpha <= 1
-    speedup: float = 1.28   # fabric-to-line speed ratio, > 1
-    line_rate: float = 1e9  # bits/s
-
-    def __post_init__(self):
-        if self.interval <= 0:
-            raise ValueError("interval must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.speedup <= 1.0:
-            raise ValueError("speedup must exceed 1")
-        if self.line_rate <= 0:
-            raise ValueError("line_rate must be positive")
 
 
 def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,

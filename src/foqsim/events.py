@@ -4,6 +4,9 @@ Timestamps are integer nanoseconds. Events at equal timestamps order by
 (rank, port, flow, insertion sequence): control updates first, then sampler
 and reporter ticks, then packet motion, so an interval boundary always sees
 feedback applied and counters harvested before the next interval's traffic.
+The switch schedules one tick per period, not one per queue: the report
+(port -1) fires first, then one sampler tick that samples every queue in
+key order and one RED tick that updates every queue's average (port 0).
 
 Handlers schedule with `at(now + delay, ...)`. Timers are lazy: a TCP source
 keeps one pending retransmission event and a deadline, so an ack that only

@@ -295,10 +295,7 @@ class Switch:
                                        table_size=fb.table_size)
             self._drop_table = drop_level_table(self._gb_params.beta, fb.table_size)
         elif fb.mode == "pi":
-            self._pi_params = PiParams(gain_p=fb.gain_p, gain_i=fb.gain_i,
-                                       interval=fb.interval, alpha=fb.alpha,
-                                       speedup=config.speedup,
-                                       line_rate=config.line_rate)
+            self._pi_params = PiParams(gain_p=fb.gain_p, gain_i=fb.gain_i)
         self._series = TimeSeries()
         self._started = False
 
@@ -590,10 +587,6 @@ class Switch:
         s.append(t, "fabric_occupancy_bytes", None, None,
                  float(self._occupancy), "bytes")
 
-    def _red_tick(self, oq: _OutQueue) -> None:
-        w = self.config.red.weight
-        oq.red_avg = (1.0 - w) * oq.red_avg + w * oq.backlog
-
     # --- run -----------------------------------------------------------
 
     def run(self, duration: float) -> TimeSeries:
@@ -602,29 +595,40 @@ class Switch:
             raise ValueError("run() may only be called once")
         self._started = True
         until = ns(duration)
-        self._queues = dict(sorted(self._queues.items()))
+        queues = self._queues = dict(sorted(self._queues.items()))
+        loop = self.loop
 
-        def tick(key, fn, period):
+        def tick(port, fn, period):
+            """Run fn every period from t = period on, at rank RANK_TICK."""
             def handler():
                 fn()
-                if self.loop.now + period <= until:
-                    self.loop.at(self.loop.now + period, handler, rank=RANK_TICK,
-                                 port=key[0], flow=key[1])
-            return handler
+                if loop.now + period <= until:
+                    loop.at(loop.now + period, handler, rank=RANK_TICK, port=port)
+            loop.at(period, handler, rank=RANK_TICK, port=port)
 
-        for key, oq in self._queues.items():
-            j, k = key
-            handler = tick(key, lambda j=j, k=k: self.sample_and_feedback(j, k),
-                           self._interval_ns)
-            self.loop.at(self._interval_ns, handler, rank=RANK_TICK, port=j, flow=k)
-            if self.config.red is not None:
-                red_ns = ns(self.config.red.sample_interval)
-                rh = tick(key, lambda oq=oq: self._red_tick(oq), red_ns)
-                self.loop.at(red_ns, rh, rank=RANK_TICK, port=j, flow=k)
-        rep = tick((-1, -1), self._report, self._report_ns)
-        self.loop.at(self._report_ns, rep, rank=RANK_TICK)
+        # One tick per period serves every queue. At a shared instant the
+        # report (port -1) fires first; samplers, RED averages and zero-delay
+        # control applications may then interleave in any order, because
+        # none reads what another writes: samplers read the queue counters
+        # and PI state, RED reads backlog and writes red_avg, and a control
+        # application reads the gear level and writes drop_prob and level.
+        sample = self.sample_and_feedback
 
-        self.loop.run(until)
+        def sample_all():
+            for j, k in queues:
+                sample(j, k)
+        tick(0, sample_all, self._interval_ns)
+        red = self.config.red
+        if red is not None:
+            w = red.weight
+
+            def red_average():
+                for oq in queues.values():
+                    oq.red_avg = (1.0 - w) * oq.red_avg + w * oq.backlog
+            tick(0, red_average, ns(red.sample_interval))
+        tick(-1, self._report, self._report_ns)
+
+        loop.run(until)
         self._emit_totals(duration)
         return self._series
 

@@ -1,21 +1,22 @@
 """Measurement records and their CSV form.
 
 One record per (time, metric, port, flow); aggregates leave port/flow blank.
-CSV is UTF-8 with LF newlines and round-trips exactly: floats are written
-with repr so equal seeds give bit-identical files.
+A record is an immutable named tuple in column order, so it compares equal
+to the plain 6-tuple of its fields. CSV is UTF-8 with LF newlines and
+round-trips exactly: the writer renders floats with repr and None as an
+empty field, so equal seeds give bit-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from typing import NamedTuple
 
 COLUMNS = ("t_sec", "metric", "port", "flow", "value", "unit")
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     t: float
     metric: str
     port: int | None
@@ -31,7 +32,9 @@ class TimeSeries:
         self.records: list[Record] = list(records) if records else []
 
     def append(self, t, metric, port, flow, value, unit):
-        self.records.append(Record(t, metric, port, flow, value, unit))
+        # tuple.__new__ skips the named tuple's keyword-binding constructor
+        self.records.append(
+            tuple.__new__(Record, (t, metric, port, flow, value, unit)))
 
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
@@ -63,15 +66,7 @@ class TimeSeries:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for r in self.records:
-            writer.writerow([
-                repr(r.t),
-                r.metric,
-                "" if r.port is None else r.port,
-                "" if r.flow is None else r.flow,
-                repr(r.value),
-                r.unit,
-            ])
+        writer.writerows(self.records)
         return buf.getvalue()
 
     @classmethod
@@ -85,10 +80,10 @@ class TimeSeries:
             if not row:
                 continue
             t, metric, port, flow, value, unit = row
-            records.append(Record(
+            records.append(tuple.__new__(Record, (
                 float(t), metric,
                 None if port == "" else int(port),
                 None if flow == "" else int(flow),
                 float(value), unit,
-            ))
+            )))
         return cls(records)

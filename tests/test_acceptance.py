@@ -15,7 +15,10 @@ bound was frozen.
    band containment, admit-table composition, pole identities, determinism.
 
 The golden digests pin the CSV bytes of the four shipped configs across
-commits; they reuse the runs of criteria 4 and 5.
+commits; they reuse the runs of criteria 4 and 5. Small inline configs pin
+what the shipped ones leave out: PI mode, a feedback delay, report windows
+shorter and longer than the feedback interval, and a RED average sampled at
+its own period, over two outputs with three flows each.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ from foqsim.analytic import (
     step_response_closed_form,
     step_response_recurrence,
 )
-from foqsim.config import load_config
+from foqsim.config import build_experiment, load_config, parse_pairs
 from foqsim.control import (
     admit_level_table,
     d_mid,
@@ -52,9 +55,10 @@ from foqsim.switch import (
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# SHA-256 of `run` CSV output for each shipped config at its shipped seed:
-# the cross-commit behavioural contract. A change that moves one records
-# the old hash, the new hash and the reason, and keeps criteria 4 and 5.
+# SHA-256 of `run` CSV output for each shipped config at its shipped seed
+# and for each inline config (INLINE below): the cross-commit behavioural
+# contract. A change that moves one records the old hash, the new hash and
+# the reason, and keeps criteria 4 and 5.
 GOLDEN_DIGESTS = {
     "cbr_scaled":
         "d9df36892c33a18d975e339d4af0534a27374cf44c527562e794fed4dab9498d",
@@ -64,6 +68,71 @@ GOLDEN_DIGESTS = {
         "4253ee71cda1d01eaf87513fac3735148e15c10f737ec17cda26ad5204169cd6",
     "tcp_scaled_nofoq":
         "330dbc27ea0138b54fa3679971aeada3ede6215b5eaa6b341d0a531b792c40d5",
+    "inline_gearbox":
+        "befd6c489f94f8ed5180fe3fd1bf3c930615a5fdd20876a35c6189a6f98a075f",
+    "inline_pi":
+        "1d770c247226eed6e9e7eca6949f15f88ec8c0290b027d774737af56ce7cba5c",
+}
+
+
+def inline_config(switch_lines):
+    """A 100 ms CBR run into outputs 2 and 3 of a 4-port RED switch: per
+    output a policed premium flow over its contract, a weight-3 assured and
+    a best-effort flow, together 1.55x the line."""
+    lines = [
+        "switch.num_ports = 4",
+        "switch.line_rate = 10e6",
+        "switch.speedup = 1.28",
+        "switch.fabric_memory = 30000",
+        "switch.out_queue_size = 8000",
+        "switch.queue_mgmt = red",
+        "switch.red.min_th = 1000",
+        "switch.red.max_th = 6000",
+        "switch.red.max_p = 0.2",
+        "switch.red.weight = 0.25",
+        "flow.0.class = premium",
+        "flow.0.police_rate = 1e6",
+        "flow.1.class = assured",
+        "flow.1.weight = 3",
+        "flow.2.class = besteffort",
+        "experiment.duration = 0.1",
+        "experiment.seed = 7",
+    ] + switch_lines
+    sid = 0
+    for egress in (2, 3):
+        for flow, rate, size in ((0, 1.5e6, 200), (1, 8e6, 1000),
+                                 (2, 6e6, 576)):
+            lines += [f"source.{sid}.kind = cbr",
+                      f"source.{sid}.flow = {flow}",
+                      f"source.{sid}.ingress = {(sid + egress) % 4}",
+                      f"source.{sid}.egress = {egress}",
+                      f"source.{sid}.packet_size = {size}",
+                      f"source.{sid}.rate = {rate!r}",
+                      f"source.{sid}.start = {sid * 37e-6!r}"]
+            sid += 1
+    return "\n".join(lines) + "\n"
+
+
+# switch keys of each inline golden config
+INLINE = {
+    # zero-delay PI applications interleave with the samplers; the report
+    # window is half the feedback interval, the RED period neither
+    "inline_pi": ["switch.feedback.mode = pi",
+                  "switch.feedback.interval = 1e-3",
+                  "switch.feedback.gain_i = 0.05",
+                  "switch.feedback.gain_p = 0.02",
+                  "switch.report_interval = 0.5e-3",
+                  "switch.red.sample_interval = 0.7e-3"],
+    # a delayed gear-box, measured by drop probability, reported every
+    # 2.5 intervals, with the RED average updated every 0.3 ms
+    "inline_gearbox": ["switch.feedback.mode = gearbox",
+                       "switch.feedback.interval = 1e-3",
+                       "switch.feedback.delay = 1.5e-3",
+                       "switch.feedback.measure = dropprob",
+                       "switch.feedback.d_max = 0.1",
+                       "switch.feedback.d_min = 0.01",
+                       "switch.report_interval = 2.5e-3",
+                       "switch.red.sample_interval = 0.3e-3"],
 }
 
 GRID = [(k10 / 10, f / 10 * 2 * (1 - k10 / 10))
@@ -72,13 +141,15 @@ GRID = [(k10 / 10, f / 10 * 2 * (1 - k10 / 10))
 
 @pytest.fixture(scope="module")
 def shipped():
-    """Shipped config name -> its run at the shipped seed, each run at most
-    once per module so the bands and the digests share the simulations."""
+    """Shipped or inline config name -> its run at its seed, each run at
+    most once per module so the bands and the digests share the simulations."""
     runs = {}
 
     def run(name):
         if name not in runs:
-            runs[name] = run_experiment(load_config(CONFIGS / f"{name}.cfg"))
+            config = (build_experiment(parse_pairs(inline_config(INLINE[name])))
+                      if name in INLINE else load_config(CONFIGS / f"{name}.cfg"))
+            runs[name] = run_experiment(config)
         return runs[name]
     return run
 

@@ -23,8 +23,7 @@ from foqsim.control import (
     pi_update,
 )
 
-PARAMS = PiParams(gain_p=0.0, gain_i=0.5, interval=1.0, alpha=0.95,
-                  speedup=1.28, line_rate=1.0)
+PARAMS = PiParams(gain_p=0.0, gain_i=0.5)
 
 
 class TestPiUpdate:
@@ -43,7 +42,7 @@ class TestPiUpdate:
 
     def test_proportional_term(self):
         # K = 0.4: rate = 0.4 * 0.5 + 0.25 = 0.45
-        params = PiParams(gain_p=0.4, gain_i=0.5, interval=1.0)
+        params = PiParams(gain_p=0.4, gain_i=0.5)
         rate, _ = pi_update(0.0, 0.0, 1.5, 1.0, params)
         assert rate == pytest.approx(0.45, rel=1e-12)
 
@@ -69,18 +68,6 @@ class TestPiUpdate:
         rate, acc = pi_update(acc, 0.0, 2.0, 1.0, PARAMS)
         assert rate == 0.5  # acc = 0 + 0.5 * 1.0
         assert acc == 0.5
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            PiParams(interval=0.0)
-        with pytest.raises(ValueError):
-            PiParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            PiParams(alpha=1.5)
-        with pytest.raises(ValueError):
-            PiParams(speedup=1.0)
-        with pytest.raises(ValueError):
-            PiParams(line_rate=0.0)
 
 
 class TestDropProbFromRate:

@@ -2,10 +2,10 @@
 
 A Hypothesis strategy writes config text (1-4 ports; premium, assured and
 best-effort flows; RED on and off; every feedback mode and measure; a
-nonzero feedback delay; CBR sources) that goes through `build_experiment`,
-and every generated run must keep exact byte conservation, repeat its CSV
-for its seed, keep the controller inside its range and the buffers inside
-their bounds.
+nonzero feedback delay; CBR sources and, outside the drained variant, small
+TCP groups) that goes through `build_experiment`, and every generated run
+must keep exact byte conservation, repeat its CSV for its seed, keep the
+controller inside its range and the buffers inside their bounds.
 """
 
 from collections import defaultdict
@@ -26,11 +26,14 @@ STAGES = (("throughput_bps", "delivered_bytes_total"),
 
 @st.composite
 def config_texts(draw, drained=False):
-    """Config text for a ~20 ms run of CBR sources into a small switch.
+    """Config text for a ~20 ms run of traffic sources into a small switch.
 
-    With drained=True every source stops at 10 ms and the buffers are small
-    enough to empty well before the last report edge at 40 ms, so every
-    byte meets its fate inside a reported window.
+    Without drained, up to two TCP groups of 1-4 sources each join them,
+    with one-way delays of at most 2 ms so acks return inside the run and
+    access-link buffers of a few packets. With drained=True every source is
+    CBR and stops at 10 ms, and the buffers are small enough to empty well
+    before the last report edge at 40 ms, so every byte meets its fate
+    inside a reported window.
     """
     ports = draw(st.integers(1, 4))
     line_rate = draw(st.sampled_from((10e6, 20e6, 50e6)))
@@ -77,21 +80,39 @@ def config_texts(draw, drained=False):
                   f"flow.{fid}.weight = {draw(st.integers(1, 8))}"]
         if cls == "premium" and draw(st.booleans()):
             lines.append(f"flow.{fid}.police_rate = {line_rate * 0.3!r}")
-    for sid in range(draw(st.integers(1, 6))):
-        start = draw(st.integers(0, 2000)) * 1e-6
+    cbr = draw(st.integers(1, 6))
+    tcp = 0 if drained else draw(st.integers(0, 2))
+    for sid in range(cbr + tcp):
         lines += [
-            f"source.{sid}.kind = cbr",
             f"source.{sid}.flow = {draw(st.integers(0, len(flows) - 1))}",
             f"source.{sid}.ingress = {draw(st.integers(0, ports - 1))}",
             f"source.{sid}.egress = {draw(st.integers(0, ports - 1))}",
             f"source.{sid}.packet_size = "
             f"{draw(st.sampled_from((64, 200, 576, 1500)))}",
-            f"source.{sid}.rate = "
-            f"{line_rate * draw(st.sampled_from((0.2, 0.6, 1.0, 1.5)))!r}",
-            f"source.{sid}.start = {start!r}",
         ]
-        if drained:
-            lines.append(f"source.{sid}.stop = 10e-3")
+        if sid < cbr:
+            start = draw(st.integers(0, 2000)) * 1e-6
+            lines += [
+                f"source.{sid}.kind = cbr",
+                f"source.{sid}.rate = "
+                f"{line_rate * draw(st.sampled_from((0.2, 0.6, 1.0, 1.5)))!r}",
+                f"source.{sid}.start = {start!r}",
+            ]
+            if drained:
+                lines.append(f"source.{sid}.stop = 10e-3")
+        else:
+            lines += [
+                f"source.{sid}.kind = tcp_group",
+                f"source.{sid}.count = {draw(st.integers(1, 4))}",
+                f"source.{sid}.link_rate = "
+                f"{line_rate * draw(st.sampled_from((0.5, 1.0, 2.0)))!r}",
+                f"source.{sid}.link_buffer = {draw(st.integers(1500, 6000))}",
+                f"source.{sid}.one_way = "
+                f"{draw(st.sampled_from((0.1e-3, 0.5e-3, 2e-3)))!r}",
+                f"source.{sid}.window_start = 0",
+                f"source.{sid}.window_end = "
+                f"{draw(st.integers(0, 5000)) * 1e-6!r}",
+            ]
     return "\n".join(lines) + "\n"
 
 

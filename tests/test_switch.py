@@ -457,6 +457,48 @@ class TestDeterminism:
         assert self.run_once(7) != self.run_once(8)
 
 
+class TestTicks:
+    class CountingLoop(EventLoop):
+        def __init__(self):
+            super().__init__()
+            self.ticks = 0
+
+        def at(self, when, fn, rank=RANK_DATA, port=-1, flow=-1):
+            self.ticks += rank == RANK_TICK
+            super().at(when, fn, rank, port, flow)
+
+    def tick_run(self, ports, flows):
+        # 20 ms: 20 sampler periods, 40 RED periods, 10 report windows
+        cfg = base_config(
+            num_ports=ports, red=RedParams(sample_interval=0.5e-3),
+            report_interval=2e-3,
+            flows={k: FlowSpec(svc_class=ServiceClass.ASSURED)
+                   for k in range(flows)},
+            feedback=FeedbackConfig(mode="gearbox", interval=1e-3))
+        loop = self.CountingLoop()
+        sw = Switch(cfg, seed=1, loop=loop)
+        sampled = []
+        run_sample = sw.sample_and_feedback
+
+        def sample(j, k):
+            sampled.append((j, k))
+            return run_sample(j, k)
+        sw.sample_and_feedback = sample
+        for j in range(ports):
+            for k in range(flows):
+                sw.register_flow_queue(j, k)
+        sw.run(0.02)
+        return loop.ticks, sampled
+
+    def test_ticks_follow_periods_not_queues(self):
+        ticks, sampled = self.tick_run(ports=4, flows=4)
+        assert ticks == 20 + 40 + 10
+        assert self.tick_run(ports=1, flows=1)[0] == ticks
+        # every queue is still sampled once per period, in key order
+        queues = [(j, k) for j in range(4) for k in range(4)]
+        assert sampled == queues * 20
+
+
 class TestLifecycle:
     def test_register_unknown_flow(self):
         sw = Switch(base_config(), seed=1)

@@ -81,3 +81,8 @@ class TestRecord:
         r = Record(0.0, "x", None, None, 1.0, "bps")
         with pytest.raises(AttributeError):
             r.value = 2.0
+
+    def test_equals_plain_tuple(self):
+        r = TimeSeries.from_csv(sample_series().to_csv()).records[1]
+        assert r == (0.001, "fabric_queue_bytes", 3, None, 1000.0, "bytes")
+        assert r.value == 1000.0
