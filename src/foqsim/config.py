@@ -4,55 +4,23 @@ Lines are `key = value`, blank, or `#` comments. Keys group into sections by
 their first dotted component: switch.*, flow.<id>.*, source.<id>.*, and
 experiment.*. Validation is collecting, not fail-fast: every violation in
 the file is reported, each prefixed by the offending key.
+
+A section's keys are its dataclass's scalar fields, read once at import:
+the annotation gives the type (int, float, or a Literal's or an Enum's
+choices) and the default the default; a field without one is required.
+`metadata={"key": ...}` renames a field's key, and None there means none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+import types
+from dataclasses import MISSING, dataclass, field, fields
+from enum import EnumMeta
 from pathlib import Path
+from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
-from .switch import FeedbackConfig, FlowSpec, RedParams, ServiceClass, SwitchConfig
-
-_CLASSES = {
-    "premium": ServiceClass.PREMIUM,
-    "assured": ServiceClass.ASSURED,
-    "besteffort": ServiceClass.BEST_EFFORT,
-}
-
-_SWITCH_KEYS = {
-    "num_ports": "int", "line_rate": "float", "speedup": "float",
-    "fabric_memory": "int", "out_queue_size": "int",
-    "queue_mgmt": ("droptail", "red"),
-    "num_classes": "int", "report_interval": "float",
-    "red.max_p": "float", "red.min_th": "int", "red.max_th": "int",
-    "red.weight": "float", "red.sample_interval": "float",
-    "feedback.mode": ("off", "pi", "gearbox"),
-    "feedback.interval": "float", "feedback.delay": "float",
-    "feedback.alpha": "float", "feedback.gain_p": "float",
-    "feedback.gain_i": "float", "feedback.d_max": "float",
-    "feedback.d_min": "float", "feedback.table_size": "int",
-    "feedback.measure": ("relcong", "dropprob"),
-}
-_REQUIRED_SWITCH = ("num_ports", "line_rate", "speedup", "fabric_memory",
-                    "out_queue_size")
-
-_FLOW_KEYS = {
-    "class": tuple(_CLASSES), "weight": "float",
-    "police_rate": "float", "police_burst": "int",
-}
-
-_SOURCE_KEYS = {
-    "kind": ("cbr", "tcp_group"),
-    "flow": "int", "ingress": "int", "egress": "int", "packet_size": "int",
-    "rate": "float", "start": "float", "stop": "float",
-    "count": "int", "link_rate": "float", "link_buffer": "int",
-    "window_start": "float", "window_end": "float", "one_way": "float",
-}
-_REQUIRED_SOURCE = {
-    "cbr": ("flow", "ingress", "egress", "packet_size", "rate"),
-    "tcp_group": ("flow", "ingress", "egress", "packet_size", "count",
-                  "link_rate", "window_start", "window_end"),
-}
+from .switch import FeedbackConfig, FlowSpec, RedParams, SwitchConfig
 
 
 class ConfigError(Exception):
@@ -68,29 +36,105 @@ class ConfigSyntaxError(ConfigError):
 
 
 @dataclass
-class SourceSpec:
-    source_id: int
-    kind: str
+class _Source:
+    """The keys every source kind shares."""
+
+    source_id: int = field(metadata={"key": None})  # source.<id>.
     flow: int
     ingress: int
     egress: int
-    packet_size: int
-    rate: float = 0.0
-    start: float = 0.0
+    packet_size: int  # bytes
+
+    def validate(self, num_ports: int | None, flows: dict) -> list[str]:
+        """Every violation of this source's values and of its references to
+        the switch; ports are judged only against a port count of at least
+        1 (None when the file gave no usable one)."""
+        bad = self._problems()
+        if self.packet_size <= 0:
+            bad.append("packet_size: must be positive")
+        if flows and self.flow not in flows:
+            bad.append(f"flow: flow {self.flow} is not defined")
+        if num_ports is not None and num_ports >= 1:
+            for key in ("ingress", "egress"):
+                if not 0 <= getattr(self, key) < num_ports:
+                    bad.append(f"{key}: port out of range")
+        return [f"source.{self.source_id}.{v}" for v in bad]
+
+
+@dataclass
+class CbrSpec(_Source):
+    kind: ClassVar[str] = "cbr"
+    rate: float  # bits/s
+    start: float = 0.0  # seconds
     stop: float | None = None
-    count: int = 0
-    link_rate: float = 0.0
-    link_buffer: int = 50000
-    window: tuple[float, float] = (0.0, 0.0)
-    one_way: float = 20e-3
+
+    def _problems(self) -> list[str]:
+        return [message for broken, message in (
+            (self.rate <= 0, "rate: must be positive"),
+            (self.start < 0, "start: must be non-negative")) if broken]
+
+
+@dataclass
+class TcpGroupSpec(_Source):
+    kind: ClassVar[str] = "tcp_group"
+    count: int
+    link_rate: float  # bits/s of the shared access link
+    window_start: float  # seconds; each source starts uniformly inside
+    window_end: float
+    link_buffer: int = 50000  # bytes
+    one_way: float = 20e-3  # seconds of propagation each way
+
+    def _problems(self) -> list[str]:
+        return [message for broken, message in (
+            (self.count <= 0, "count: must be positive"),
+            (self.link_rate <= 0, "link_rate: must be positive"),
+            (self.window_start < 0, "window_start: must be non-negative"),
+            (self.window_end < self.window_start,
+             "window_end: must not precede window_start"),
+            (self.one_way < 0, "one_way: must be non-negative")) if broken]
+
+
+SourceSpec = CbrSpec | TcpGroupSpec
+_KINDS = {cls.kind: cls for cls in (CbrSpec, TcpGroupSpec)}
 
 
 @dataclass
 class ExperimentConfig:
     switch: SwitchConfig
+    duration: float  # seconds
     sources: list[SourceSpec] = field(default_factory=list)
-    duration: float = 1.0
     seed: int = 1
+
+
+def _value_type(hint):
+    """int, float, or a dict from each allowed string to its value; None
+    for a nested section or a collection."""
+    if get_origin(hint) in (Union, types.UnionType):  # X | None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if hint in (int, float):
+        return hint
+    if get_origin(hint) is Literal:
+        return {choice: choice for choice in get_args(hint)}
+    if isinstance(hint, EnumMeta):
+        return {member.value: member for member in hint}
+    return None
+
+
+def _schema(cls) -> dict[str, tuple]:
+    """Config key -> (field name, value type, default or MISSING)."""
+    hints = get_type_hints(cls)
+    schema = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        value_type = _value_type(hints[f.name])
+        if key is not None and value_type is not None:
+            schema[key] = (f.name, value_type, f.default)
+    return schema
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (
+    SwitchConfig, RedParams, FeedbackConfig, FlowSpec, CbrSpec, TcpGroupSpec,
+    ExperimentConfig)}
 
 
 def parse_pairs(text: str) -> dict[str, str]:
@@ -101,13 +145,10 @@ def parse_pairs(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value'")
-            continue
-        key, _, value = line.partition("=")
+        key, equals, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if not key or not value:
+        if not (equals and key and value):
             problems.append(f"line {lineno}: expected 'key = value'")
             continue
         if key in pairs:
@@ -127,33 +168,50 @@ class _Reader:
         self.bad = bad
         self.seen: set[str] = set()
 
-    def get(self, key, spec, default=None):
+    def get(self, key, value_type, default=None):
+        """The parsed value, or default when the key is absent or bad;
+        value_type is int, float, or a dict of the allowed strings."""
         self.seen.add(key)
         raw = self.pairs.get(key)
         if raw is None:
             return default
-        if isinstance(spec, tuple):
-            if raw not in spec:
-                self.bad.append(f"{key}: must be one of {', '.join(spec)}")
+        if isinstance(value_type, dict):
+            if raw not in value_type:
+                self.bad.append(f"{key}: must be one of {', '.join(value_type)}")
                 return default
-            return raw
+            return value_type[raw]
         try:
             value = float(raw)
         except ValueError:
             self.bad.append(f"{key}: expected a number, got {raw!r}")
             return default
-        if spec == "int":
+        if not math.isfinite(value):
+            self.bad.append(f"{key}: expected a finite number, got {raw!r}")
+            return default
+        if value_type is int:
             if value != int(value):
                 self.bad.append(f"{key}: expected an integer, got {raw!r}")
                 return default
             return int(value)
         return value
 
-    def require(self, key, spec, section: str):
+    def require(self, key, value_type, required_by: str):
         if key not in self.pairs:
-            self.bad.append(f"{key}: required by {section}")
+            self.seen.add(key)
+            self.bad.append(f"{key}: required by {required_by}")
             return None
-        return self.get(key, spec)
+        return self.get(key, value_type)
+
+    def section(self, cls, prefix: str, required_by: str = "", **given):
+        """cls built from the keys under prefix plus the given fields; a
+        required key that is missing or bad leaves its field None."""
+        values = dict(given)
+        for key, (name, value_type, default) in _SCHEMAS[cls].items():
+            if default is MISSING:
+                values[name] = self.require(prefix + key, value_type, required_by)
+            else:
+                values[name] = self.get(prefix + key, value_type, default)
+        return cls(**values)
 
 
 def _section_ids(pairs, prefix, bad):
@@ -169,13 +227,6 @@ def _section_ids(pairs, prefix, bad):
     return sorted(ids)
 
 
-def _given(values: dict, prefix: str, cls) -> dict:
-    """Keyword arguments for the fields of cls the file gave a value for;
-    the dataclass supplies the rest."""
-    return {f.name: values[prefix + f.name] for f in fields(cls)
-            if values[prefix + f.name] is not None}
-
-
 def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
     """Typed experiment from raw pairs; raises ConfigError with every
     violation when anything is wrong."""
@@ -184,108 +235,47 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
 
     if not any(k.startswith("switch.") for k in pairs):
         bad.append("missing switch section")
-    for key in _REQUIRED_SWITCH:
-        reader.require(f"switch.{key}", _SWITCH_KEYS[key], "the switch section")
-    sw_vals = {key: reader.get(f"switch.{key}", spec)
-               for key, spec in _SWITCH_KEYS.items()}
-
-    flows: dict[int, FlowSpec] = {}
-    for fid in _section_ids(pairs, "flow", bad):
-        p = f"flow.{fid}."
-        cls = reader.get(p + "class", _FLOW_KEYS["class"], "assured")
-        flows[fid] = FlowSpec(
-            svc_class=_CLASSES[cls],
-            weight=reader.get(p + "weight", "float", 1.0),
-            police_rate=reader.get(p + "police_rate", "float"),
-            police_burst=reader.get(p + "police_burst", "int", 6000),
-        )
+    # the one switch key that is no field: it says whether red is used
+    use_red = reader.get("switch.queue_mgmt", {"droptail": False, "red": True},
+                         False)
+    red = reader.section(RedParams, "switch.red.")
+    if not use_red and any(k.startswith("switch.red.") for k in pairs):
+        bad.append("switch.red: red parameters given but queue_mgmt is droptail")
+    flows = {fid: reader.section(FlowSpec, f"flow.{fid}.")
+             for fid in _section_ids(pairs, "flow", bad)}
+    # required keys pass through as parsed (None only when already
+    # reported), so validate() judges the value the file gave
+    switch = reader.section(
+        SwitchConfig, "switch.", "the switch section", flows=flows,
+        red=red if use_red else None,
+        feedback=reader.section(FeedbackConfig, "switch.feedback."))
+    # range checks only make sense once every number of the switch parses
+    if not bad:
+        bad.extend(switch.validate())
 
     sources: list[SourceSpec] = []
     for sid in _section_ids(pairs, "source", bad):
         p = f"source.{sid}."
-        kind = reader.require(p + "kind", _SOURCE_KEYS["kind"], "every source")
-        if kind is None:
+        cls = reader.require(p + "kind", _KINDS, "every source")
+        if cls is None:
             continue
-        for key in _REQUIRED_SOURCE[kind]:
-            reader.require(p + key, _SOURCE_KEYS[key], f"{kind} sources")
-        vals = {key: reader.get(p + key, spec)
-                for key, spec in _SOURCE_KEYS.items()}
-        spec = SourceSpec(
-            source_id=sid, kind=kind,
-            flow=vals["flow"] if vals["flow"] is not None else -1,
-            ingress=vals["ingress"] if vals["ingress"] is not None else 0,
-            egress=vals["egress"] if vals["egress"] is not None else 0,
-            packet_size=vals["packet_size"] or 0,
-            rate=vals["rate"] or 0.0,
-            start=vals["start"] or 0.0,
-            stop=vals["stop"],
-            count=vals["count"] or 0,
-            link_rate=vals["link_rate"] or 0.0,
-            link_buffer=vals["link_buffer"] if vals["link_buffer"] is not None
-            else 50000,
-            window=(vals["window_start"] or 0.0, vals["window_end"] or 0.0),
-            one_way=vals["one_way"] if vals["one_way"] is not None else 20e-3,
-        )
-        if kind == "cbr" and spec.rate <= 0 and vals["rate"] is not None:
-            bad.append(f"{p}rate: must be positive")
-        if kind == "tcp_group":
-            if spec.count <= 0 and vals["count"] is not None:
-                bad.append(f"{p}count: must be positive")
-            if vals["link_rate"] is not None and spec.link_rate <= 0:
-                bad.append(f"{p}link_rate: must be positive")
-            if spec.window[1] < spec.window[0]:
-                bad.append(f"{p}window_end: must not precede window_start")
-        if spec.flow >= 0 and flows and spec.flow not in flows:
-            bad.append(f"{p}flow: flow {spec.flow} is not defined")
+        parsed = len(bad)
+        spec = reader.section(cls, p, f"{cls.kind} sources", source_id=sid)
+        if len(bad) == parsed:
+            bad.extend(spec.validate(switch.num_ports, flows))
         sources.append(spec)
 
-    duration = reader.require("experiment.duration", "float", "the experiment")
-    seed = reader.get("experiment.seed", "int", 1)
-    if duration is not None and duration <= 0:
+    experiment = reader.section(ExperimentConfig, "experiment.", "the experiment",
+                                switch=switch, sources=sources)
+    if experiment.duration is not None and experiment.duration <= 0:
         bad.append("experiment.duration: must be positive")
-    reader.seen.add("experiment.duration")
-    reader.seen.add("experiment.seed")
 
     for key in sorted(pairs):
         if key not in reader.seen:
             bad.append(f"{key}: unknown key")
-
-    mgmt = sw_vals["queue_mgmt"] or "droptail"
-    if mgmt == "droptail" and any(k.startswith("switch.red.") for k in pairs):
-        bad.append("switch.red: red parameters given but queue_mgmt is droptail")
-
-    red = RedParams(**_given(sw_vals, "red.", RedParams)) if mgmt == "red" else None
-    feedback = FeedbackConfig(**_given(sw_vals, "feedback.", FeedbackConfig))
-    # required keys pass through as parsed (None only when already
-    # reported), so validate() judges the value the file gave
-    switch = SwitchConfig(
-        num_ports=sw_vals["num_ports"],
-        line_rate=sw_vals["line_rate"],
-        speedup=sw_vals["speedup"],
-        fabric_memory=sw_vals["fabric_memory"],
-        out_queue_size=sw_vals["out_queue_size"],
-        flows=flows,
-        red=red,
-        feedback=feedback,
-        num_classes=sw_vals["num_classes"],
-        report_interval=sw_vals["report_interval"],
-    )
-    if not bad:
-        # structural checks only make sense once the numbers themselves parse
-        bad.extend(switch.validate())
-        for spec in sources:
-            p = f"source.{spec.source_id}."
-            if switch.num_ports >= 1:  # else validate() named num_ports
-                if not 0 <= spec.ingress < switch.num_ports:
-                    bad.append(f"{p}ingress: port out of range")
-                if not 0 <= spec.egress < switch.num_ports:
-                    bad.append(f"{p}egress: port out of range")
-            if spec.packet_size <= 0:
-                bad.append(f"{p}packet_size: must be positive")
     if bad:
         raise ConfigError(bad)
-    return ExperimentConfig(switch=switch, sources=sources,
-                            duration=duration, seed=seed)
+    return experiment
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

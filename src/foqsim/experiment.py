@@ -40,7 +40,7 @@ class Experiment:
                                   self.switch.ingress_arrival)
                 self.links.append(link)
                 group = SubnetGroup(name=f"source.{spec.source_id}",
-                                    window=spec.window)
+                                    window=(spec.window_start, spec.window_end))
                 for _ in range(spec.count):
                     src = TcpSource(self.loop, link, next_tcp_id, spec.flow,
                                     spec.ingress, spec.egress,

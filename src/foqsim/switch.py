@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Literal, get_args
 
 from .control import (
     FeedbackAction,
@@ -65,15 +66,20 @@ class RedParams:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    svc_class: ServiceClass = ServiceClass.ASSURED
+    svc_class: ServiceClass = field(default=ServiceClass.ASSURED,
+                                    metadata={"key": "class"})  # flow.<id>.class
     weight: float = 1.0
     police_rate: float | None = None  # bits/s token bucket, premium only
     police_burst: int = 6000          # bytes
 
 
+FeedbackMode = Literal["off", "pi", "gearbox"]
+Measure = Literal["relcong", "dropprob"]
+
+
 @dataclass(frozen=True)
 class FeedbackConfig:
-    mode: str = "off"  # off | pi | gearbox
+    mode: FeedbackMode = "off"
     interval: float = 1e-3  # seconds
     delay: float = 0.0      # signal propagation back to the ingress
     alpha: float = 0.95
@@ -82,7 +88,7 @@ class FeedbackConfig:
     d_max: float = 0.17
     d_min: float = 0.02
     table_size: int = 64
-    measure: str = "relcong"  # relcong | dropprob
+    measure: Measure = "relcong"
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,6 @@ class SwitchConfig:
     flows: dict[int, FlowSpec] = field(default_factory=dict)
     red: RedParams | None = None  # None means plain drop-tail
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    num_classes: int | None = None
     report_interval: float | None = None  # defaults to the feedback interval
 
     def validate(self) -> list[str]:
@@ -118,13 +123,9 @@ class SwitchConfig:
                 bad.append(f"flow.{fid}.weight: must be positive")
             if spec.police_rate is not None and spec.police_rate <= 0:
                 bad.append(f"flow.{fid}.police_rate: must be positive")
-            if self.num_classes is not None and fid >= self.num_classes:
-                bad.append(f"flow.{fid}: id exceeds switch.num_classes")
         fb = self.feedback
-        if fb.mode not in ("off", "pi", "gearbox"):
+        if fb.mode not in get_args(FeedbackMode):
             bad.append("switch.feedback.mode: must be off, pi or gearbox")
-        if fb.interval <= 0:
-            bad.append("switch.feedback.interval: must be positive")
         if fb.delay < 0:
             bad.append("switch.feedback.delay: must be non-negative")
         if not 0.0 < fb.alpha <= 1.0:
@@ -138,7 +139,7 @@ class SwitchConfig:
             bad.append("switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1")
         if fb.table_size < 2:
             bad.append("switch.feedback.table_size: must be at least 2")
-        if fb.measure not in ("relcong", "dropprob"):
+        if fb.measure not in get_args(Measure):
             bad.append("switch.feedback.measure: must be relcong or dropprob")
         if self.red is not None:
             r = self.red
@@ -148,8 +149,15 @@ class SwitchConfig:
                 bad.append("switch.red.min_th/max_th: need 0 <= min_th < max_th")
             if not 0.0 < r.weight <= 1.0:
                 bad.append("switch.red.weight: must be in (0, 1]")
-            if r.sample_interval <= 0:
-                bad.append("switch.red.sample_interval: must be positive")
+        # a period that ns() rounds to 0 would divide by zero or re-arm its
+        # tick at the same instant forever
+        for key, seconds in (
+                ("feedback.interval", fb.interval),
+                ("report_interval", self.report_interval),
+                ("red.sample_interval", self.red.sample_interval if self.red else None)):
+            if seconds is not None and seconds * NS <= 0.5:
+                bad.append(f"switch.{key}: " + ("must be positive" if seconds <= 0
+                                                 else "must be at least 1 ns"))
         return bad
 
 
@@ -504,7 +512,8 @@ class Switch:
         """Harvest one interval's queue counters and drive the controller.
 
         Returns the emitted gear-box signal, the emitted PI probability, or
-        None when feedback is off or the interval carried no information.
+        None when feedback is off, the interval carried no information or
+        the queue is premium (its relative congestion is still recorded).
         """
         oq = self._queues[(j, k)]
         arrived0, delivered0, dropped0 = oq.sampled
@@ -517,10 +526,10 @@ class Switch:
             self._series.append(self.loop.now / NS, "rel_cong", j, k,
                                 congestion, "ratio")
         fb = self.config.feedback
-        if fb.mode == "off":
+        if fb.mode == "off" or in_b == 0 or oq.svc_class is ServiceClass.PREMIUM:
+            # an empty interval holds everything as-is, and ingress_admit
+            # never applies a premium queue's drop level
             return None
-        if in_b == 0:
-            return None  # empty interval: hold everything as-is
         measured = (congestion if fb.measure == "relcong"
                     else (oq.egress_dropped - dropped0) / in_b)
         if fb.mode == "gearbox":

@@ -1,6 +1,7 @@
 """Config file tests: pair syntax, typed building, violation collection,
 and the shipped experiment files."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from foqsim.config import (
     load_config,
     parse_pairs,
 )
+from foqsim.config import CbrSpec, TcpGroupSpec
 from foqsim.switch import RedParams, ServiceClass
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -24,6 +26,77 @@ MINIMAL = {
     "switch.out_queue_size": "50000",
     "flow.1.class": "assured",
     "experiment.duration": "1.0",
+}
+
+
+CBR = {
+    "source.0.kind": "cbr",
+    "source.0.flow": "1",
+    "source.0.ingress": "0",
+    "source.0.egress": "1",
+    "source.0.packet_size": "1000",
+    "source.0.rate": "1e6",
+}
+
+TCP = {
+    "source.0.kind": "tcp_group",
+    "source.0.flow": "1",
+    "source.0.ingress": "0",
+    "source.0.egress": "1",
+    "source.0.packet_size": "104",
+    "source.0.count": "10",
+    "source.0.link_rate": "1e6",
+    "source.0.window_start": "0",
+    "source.0.window_end": "1",
+}
+
+# every key of every section with a non-default value: raw text, then the
+# value its field must hold
+EVERY_KEY = {
+    "switch.num_ports": ("3", 3),
+    "switch.line_rate": ("2e6", 2e6),
+    "switch.speedup": ("1.5", 1.5),
+    "switch.fabric_memory": ("70000", 70000),
+    "switch.out_queue_size": ("30000", 30000),
+    "switch.report_interval": ("4e-3", 4e-3),
+    "switch.red.max_p": ("0.3", 0.3),
+    "switch.red.min_th": ("2000", 2000),
+    "switch.red.max_th": ("5000", 5000),
+    "switch.red.weight": ("0.2", 0.2),
+    "switch.red.sample_interval": ("2e-3", 2e-3),
+    "switch.feedback.mode": ("pi", "pi"),
+    "switch.feedback.interval": ("5e-3", 5e-3),
+    "switch.feedback.delay": ("1e-3", 1e-3),
+    "switch.feedback.alpha": ("0.9", 0.9),
+    "switch.feedback.gain_p": ("0.1", 0.1),
+    "switch.feedback.gain_i": ("0.4", 0.4),
+    "switch.feedback.d_max": ("0.2", 0.2),
+    "switch.feedback.d_min": ("0.05", 0.05),
+    "switch.feedback.table_size": ("32", 32),
+    "switch.feedback.measure": ("dropprob", "dropprob"),
+    "flow.0.class": ("premium", ServiceClass.PREMIUM),
+    "flow.0.weight": ("2", 2.0),
+    "flow.0.police_rate": ("5e5", 5e5),
+    "flow.0.police_burst": ("3000", 3000),
+    "source.0.flow": ("0", 0),
+    "source.0.ingress": ("1", 1),
+    "source.0.egress": ("2", 2),
+    "source.0.packet_size": ("700", 700),
+    "source.0.rate": ("3e5", 3e5),
+    "source.0.start": ("1e-3", 1e-3),
+    "source.0.stop": ("0.5", 0.5),
+    "source.1.flow": ("0", 0),
+    "source.1.ingress": ("2", 2),
+    "source.1.egress": ("0", 0),
+    "source.1.packet_size": ("104", 104),
+    "source.1.count": ("3", 3),
+    "source.1.link_rate": ("4e6", 4e6),
+    "source.1.window_start": ("0.1", 0.1),
+    "source.1.window_end": ("0.2", 0.2),
+    "source.1.link_buffer": ("9000", 9000),
+    "source.1.one_way": ("5e-3", 5e-3),
+    "experiment.duration": ("0.7", 0.7),
+    "experiment.seed": ("9", 9),
 }
 
 
@@ -201,6 +274,76 @@ class TestBuildExperiment:
         assert exc.value.violations == [f"switch.{key}: {message}"]
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("switch.report_interval", "0", "must be positive"),
+        ("switch.report_interval", "-1e-3", "must be positive"),
+        ("switch.feedback.interval", "1e-11", "must be at least 1 ns"),
+        ("switch.red.sample_interval", "1e-11", "must be at least 1 ns"),
+    ])
+    def test_periods_are_judged_in_nanoseconds(self, key, value, message):
+        # each would pass a seconds check and then fail or never end in run
+        pairs = minimal(**CBR, **{key: value, "switch.queue_mgmt": "red"})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations == [f"{key}: {message}"]
+
+    @pytest.mark.parametrize("source, key", [
+        (CBR, "start"),
+        (TCP, "window_start"),
+        (TCP, "one_way"),
+    ])
+    def test_source_times_must_be_non_negative(self, source, key):
+        pairs = minimal(**{**source, f"source.0.{key}": "-1e-3"})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations == [f"source.0.{key}: must be non-negative"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_numbers_must_be_finite(self, value):
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(minimal(**{"switch.feedback.interval": value}))
+        assert exc.value.violations == [
+            f"switch.feedback.interval: expected a finite number, got {value!r}"]
+
+    def test_every_key_reaches_its_field(self):
+        pairs = {key: raw for key, (raw, _) in EVERY_KEY.items()}
+        pairs.update({"switch.queue_mgmt": "red", "flow.1.class": "besteffort",
+                      "source.0.kind": "cbr", "source.1.kind": "tcp_group"})
+        exp = build_experiment(pairs)
+        sw = exp.switch
+        assert sw.red is not None
+        assert sw.flows[1].svc_class == ServiceClass.BEST_EFFORT
+        cbr, tcp = exp.sources
+        assert type(cbr) is CbrSpec and type(tcp) is TcpGroupSpec
+        # longest prefix first, so switch.red. wins over switch.
+        owners = {"switch.red.": sw.red, "switch.feedback.": sw.feedback,
+                  "switch.": sw, "flow.0.": sw.flows[0], "source.0.": cbr,
+                  "source.1.": tcp, "experiment.": exp}
+        checked = {prefix: set() for prefix in owners}
+        for key, (_, expected) in EVERY_KEY.items():
+            prefix = next(p for p in owners if key.startswith(p))
+            name = key[len(prefix):].replace("class", "svc_class")
+            owner = owners[prefix]
+            default = next(f.default for f in fields(owner) if f.name == name)
+            assert expected != default, key
+            assert getattr(owner, name) == expected, key
+            checked[prefix].add(name)
+        # no key-backed field is left out of the table above
+        not_keys = {"flows", "red", "feedback", "source_id", "switch", "sources"}
+        for prefix, owner in owners.items():
+            assert checked[prefix] == {f.name for f in fields(owner)} - not_keys
+
+    @pytest.mark.parametrize("source, key, value", [
+        (CBR, "count", "3"),
+        (TCP, "rate", "1e6"),
+    ])
+    def test_other_kinds_keys_are_unknown(self, source, key, value):
+        pairs = minimal(**{**source, f"source.0.{key}": value})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations == [f"source.0.{key}: unknown key"]
+
+
 class TestShippedConfigs:
     def test_all_fixture_files_load(self):
         for name in ("cbr_scaled.cfg", "cbr_scaled_nofoq.cfg",
@@ -240,7 +383,7 @@ class TestShippedConfigs:
         assert sw.feedback.mode == "gearbox"
         assert sw.feedback.interval == 10e-3
         assert [s.count for s in exp.sources] == [1000, 1000, 1000, 1000, 500]
-        assert [s.window for s in exp.sources] == [
+        assert [(s.window_start, s.window_end) for s in exp.sources] == [
             (0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0), (8.0, 9.0)]
         assert all(s.kind == "tcp_group" for s in exp.sources)
         assert all(s.link_buffer == 200000 for s in exp.sources)

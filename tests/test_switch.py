@@ -1,6 +1,8 @@
 """Switch behavior tests: event kernel, admission, fabric, scheduling,
 feedback loops, byte conservation, determinism."""
 
+import dataclasses
+
 import pytest
 
 from foqsim.control import derive_beta, drop_level_table
@@ -131,12 +133,10 @@ class TestConfigValidation:
         cfg = base_config(
             flows={1: FlowSpec(weight=0.0), 9: FlowSpec(police_rate=-5)},
             feedback=FeedbackConfig(mode="magic", interval=0, alpha=2.0),
-            num_classes=2,
         )
         bad = cfg.validate()
         assert "flow.1.weight: must be positive" in bad
         assert "flow.9.police_rate: must be positive" in bad
-        assert "flow.9: id exceeds switch.num_classes" in bad
         assert "switch.feedback.mode: must be off, pi or gearbox" in bad
         assert "switch.feedback.interval: must be positive" in bad
         assert "switch.feedback.alpha: must be in (0, 1]" in bad
@@ -406,6 +406,32 @@ class TestFeedbackLoops:
         cong = ts.select("rel_cong", 1, 1)
         assert cong
         assert all(r.value <= 1.0 for r in cong)
+
+    @pytest.mark.parametrize("mode", ["pi", "gearbox"])
+    def test_premium_queue_runs_no_controller(self, mode):
+        # an unpoliced premium flow at twice the line rate: ingress_admit
+        # never thins premium traffic, so its queue's congestion is
+        # recorded but drives no drop probability and no gear level
+        cfg = dataclasses.replace(
+            self.overload_config(mode),
+            flows={1: FlowSpec(svc_class=ServiceClass.PREMIUM)})
+        sw = Switch(cfg, seed=1)
+        sw.register_flow_queue(1, 1)
+        probes = []
+        for k in range(1, 20):
+            sw.loop.at(ns(k * 0.05) + 1, lambda: probes.append(
+                (sw.drop_probability(1, 1), sw.drop_level(1, 1))))
+        feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0, svc=ServiceClass.PREMIUM)
+        ts = sw.run(1.0)
+        assert len(probes) == 19
+        assert set(probes) == {(0.0, 0)}
+        assert (sw.drop_probability(1, 1), sw.drop_level(1, 1)) == (0.0, 0)
+        cong = [r.value for r in ts.select("rel_cong", 1, 1)]
+        assert len(cong) == 20
+        # every interval after the first sits above d_max: a controller
+        # would have stepped up each time
+        assert min(cong[1:]) > 0.17
+        assert sw.conservation()[1]["ingress_dropped"] == 0
 
 
 class TestConservation:
