@@ -18,6 +18,7 @@ from .analytic import (
 )
 from .config import ConfigError, ConfigSyntaxError, load_config
 from .experiment import run_experiment
+from .timeseries import CsvSink
 
 STABILITY_MSG = "gains outside stability region 0 < K_I < 2(1 - K)"
 
@@ -72,22 +73,40 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_run(args) -> int:
+def _load(path: str, violations):
+    """The config at path, or None and the exit code after reporting why:
+    ConfigError violations to the stream `violations`, the rest to stderr."""
     try:
-        config = load_config(args.config)
+        return load_config(path), 0
     except ConfigSyntaxError as err:
         for v in err.violations:
-            print(f"{args.config}: {v}", file=sys.stderr)
-        return 2
+            print(f"{path}: {v}", file=sys.stderr)
+        return None, 2
     except ConfigError as err:
         for v in err.violations:
-            print(f"{args.config}: {v}", file=sys.stderr)
-        return 1
+            print(f"{path}: {v}", file=violations)
+        return None, 1
     except OSError as err:
-        print(f"{args.config}: {err.strerror}", file=sys.stderr)
-        return 2
-    series = run_experiment(config, seed=args.seed)
-    _emit(series.to_csv(), args.out)
+        print(f"{path}: {err.strerror}", file=sys.stderr)
+        return None, 2
+
+
+def _stream_run(config, seed, stream) -> None:
+    """Run the experiment, writing its CSV to stream as the rows arrive."""
+    sink = CsvSink(stream)
+    run_experiment(config, seed=seed, sink=sink)
+    sink.close()
+
+
+def _cmd_run(args) -> int:
+    config, code = _load(args.config, sys.stderr)
+    if config is None:
+        return code
+    if args.out is None:
+        _stream_run(config, args.seed, sys.stdout)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            _stream_run(config, args.seed, fh)
     return 0
 
 
@@ -138,21 +157,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_config(args.config)
-    except ConfigSyntaxError as err:
-        for v in err.violations:
-            print(f"{args.config}: {v}", file=sys.stderr)
-        return 2
-    except ConfigError as err:
-        for v in err.violations:
-            print(f"{args.config}: {v}")
-        return 1
-    except OSError as err:
-        print(f"{args.config}: {err.strerror}", file=sys.stderr)
-        return 2
-    print("ok")
-    return 0
+    config, code = _load(args.config, sys.stdout)
+    if config is not None:
+        print("ok")
+    return code
 
 
 def main(argv=None) -> int:

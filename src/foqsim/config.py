@@ -9,6 +9,8 @@ A section's keys are its dataclass's scalar fields, read once at import:
 the annotation gives the type (int, float, or a Literal's or an Enum's
 choices) and the default the default; a field without one is required.
 `metadata={"key": ...}` renames a field's key, and None there means none.
+A field named in `_SECONDS` is a time, which must also fit the event
+loop's integer nanoseconds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from enum import EnumMeta
 from pathlib import Path
 from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
+from .events import NS
 from .switch import FeedbackConfig, FlowSpec, RedParams, SwitchConfig
 
 
@@ -106,6 +109,16 @@ class ExperimentConfig:
     seed: int = 1
 
 
+class _Seconds(float):
+    """Value type of a time key: a float whose nanoseconds are finite."""
+
+
+# the fields, of every section, that hold seconds
+_SECONDS = frozenset({"interval", "delay", "sample_interval", "report_interval",
+                      "duration", "start", "stop", "window_start", "window_end",
+                      "one_way"})
+
+
 def _value_type(hint):
     """int, float, or a dict from each allowed string to its value; None
     for a nested section or a collection."""
@@ -127,6 +140,8 @@ def _schema(cls) -> dict[str, tuple]:
     for f in fields(cls):
         key = f.metadata.get("key", f.name)
         value_type = _value_type(hints[f.name])
+        if value_type is float and f.name in _SECONDS:
+            value_type = _Seconds
         if key is not None and value_type is not None:
             schema[key] = (f.name, value_type, f.default)
     return schema
@@ -170,7 +185,7 @@ class _Reader:
 
     def get(self, key, value_type, default=None):
         """The parsed value, or default when the key is absent or bad;
-        value_type is int, float, or a dict of the allowed strings."""
+        value_type is int, float, _Seconds or a dict of the allowed strings."""
         self.seen.add(key)
         raw = self.pairs.get(key)
         if raw is None:
@@ -193,6 +208,10 @@ class _Reader:
                 self.bad.append(f"{key}: expected an integer, got {raw!r}")
                 return default
             return int(value)
+        if value_type is _Seconds and not math.isfinite(value * NS):
+            self.bad.append(f"{key}: expected seconds that fit in integer "
+                            f"nanoseconds, got {raw!r}")
+            return default
         return value
 
     def require(self, key, value_type, required_by: str):

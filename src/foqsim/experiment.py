@@ -5,18 +5,20 @@ from __future__ import annotations
 from .config import ExperimentConfig
 from .events import EventLoop
 from .switch import Switch
-from .timeseries import TimeSeries
+from .timeseries import CsvSink, TimeSeries
 from .traffic import AccessLink, CbrSource, SubnetGroup, TcpSource, staged_start
 
 
 class Experiment:
     """Owns the loop, the switch, and every source built from the config."""
 
-    def __init__(self, config: ExperimentConfig, seed: int | None = None):
+    def __init__(self, config: ExperimentConfig, seed: int | None = None,
+                 sink: TimeSeries | CsvSink | None = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.loop = EventLoop()
-        self.switch = Switch(config.switch, seed=self.seed, loop=self.loop)
+        self.switch = Switch(config.switch, seed=self.seed, loop=self.loop,
+                             sink=sink)
         self.cbr_sources: list[CbrSource] = []
         self.tcp_sources: dict[int, TcpSource] = {}
         self.links: list[AccessLink] = []
@@ -58,7 +60,7 @@ class Experiment:
         if src is not None:
             src.on_data_arrival(packet)
 
-    def run(self) -> TimeSeries:
+    def run(self) -> TimeSeries | CsvSink:
         for src in self.cbr_sources:
             src.start()
         if self.groups:
@@ -66,5 +68,8 @@ class Experiment:
         return self.switch.run(self.config.duration)
 
 
-def run_experiment(config: ExperimentConfig, seed: int | None = None) -> TimeSeries:
-    return Experiment(config, seed=seed).run()
+def run_experiment(config: ExperimentConfig, seed: int | None = None,
+                   sink: TimeSeries | CsvSink | None = None) -> TimeSeries | CsvSink:
+    """Run the experiment into sink, a new TimeSeries by default, and
+    return the sink."""
+    return Experiment(config, seed=seed, sink=sink).run()

@@ -31,7 +31,7 @@ from .control import (
     pi_update,
 )
 from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, TxTimes, ns, stream
-from .timeseries import TimeSeries
+from .timeseries import CsvSink, TimeSeries
 
 
 class ServiceClass(Enum):
@@ -272,7 +272,8 @@ class Switch:
     """The simulated switch plus its event loop and measurement series."""
 
     def __init__(self, config: SwitchConfig, seed: int = 0,
-                 loop: EventLoop | None = None):
+                 loop: EventLoop | None = None,
+                 sink: TimeSeries | CsvSink | None = None):
         bad = config.validate()
         if bad:
             raise ValueError("invalid switch config: " + "; ".join(bad))
@@ -304,7 +305,8 @@ class Switch:
             self._drop_table = drop_level_table(self._gb_params.beta, fb.table_size)
         elif fb.mode == "pi":
             self._pi_params = PiParams(gain_p=fb.gain_p, gain_i=fb.gain_i)
-        self._series = TimeSeries()
+        # where the measurement rows go; run() returns it
+        self._series = sink if sink is not None else TimeSeries()
         self._started = False
 
     # --- setup ---------------------------------------------------------
@@ -598,10 +600,12 @@ class Switch:
 
     # --- run -----------------------------------------------------------
 
-    def run(self, duration: float) -> TimeSeries:
+    def run(self, duration: float) -> TimeSeries | CsvSink:
         """Drive the loop for duration seconds and return the series."""
         if self._started:
             raise ValueError("run() may only be called once")
+        if type(duration) is not float:  # the run totals' time column
+            raise TypeError(f"duration must be a float, got {duration!r}")
         self._started = True
         until = ns(duration)
         queues = self._queues = dict(sorted(self._queues.items()))

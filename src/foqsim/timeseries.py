@@ -1,19 +1,37 @@
-"""Measurement records and their CSV form.
+"""Measurement rows, held as columns, and their CSV form.
 
-One record per (time, metric, port, flow); aggregates leave port/flow blank.
-A record is an immutable named tuple in column order, so it compares equal
-to the plain 6-tuple of its fields. CSV is UTF-8 with LF newlines and
-round-trips exactly: the writer renders floats with repr and None as an
-empty field, so equal seeds give bit-identical files.
+One row per (time, metric, port, flow); aggregates leave port/flow blank.
+A `TimeSeries` keeps its rows as columns: times and values in `array('d')`,
+and metric, port, flow and unit as lists of references to objects the rows
+share (a run names a handful of metrics, ports and flows), so a row costs
+about 50 bytes instead of a tuple of boxed values' 130. Times and values
+must be floats: the arrays would turn an int into a float that prints
+differently, so `append` refuses anything else with TypeError.
+
+`records` reads the rows as `Record`s, built on access: immutable named
+tuples in column order that compare equal to the plain 6-tuple of their
+fields. `select` matches on the metric column before it builds any.
+
+CSV is UTF-8 with LF newlines and round-trips exactly: the writer renders
+floats with repr and None as an empty field, so equal seeds give
+bit-identical files. `CsvSink` takes the same `append` and writes the same
+bytes to a stream as the rows arrive, holding at most `BATCH` of them, so
+a run streamed to a file keeps bounded memory however long it is.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
+from collections.abc import Sequence
+from functools import partial
+from itertools import compress, repeat
+from operator import eq
 from typing import NamedTuple
 
 COLUMNS = ("t_sec", "metric", "port", "flow", "value", "unit")
+BATCH = 4096  # rows a CsvSink gathers before it writes them
 
 
 class Record(NamedTuple):
@@ -25,30 +43,65 @@ class Record(NamedTuple):
     unit: str
 
 
-class TimeSeries:
-    """Ordered list of records with selection and CSV helpers."""
+# a Record from a 6-tuple, skipping the named tuple's keyword binding
+_record = partial(tuple.__new__, Record)
 
-    def __init__(self, records: list[Record] | None = None):
-        self.records: list[Record] = list(records) if records else []
+
+def _refuse(t, value):
+    raise TypeError(f"t and value must be floats, got {t!r} and {value!r}")
+
+
+def _csv_writer(stream):
+    """The one row writer of the CSV form, with the header written."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    return writer
+
+
+class TimeSeries:
+    """Ordered rows, stored by column, with selection and CSV helpers."""
+
+    def __init__(self, records=None):
+        self._t = array("d")
+        self._metric: list[str] = []
+        self._port: list[int | None] = []
+        self._flow: list[int | None] = []
+        self._value = array("d")
+        self._unit: list[str] = []
+        for row in records or ():
+            self.append(*row)
 
     def append(self, t, metric, port, flow, value, unit):
-        # tuple.__new__ skips the named tuple's keyword-binding constructor
-        self.records.append(
-            tuple.__new__(Record, (t, metric, port, flow, value, unit)))
+        if type(t) is not float or type(value) is not float:
+            _refuse(t, value)
+        self._t.append(t)
+        self._metric.append(metric)
+        self._port.append(port)
+        self._flow.append(flow)
+        self._value.append(value)
+        self._unit.append(unit)
+
+    def _columns(self):
+        return (self._t, self._metric, self._port, self._flow, self._value,
+                self._unit)
+
+    def _rows(self):
+        """The rows as plain 6-tuples, in order."""
+        return zip(*self._columns())
+
+    @property
+    def records(self) -> "Rows":
+        return Rows(self)
 
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
         """Records for one metric, optionally narrowed to a port and flow."""
-        out = []
-        for r in self.records:
-            if r.metric != metric:
-                continue
-            if port is not None and r.port != port:
-                continue
-            if flow is not None and r.flow != flow:
-                continue
-            out.append(r)
-        return out
+        t, metrics, ports, flows, values, units = self._columns()
+        hits = compress(range(len(t)), map(eq, metrics, repeat(metric)))
+        return [_record((t[i], metrics[i], ports[i], flows[i], values[i], units[i]))
+                for i in hits
+                if (port is None or ports[i] == port)
+                and (flow is None or flows[i] == flow)]
 
     def value_at_end(self, metric: str, port=None, flow=None) -> float:
         rows = self.select(metric, port, flow)
@@ -57,16 +110,15 @@ class TimeSeries:
         return rows[-1].value
 
     def __eq__(self, other):
-        return isinstance(other, TimeSeries) and self.records == other.records
+        return (isinstance(other, TimeSeries)
+                and self._columns() == other._columns())
 
     def __len__(self):
-        return len(self.records)
+        return len(self._t)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(self.records)
+        _csv_writer(buf).writerows(self._rows())
         return buf.getvalue()
 
     @classmethod
@@ -75,15 +127,80 @@ class TimeSeries:
         header = next(reader)
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            t, metric, port, flow, value, unit = row
-            records.append(tuple.__new__(Record, (
-                float(t), metric,
-                None if port == "" else int(port),
-                None if flow == "" else int(flow),
-                float(value), unit,
-            )))
-        return cls(records)
+        rows = [row for row in reader if row]
+        series = cls()
+        if not rows:
+            return series
+        for row in rows:
+            if len(row) != len(COLUMNS):
+                raise ValueError(f"expected {len(COLUMNS)} fields, got {row!r}")
+        t, metric, port, flow, value, unit = zip(*rows)
+
+        def shared(column, parse=str):
+            # one parsed object per distinct field, referenced by every row
+            parsed = {field: parse(field) for field in set(column)}
+            return list(map(parsed.__getitem__, column))
+
+        def id_or_none(field):
+            return None if field == "" else int(field)
+
+        series._t = array("d", map(float, t))
+        series._metric = shared(metric)
+        series._port = shared(port, id_or_none)
+        series._flow = shared(flow, id_or_none)
+        series._value = array("d", map(float, value))
+        series._unit = shared(unit)
+        return series
+
+
+class Rows(Sequence):
+    """A series' rows as `Record`s, each built when it is read."""
+
+    __slots__ = ("_series",)
+
+    def __init__(self, series: TimeSeries):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return _record(tuple(column[i] for column in self._series._columns()))
+
+    def __iter__(self):
+        return map(_record, self._series._rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
+class CsvSink:
+    """Takes rows like a TimeSeries and streams their CSV to a text stream.
+
+    The header is written at once; rows gather as plain tuples and go out
+    through one csv.writer every BATCH rows and on close(), which the
+    caller must call after the last append. The stream then holds exactly
+    what TimeSeries.to_csv would return for the same rows. The caller owns
+    the stream, which close() leaves open.
+    """
+
+    def __init__(self, stream):
+        self._writer = _csv_writer(stream)
+        self._rows: list[tuple] = []
+
+    def append(self, t, metric, port, flow, value, unit):
+        if type(t) is not float or type(value) is not float:
+            _refuse(t, value)
+        rows = self._rows
+        rows.append((t, metric, port, flow, value, unit))
+        if len(rows) >= BATCH:
+            self.close()
+
+    def close(self) -> None:
+        """Write the rows held; the last call must follow the last append."""
+        self._writer.writerows(self._rows)
+        self._rows.clear()

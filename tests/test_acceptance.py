@@ -15,13 +15,15 @@ bound was frozen.
    band containment, admit-table composition, pole identities, determinism.
 
 The golden digests pin the CSV bytes of the four shipped configs across
-commits; they reuse the runs of criteria 4 and 5. Small inline configs pin
+commits, both as the in-memory series writes them and as the streaming sink
+wrote them during the same run; they reuse the runs of criteria 4 and 5. Small inline configs pin
 what the shipped ones leave out: PI mode, a feedback delay, report windows
 shorter and longer than the feedback interval, and a RED average sampled at
 its own period, over two outputs with three flows each.
 """
 
 import hashlib
+import io
 import time
 from pathlib import Path
 
@@ -52,6 +54,7 @@ from foqsim.switch import (
     Switch,
     SwitchConfig,
 )
+from foqsim.timeseries import CsvSink, TimeSeries
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,19 +142,41 @@ GRID = [(k10 / 10, f / 10 * 2 * (1 - k10 / 10))
         for k10 in range(10) for f in range(1, 10)]  # 90 stable points
 
 
+class Tee:
+    """A sink that hands every row to each of its sinks."""
+
+    def __init__(self, *sinks):
+        self.sinks = sinks
+
+    def append(self, *row):
+        for sink in self.sinks:
+            sink.append(*row)
+
+
 @pytest.fixture(scope="module")
-def shipped():
-    """Shipped or inline config name -> its run at its seed, each run at
-    most once per module so the bands and the digests share the simulations."""
-    runs = {}
+def runs():
+    """Shipped or inline config name -> (its series at its seed, the CSV a
+    CsvSink streamed from the same run), each run at most once per module
+    so the bands and the digests share the simulations."""
+    done = {}
 
     def run(name):
-        if name not in runs:
+        if name not in done:
             config = (build_experiment(parse_pairs(inline_config(INLINE[name])))
                       if name in INLINE else load_config(CONFIGS / f"{name}.cfg"))
-            runs[name] = run_experiment(config)
-        return runs[name]
+            series, stream = TimeSeries(), io.StringIO()
+            sink = CsvSink(stream)
+            run_experiment(config, sink=Tee(series, sink))
+            sink.close()
+            done[name] = series, stream.getvalue()
+        return done[name]
     return run
+
+
+@pytest.fixture(scope="module")
+def shipped(runs):
+    """Config name -> its in-memory series."""
+    return lambda name: runs(name)[0]
 
 
 def series_values(ts, metric, port, flow, lo=None, hi=None):
@@ -322,9 +347,10 @@ def test_criterion_5_tcp_experiment_bands(shipped):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_golden_digest(shipped, name):
-    digest = hashlib.sha256(shipped(name).to_csv().encode()).hexdigest()
-    assert digest == GOLDEN_DIGESTS[name]
+def test_golden_digest(runs, name):
+    series, streamed = runs(name)
+    for text in (series.to_csv(), streamed):
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
 
 
 def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,

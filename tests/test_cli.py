@@ -33,6 +33,30 @@ experiment.seed = 1
 """
 
 
+# 100,000 report windows over two queues: about 1.3 million rows, over 60 MB
+# even in the columnar store
+LONG = """\
+switch.num_ports = 2
+switch.line_rate = 1e6
+switch.speedup = 1.28
+switch.fabric_memory = 50000
+switch.out_queue_size = 50000
+switch.report_interval = 10e-6
+flow.0.class = assured
+flow.1.class = besteffort
+""" + "".join(f"""\
+source.{port}.kind = cbr
+source.{port}.flow = {port}
+source.{port}.ingress = {port}
+source.{port}.egress = {port}
+source.{port}.packet_size = 500
+source.{port}.rate = 4e5
+""" for port in (0, 1)) + "experiment.duration = 1.0\n"
+
+# the address space a child may add after its imports
+RUN_BUDGET = 16 << 20
+
+
 @pytest.fixture
 def tiny_cfg(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -112,6 +136,35 @@ class TestRun:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                        reason="reads the address-space size from /proc")
+    def test_long_run_streams_in_bounded_memory(self, tmp_path):
+        # The child caps its address space at its size after the imports
+        # plus RUN_BUDGET, well under what the run's rows would take if they
+        # were held until the end: only a run that writes them to --out as
+        # they are produced finishes.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(LONG)
+        out = tmp_path / "long.csv"
+        child = (
+            "import resource, sys\n"
+            "from foqsim.cli import main\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+            f"cap = size + {RUN_BUDGET}\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(foqsim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "run", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        with open(out) as fh:
+            assert next(fh) == ",".join(COLUMNS) + "\n"
+            rows = sum(1 for _ in fh)
+        # a float pair and four references: 48 bytes a row in the store
+        assert rows * 48 > 3 * RUN_BUDGET
 
 
 def analyze(*extra):

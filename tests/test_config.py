@@ -298,6 +298,34 @@ class TestBuildExperiment:
             build_experiment(pairs)
         assert exc.value.violations == [f"source.0.{key}: must be non-negative"]
 
+    @pytest.mark.parametrize("source, key", [
+        ({}, "switch.report_interval"),
+        ({}, "switch.feedback.interval"),
+        ({}, "switch.feedback.delay"),
+        ({"switch.queue_mgmt": "red"}, "switch.red.sample_interval"),
+        ({}, "experiment.duration"),
+        (CBR, "source.0.start"),
+        (CBR, "source.0.stop"),
+        (TCP, "source.0.window_start"),
+        (TCP, "source.0.window_end"),
+        (TCP, "source.0.one_way"),
+    ])
+    @pytest.mark.parametrize("value", ["1e300", "-1e300"])
+    def test_times_must_fit_in_nanoseconds(self, source, key, value):
+        # 1e300 s is finite, but ns() of it overflows to infinity; these
+        # configs are only built, never run
+        pairs = minimal(**{**source, key: value})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations == [
+            f"{key}: expected seconds that fit in integer nanoseconds, "
+            f"got {value!r}"]
+
+    def test_largest_times_still_build(self):
+        pairs = minimal(**{"switch.feedback.interval": "1e299",
+                           "experiment.duration": "1e299"})
+        assert build_experiment(pairs).duration == 1e299
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_numbers_must_be_finite(self, value):
         with pytest.raises(ConfigError) as exc:

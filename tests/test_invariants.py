@@ -8,11 +8,13 @@ must keep exact byte conservation, repeat its CSV for its seed, keep the
 controller inside its range and the buffers inside their bounds.
 """
 
+import math
 from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
+from foqsim.events import EventLoop
 from foqsim.experiment import Experiment
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -174,3 +176,59 @@ def test_window_rates_sum_to_run_totals(text):
         assert {f: windowed.get(f, 0) for f in totals} == totals, rate
     assert all(acct["resident"] == 0
                for acct in experiment.switch.conservation().values())
+
+
+LONG_RUN = """\
+switch.num_ports = 3
+switch.line_rate = 10e6
+switch.speedup = 1.28
+switch.fabric_memory = 20000
+switch.out_queue_size = 8000
+switch.queue_mgmt = red
+switch.red.sample_interval = 0.3e-3
+switch.feedback.mode = gearbox
+switch.feedback.interval = 1e-3
+switch.feedback.delay = 2.5e-3
+switch.report_interval = 0.1e-3
+flow.0.class = premium
+flow.0.police_rate = 1e6
+flow.1.class = assured
+flow.2.class = besteffort
+experiment.duration = 0.3
+"""
+
+
+def test_event_heap_stays_bounded_over_many_windows(monkeypatch):
+    # 3,000 report windows. Pending at once: the three ticks (report,
+    # sampler, RED), one emission per CBR source, one fabric drain and one
+    # line transmission per port, and per queue the control applications
+    # still inside the feedback delay. None of it grows with the windows.
+    lines = [LONG_RUN]
+    for sid in range(6):
+        egress = 1 + sid % 2
+        lines += [f"source.{sid}.kind = cbr",
+                  f"source.{sid}.flow = {sid % 3}",
+                  f"source.{sid}.ingress = {sid % 3}",
+                  f"source.{sid}.egress = {egress}",
+                  f"source.{sid}.packet_size = {(200, 1000, 576)[sid % 3]}",
+                  f"source.{sid}.rate = 6e6",
+                  f"source.{sid}.start = {sid * 41e-6!r}"]
+    config = build_experiment(parse_pairs("\n".join(lines) + "\n"))
+    peak = 0
+    push = EventLoop.at
+
+    def at(loop, *args, **kwargs):
+        nonlocal peak
+        push(loop, *args, **kwargs)
+        peak = max(peak, len(loop._heap))
+    monkeypatch.setattr(EventLoop, "at", at)
+    series = Experiment(config).run()
+
+    fb = config.switch.feedback
+    sources = len(config.sources)
+    queues = {(spec.egress, spec.flow) for spec in config.sources}
+    ports = {egress for egress, _ in queues}
+    bound = (3 + sources + 2 * len(ports)
+             + len(queues) * (math.ceil(fb.delay / fb.interval) + 1))
+    assert len(series.select("fabric_occupancy_bytes")) == 3000
+    assert 0 < peak <= bound

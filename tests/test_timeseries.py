@@ -1,8 +1,11 @@
-"""TimeSeries record keeping and its CSV round trip."""
+"""TimeSeries record keeping, its CSV round trip and the streaming sink."""
+
+import io
+import random
 
 import pytest
 
-from foqsim.timeseries import COLUMNS, Record, TimeSeries
+from foqsim.timeseries import BATCH, COLUMNS, CsvSink, Record, TimeSeries
 
 
 def sample_series() -> TimeSeries:
@@ -86,3 +89,98 @@ class TestRecord:
         r = TimeSeries.from_csv(sample_series().to_csv()).records[1]
         assert r == (0.001, "fabric_queue_bytes", 3, None, 1000.0, "bytes")
         assert r.value == 1000.0
+
+
+def random_rows(count, seed=5):
+    """Rows over a few metrics, ports and flows, blank ones included."""
+    rng = random.Random(seed)
+    metrics = ("throughput_bps", "rel_cong", "fabric_queue_bytes")
+    ids = (None, 0, 1, 2, 300)
+    return [(rng.random(), rng.choice(metrics), rng.choice(ids),
+             rng.choice(ids), rng.uniform(-1e9, 1e9), rng.choice(("bps", "s")))
+            for _ in range(count)]
+
+
+class TestColumnarStore:
+    def test_round_trip_with_blank_ports_and_flows(self):
+        ts = TimeSeries(random_rows(200))
+        again = TimeSeries.from_csv(ts.to_csv())
+        assert again == ts
+        assert again.to_csv() == ts.to_csv()
+        assert {r.port for r in again.records} >= {None, 300}
+        assert {r.flow for r in again.records} >= {None, 300}
+
+    def test_blank_and_zero_ids_differ(self):
+        ts = TimeSeries([(0.0, "x", None, 0, 1.0, "bps")])
+        other = TimeSeries([(0.0, "x", 0, None, 1.0, "bps")])
+        assert ts != other
+        assert TimeSeries.from_csv(ts.to_csv()) != other
+
+    def test_records_are_the_plain_rows(self):
+        rows = random_rows(50)
+        ts = TimeSeries(rows)
+        assert len(ts.records) == len(rows)
+        for i, row in enumerate(rows):
+            assert ts.records[i] == row
+            assert type(ts.records[i]) is Record
+        assert ts.records[-1] == rows[-1]
+        assert ts.records[3:7] == rows[3:7]
+        assert list(ts.records) == rows
+        assert ts.records == rows
+        with pytest.raises(IndexError):
+            ts.records[len(rows)]
+
+    def test_records_read_the_live_series(self):
+        ts = TimeSeries()
+        view = ts.records
+        ts.append(0.5, "x", 1, 2, 3.0, "bps")
+        assert view[0] == (0.5, "x", 1, 2, 3.0, "bps")
+
+    @pytest.mark.parametrize("t, value", [(5, 1.0), (1.0, 5), (1.0, True),
+                                          (1.0, "1.0"), (1.0, None)])
+    def test_refuses_non_float_time_and_value(self, t, value):
+        # the float arrays would print 5 as 5.0, so nothing but a float is
+        # taken, in the store and in the sink alike
+        ts = TimeSeries()
+        with pytest.raises(TypeError):
+            ts.append(t, "x", 0, 0, value, "bps")
+        assert len(ts) == 0
+        assert ts.to_csv() == ",".join(COLUMNS) + "\n"
+        buf = io.StringIO()
+        sink = CsvSink(buf)
+        with pytest.raises(TypeError):
+            sink.append(t, "x", 0, 0, value, "bps")
+        sink.close()
+        assert buf.getvalue() == ",".join(COLUMNS) + "\n"
+
+    def test_select_matches_a_full_scan(self):
+        ts = TimeSeries(random_rows(500))
+        for metric in ("throughput_bps", "rel_cong", "absent"):
+            for port in (None, 0, 300, 7):
+                for flow in (None, 2, 300):
+                    expected = [r for r in ts.records
+                                if r.metric == metric
+                                and (port is None or r.port == port)
+                                and (flow is None or r.flow == flow)]
+                    assert ts.select(metric, port, flow) == expected
+
+
+class TestCsvSink:
+    @pytest.mark.parametrize("count", [0, 1, BATCH, 2 * BATCH + 7])
+    def test_same_bytes_as_to_csv(self, count):
+        rows = random_rows(count)
+        buf = io.StringIO()
+        sink = CsvSink(buf)
+        for row in rows:
+            sink.append(*row)
+        sink.close()
+        assert buf.getvalue() == TimeSeries(rows).to_csv()
+
+    def test_writes_every_batch_as_it_fills(self):
+        buf = io.StringIO()
+        sink = CsvSink(buf)
+        for row in random_rows(BATCH + 3):
+            sink.append(*row)
+        assert buf.getvalue().count("\n") == 1 + BATCH
+        sink.close()
+        assert buf.getvalue().count("\n") == 1 + BATCH + 3
