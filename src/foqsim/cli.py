@@ -91,22 +91,15 @@ def _load(path: str, violations):
         return None, 2
 
 
-def _stream_run(config, seed, stream) -> None:
-    """Run the experiment, writing its CSV to stream as the rows arrive."""
-    sink = CsvSink(stream)
-    run_experiment(config, seed=seed, sink=sink)
-    sink.close()
-
-
 def _cmd_run(args) -> int:
     config, code = _load(args.config, sys.stderr)
     if config is None:
         return code
     if args.out is None:
-        _stream_run(config, args.seed, sys.stdout)
+        run_experiment(config, seed=args.seed, sink=CsvSink(sys.stdout))
     else:
         with open(args.out, "w", newline="") as fh:
-            _stream_run(config, args.seed, fh)
+            run_experiment(config, seed=args.seed, sink=CsvSink(fh))
     return 0
 
 

@@ -9,7 +9,7 @@ A section's keys are its dataclass's scalar fields, read once at import:
 the annotation gives the type (int, float, or a Literal's or an Enum's
 choices) and the default the default; a field without one is required.
 `metadata={"key": ...}` renames a field's key, and None there means none.
-A field named in `_SECONDS` is a time, which must also fit the event
+A field annotated `Seconds` is a time, which must also fit the event
 loop's integer nanoseconds.
 """
 
@@ -22,7 +22,7 @@ from enum import EnumMeta
 from pathlib import Path
 from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
-from .events import NS
+from .events import NS, Seconds
 from .switch import FeedbackConfig, FlowSpec, RedParams, SwitchConfig
 
 
@@ -68,8 +68,8 @@ class _Source:
 class CbrSpec(_Source):
     kind: ClassVar[str] = "cbr"
     rate: float  # bits/s
-    start: float = 0.0  # seconds
-    stop: float | None = None
+    start: Seconds = 0.0
+    stop: Seconds | None = None
 
     def _problems(self) -> list[str]:
         return [message for broken, message in (
@@ -82,10 +82,10 @@ class TcpGroupSpec(_Source):
     kind: ClassVar[str] = "tcp_group"
     count: int
     link_rate: float  # bits/s of the shared access link
-    window_start: float  # seconds; each source starts uniformly inside
-    window_end: float
+    window_start: Seconds  # each source starts uniformly inside
+    window_end: Seconds
     link_buffer: int = 50000  # bytes
-    one_way: float = 20e-3  # seconds of propagation each way
+    one_way: Seconds = 20e-3  # propagation each way
 
     def _problems(self) -> list[str]:
         return [message for broken, message in (
@@ -104,27 +104,17 @@ _KINDS = {cls.kind: cls for cls in (CbrSpec, TcpGroupSpec)}
 @dataclass
 class ExperimentConfig:
     switch: SwitchConfig
-    duration: float  # seconds
+    duration: Seconds
     sources: list[SourceSpec] = field(default_factory=list)
     seed: int = 1
 
 
-class _Seconds(float):
-    """Value type of a time key: a float whose nanoseconds are finite."""
-
-
-# the fields, of every section, that hold seconds
-_SECONDS = frozenset({"interval", "delay", "sample_interval", "report_interval",
-                      "duration", "start", "stop", "window_start", "window_end",
-                      "one_way"})
-
-
 def _value_type(hint):
-    """int, float, or a dict from each allowed string to its value; None
-    for a nested section or a collection."""
+    """int, float, Seconds, or a dict from each allowed string to its value;
+    None for a nested section or a collection."""
     if get_origin(hint) in (Union, types.UnionType):  # X | None
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    if hint in (int, float):
+    if hint in (int, float, Seconds):
         return hint
     if get_origin(hint) is Literal:
         return {choice: choice for choice in get_args(hint)}
@@ -135,13 +125,11 @@ def _value_type(hint):
 
 def _schema(cls) -> dict[str, tuple]:
     """Config key -> (field name, value type, default or MISSING)."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     schema = {}
     for f in fields(cls):
         key = f.metadata.get("key", f.name)
         value_type = _value_type(hints[f.name])
-        if value_type is float and f.name in _SECONDS:
-            value_type = _Seconds
         if key is not None and value_type is not None:
             schema[key] = (f.name, value_type, f.default)
     return schema
@@ -185,7 +173,7 @@ class _Reader:
 
     def get(self, key, value_type, default=None):
         """The parsed value, or default when the key is absent or bad;
-        value_type is int, float, _Seconds or a dict of the allowed strings."""
+        value_type is int, float, Seconds or a dict of the allowed strings."""
         self.seen.add(key)
         raw = self.pairs.get(key)
         if raw is None:
@@ -208,7 +196,7 @@ class _Reader:
                 self.bad.append(f"{key}: expected an integer, got {raw!r}")
                 return default
             return int(value)
-        if value_type is _Seconds and not math.isfinite(value * NS):
+        if value_type == Seconds and not math.isfinite(value * NS):
             self.bad.append(f"{key}: expected seconds that fit in integer "
                             f"nanoseconds, got {raw!r}")
             return default

@@ -18,12 +18,16 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from typing import Annotated
 
 RANK_CONTROL = 0  # feedback applications
 RANK_TICK = 1     # samplers, reporters, queue-average updates
 RANK_DATA = 2     # packet motion, source emissions, timers
 
 NS = 1_000_000_000
+
+# the annotation of a config field that holds seconds, which ns() must take
+Seconds = Annotated[float, "seconds"]
 
 
 def ns(seconds: float) -> int:

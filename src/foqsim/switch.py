@@ -30,7 +30,7 @@ from .control import (
     gb_signal_from_congestion,
     pi_update,
 )
-from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, TxTimes, ns, stream
+from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, Seconds, TxTimes, ns, stream
 from .timeseries import CsvSink, TimeSeries
 
 
@@ -61,7 +61,7 @@ class RedParams:
     min_th: int = 1000   # bytes
     max_th: int = 3000   # bytes
     weight: float = 0.1  # EWMA weight at the sampling cadence
-    sample_interval: float = 1e-3  # seconds
+    sample_interval: Seconds = 1e-3
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,8 @@ Measure = Literal["relcong", "dropprob"]
 @dataclass(frozen=True)
 class FeedbackConfig:
     mode: FeedbackMode = "off"
-    interval: float = 1e-3  # seconds
-    delay: float = 0.0      # signal propagation back to the ingress
+    interval: Seconds = 1e-3
+    delay: Seconds = 0.0  # signal propagation back to the ingress
     alpha: float = 0.95
     gain_p: float = 0.0
     gain_i: float = 0.5
@@ -101,7 +101,7 @@ class SwitchConfig:
     flows: dict[int, FlowSpec] = field(default_factory=dict)
     red: RedParams | None = None  # None means plain drop-tail
     feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    report_interval: float | None = None  # defaults to the feedback interval
+    report_interval: Seconds | None = None  # defaults to the feedback interval
 
     def validate(self) -> list[str]:
         """Every violation, not just the first."""

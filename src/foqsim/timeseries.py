@@ -2,8 +2,8 @@
 
 One row per (time, metric, port, flow); aggregates leave port/flow blank.
 A `TimeSeries` keeps its rows as columns: times and values in `array('d')`,
-and metric, port, flow and unit as lists of references to objects the rows
-share (a run names a handful of metrics, ports and flows), so a row costs
+and metric, port, flow and unit as lists of references. A run's rows share
+a handful of metric, port, flow and unit objects, so a row it appends costs
 about 50 bytes instead of a tuple of boxed values' 130. Times and values
 must be floats: the arrays would turn an int into a float that prints
 differently, so `append` refuses anything else with TypeError.
@@ -15,8 +15,8 @@ fields. `select` matches on the metric column before it builds any.
 CSV is UTF-8 with LF newlines and round-trips exactly: the writer renders
 floats with repr and None as an empty field, so equal seeds give
 bit-identical files. `CsvSink` takes the same `append` and writes the same
-bytes to a stream as the rows arrive, holding at most `BATCH` of them, so
-a run streamed to a file keeps bounded memory however long it is.
+bytes to a stream row by row as they arrive, holding none of them, so a run
+streamed to a file keeps bounded memory however long it is.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from operator import eq
 from typing import NamedTuple
 
 COLUMNS = ("t_sec", "metric", "port", "flow", "value", "unit")
-BATCH = 4096  # rows a CsvSink gathers before it writes them
 
 
 class Record(NamedTuple):
@@ -127,29 +126,15 @@ class TimeSeries:
         header = next(reader)
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
-        rows = [row for row in reader if row]
         series = cls()
-        if not rows:
-            return series
-        for row in rows:
-            if len(row) != len(COLUMNS):
-                raise ValueError(f"expected {len(COLUMNS)} fields, got {row!r}")
-        t, metric, port, flow, value, unit = zip(*rows)
-
-        def shared(column, parse=str):
-            # one parsed object per distinct field, referenced by every row
-            parsed = {field: parse(field) for field in set(column)}
-            return list(map(parsed.__getitem__, column))
-
-        def id_or_none(field):
-            return None if field == "" else int(field)
-
-        series._t = array("d", map(float, t))
-        series._metric = shared(metric)
-        series._port = shared(port, id_or_none)
-        series._flow = shared(flow, id_or_none)
-        series._value = array("d", map(float, value))
-        series._unit = shared(unit)
+        for row in reader:
+            if not row:
+                continue
+            t, metric, port, flow, value, unit = row
+            series.append(float(t), metric,
+                          None if port == "" else int(port),
+                          None if flow == "" else int(flow),
+                          float(value), unit)
         return series
 
 
@@ -179,28 +164,18 @@ class Rows(Sequence):
 
 
 class CsvSink:
-    """Takes rows like a TimeSeries and streams their CSV to a text stream.
+    """Takes rows like a TimeSeries and writes their CSV to a text stream.
 
-    The header is written at once; rows gather as plain tuples and go out
-    through one csv.writer every BATCH rows and on close(), which the
-    caller must call after the last append. The stream then holds exactly
-    what TimeSeries.to_csv would return for the same rows. The caller owns
-    the stream, which close() leaves open.
+    The header is written at once and each row as it arrives, through one
+    csv.writer; the stream's own buffer is all the sink holds. The stream
+    then holds exactly what TimeSeries.to_csv would return for the same
+    rows. The caller owns the stream and closes it.
     """
 
     def __init__(self, stream):
         self._writer = _csv_writer(stream)
-        self._rows: list[tuple] = []
 
     def append(self, t, metric, port, flow, value, unit):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
-        rows = self._rows
-        rows.append((t, metric, port, flow, value, unit))
-        if len(rows) >= BATCH:
-            self.close()
-
-    def close(self) -> None:
-        """Write the rows held; the last call must follow the last append."""
-        self._writer.writerows(self._rows)
-        self._rows.clear()
+        self._writer.writerow((t, metric, port, flow, value, unit))

@@ -165,9 +165,7 @@ def runs():
             config = (build_experiment(parse_pairs(inline_config(INLINE[name])))
                       if name in INLINE else load_config(CONFIGS / f"{name}.cfg"))
             series, stream = TimeSeries(), io.StringIO()
-            sink = CsvSink(stream)
-            run_experiment(config, sink=Tee(series, sink))
-            sink.close()
+            run_experiment(config, sink=Tee(series, CsvSink(stream)))
             done[name] = series, stream.getvalue()
         return done[name]
     return run

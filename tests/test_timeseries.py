@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from foqsim.timeseries import BATCH, COLUMNS, CsvSink, Record, TimeSeries
+from foqsim.timeseries import COLUMNS, CsvSink, Record, TimeSeries
 
 
 def sample_series() -> TimeSeries:
@@ -150,7 +150,6 @@ class TestColumnarStore:
         sink = CsvSink(buf)
         with pytest.raises(TypeError):
             sink.append(t, "x", 0, 0, value, "bps")
-        sink.close()
         assert buf.getvalue() == ",".join(COLUMNS) + "\n"
 
     def test_select_matches_a_full_scan(self):
@@ -166,21 +165,18 @@ class TestColumnarStore:
 
 
 class TestCsvSink:
-    @pytest.mark.parametrize("count", [0, 1, BATCH, 2 * BATCH + 7])
+    @pytest.mark.parametrize("count", [0, 1, 10_007])
     def test_same_bytes_as_to_csv(self, count):
         rows = random_rows(count)
         buf = io.StringIO()
         sink = CsvSink(buf)
         for row in rows:
             sink.append(*row)
-        sink.close()
         assert buf.getvalue() == TimeSeries(rows).to_csv()
 
-    def test_writes_every_batch_as_it_fills(self):
+    def test_writes_each_row_as_it_arrives(self):
         buf = io.StringIO()
         sink = CsvSink(buf)
-        for row in random_rows(BATCH + 3):
+        for n, row in enumerate(random_rows(5), start=1):
             sink.append(*row)
-        assert buf.getvalue().count("\n") == 1 + BATCH
-        sink.close()
-        assert buf.getvalue().count("\n") == 1 + BATCH + 3
+            assert buf.getvalue().count("\n") == 1 + n
