@@ -22,7 +22,7 @@ from enum import EnumMeta
 from pathlib import Path
 from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
-from .events import NS, Seconds
+from .events import NS, Seconds, tx_ns
 from .switch import FeedbackConfig, FlowSpec, RedParams, SwitchConfig
 
 
@@ -72,8 +72,13 @@ class CbrSpec(_Source):
     stop: Seconds | None = None
 
     def _problems(self) -> list[str]:
+        # a period that tx_ns rounds to 0 would emit at the same instant
+        # forever
         return [message for broken, message in (
             (self.rate <= 0, "rate: must be positive"),
+            (self.rate > 0 and self.packet_size > 0
+             and tx_ns(self.packet_size, self.rate) < 1,
+             "rate: must leave at least 1 ns between packets"),
             (self.start < 0, "start: must be non-negative")) if broken]
 
 

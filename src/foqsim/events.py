@@ -11,13 +11,19 @@ key order and one RED tick that updates every queue's average (port 0).
 Handlers schedule with `at(now + delay, ...)`. Timers are lazy: a TCP source
 keeps one pending retransmission event and a deadline, so an ack that only
 moves the deadline later pushes nothing (see `TcpSource._arm_timer`).
+
+Event keys and handler names are fixed: the benchmark's tracer
+(`bench/tracer.py`) classifies each event by its handler's `__qualname__`
+and its port, and counts every `at` call. A handler that runs once per
+packet reads only state resolved at setup or computed by the tick that
+changes it; it re-derives nothing per event.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
+from heapq import heappop, heappush
 from typing import Annotated
 
 RANK_CONTROL = 0  # feedback applications
@@ -74,14 +80,14 @@ class EventLoop:
            flow: int = -1) -> None:
         if when < self.now:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (when, rank, port, flow, self._seq, fn))
+        heappush(self._heap, (when, rank, port, flow, self._seq, fn))
         self._seq += 1
 
     def run(self, until: int) -> None:
         """Process every event with timestamp <= until."""
         heap = self._heap
         while heap and heap[0][0] <= until:
-            when, _, _, _, _, fn = heapq.heappop(heap)
-            self.now = when
-            fn()
+            entry = heappop(heap)  # (when, rank, port, flow, seq, fn)
+            self.now = entry[0]
+            entry[5]()
         self.now = until

@@ -11,6 +11,13 @@ controller; the resulting drop level is applied at every ingress dropper.
 Byte counters are integers, timestamps integer nanoseconds, and every
 stochastic decision draws from its own named generator, so equal seeds give
 bit-identical runs.
+
+The per-packet steps (ingress, fabric drain, output enqueue, line
+completion) read only state resolved at setup, such as each port's
+flow-id -> queue map, or computed by the tick that changes it, such as a
+queue's RED drop probability, which the RED tick refreshes right after the
+average it follows from. Event keys and handler names stay fixed, because
+the benchmark's tracer (`bench/tracer.py`) classifies events by them.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from .control import (
     gb_signal_from_congestion,
     pi_update,
 )
-from .events import NS, RANK_CONTROL, RANK_TICK, EventLoop, Seconds, TxTimes, ns, stream
+from .events import (NS, RANK_CONTROL, RANK_DATA, RANK_TICK, EventLoop, Seconds,
+                     TxTimes, ns, stream)
 from .timeseries import CsvSink, TimeSeries
 
 
@@ -205,7 +213,7 @@ class _Port:
     drain and on the line, and its scheduler's queues and virtual times."""
 
     __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx", "busy",
-                 "premium", "assured", "besteffort",
+                 "queues", "premium", "assured", "besteffort",
                  "vt_assured", "vt_besteffort")
 
     def __init__(self, index):
@@ -215,6 +223,7 @@ class _Port:
         self.in_drain = None
         self.in_tx = None
         self.busy = False
+        self.queues = {}  # flow id -> its output queue at this egress
         # output queues by service class, each in flow-id order; the
         # attribute names are the ServiceClass values
         self.premium = []
@@ -238,12 +247,12 @@ class _OutQueue:
     """
 
     __slots__ = ("egress", "flow_id", "svc_class", "weight", "packets",
-                 "backlog", "last_tag", "red_avg", "red_rng", "drop_prob",
-                 "level", "accumulator", "last_drop_prob", "delays",
+                 "backlog", "last_tag", "red_avg", "red_p", "red_rng",
+                 "drop_prob", "level", "accumulator", "last_drop_prob", "delays",
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, egress, flow_id, svc_class, weight, red_rng):
+    def __init__(self, egress, flow_id, svc_class, weight, red_rng, red_p):
         self.egress = egress
         self.flow_id = flow_id
         self.svc_class = svc_class
@@ -252,6 +261,7 @@ class _OutQueue:
         self.backlog = 0        # bytes
         self.last_tag = 0.0
         self.red_avg = 0.0
+        self.red_p = red_p      # RED drop probability at red_avg; 0 without RED
         self.red_rng = red_rng
         self.drop_prob = 0.0    # applied at every ingress dropper
         self.level = 0          # gear-box drop level
@@ -323,13 +333,16 @@ class Switch:
         if not 0 <= egress < self.config.num_ports:
             raise ValueError(f"egress port {egress} out of range")
         spec = self.config.flows[flow_id]
+        red = self.config.red
         oq = _OutQueue(egress, flow_id, spec.svc_class, spec.weight,
-                       stream(self.seed, f"red.{egress}.{flow_id}"))
+                       stream(self.seed, f"red.{egress}.{flow_id}"),
+                       0.0 if red is None else red_drop_probability(0.0, red))
         self._queues[key] = oq
         port = self._ports.get(egress)
         if port is None:
             port = self._ports[egress] = _Port(egress)
             self._ports = dict(sorted(self._ports.items()))
+        port.queues[flow_id] = oq
         tier = getattr(port, spec.svc_class.value)
         tier.append(oq)
         tier.sort(key=lambda q: q.flow_id)
@@ -342,22 +355,23 @@ class Switch:
         oq = self._queues.get(key)
         if oq is None:
             raise ValueError(f"no queue registered for egress/flow {key}")
-        packet.arrived_at = self.loop.now
+        now = packet.arrived_at = self.loop.now
         size = packet.size
         oq.injected += size
-        spec = self.config.flows[packet.flow_id]
-        if packet.svc_class is ServiceClass.PREMIUM and spec.police_rate is not None:
-            bkey = (packet.ingress_port, packet.flow_id)
-            bucket = self._buckets.get(bkey)
-            if bucket is None:
-                bucket = _TokenBucket(spec.police_rate, spec.police_burst,
-                                      self.loop.now)
-                self._buckets[bkey] = bucket
-            if not bucket.admit(size, self.loop.now):
-                oq.ingress_dropped += size
-                return
-        rng = self._ingress_rng[packet.ingress_port]
-        if not ingress_admit(packet, oq.drop_prob, rng):
+        if packet.svc_class is ServiceClass.PREMIUM:
+            spec = self.config.flows[packet.flow_id]
+            if spec.police_rate is not None:
+                bkey = (packet.ingress_port, packet.flow_id)
+                bucket = self._buckets.get(bkey)
+                if bucket is None:
+                    bucket = _TokenBucket(spec.police_rate, spec.police_burst,
+                                          now)
+                    self._buckets[bkey] = bucket
+                if not bucket.admit(size, now):
+                    oq.ingress_dropped += size
+                    return
+        if not ingress_admit(packet, oq.drop_prob,
+                             self._ingress_rng[packet.ingress_port]):
             oq.ingress_dropped += size
             return
         self.fabric_enqueue(packet)
@@ -374,15 +388,15 @@ class Switch:
         """
         prio = 0 if packet.svc_class is ServiceClass.PREMIUM else 1
         size = packet.size
+        port = self._ports[packet.egress_port]
         if self._occupancy + size > self.config.fabric_memory:
             if prio == 0:
                 self._evict_low_priority(
                     self._occupancy + size - self.config.fabric_memory)
             if self._occupancy + size > self.config.fabric_memory:
-                self._count_fabric_drop(packet)
+                self._count_fabric_drop(port, packet)
                 return False
         self._occupancy += size
-        port = self._ports[packet.egress_port]
         port.fifos[prio].append(packet)
         port.fifo_bytes[prio] += size
         if port.in_drain is None:
@@ -402,11 +416,11 @@ class Switch:
             victim.fifo_bytes[1] -= packet.size
             self._occupancy -= packet.size
             needed -= packet.size
-            self._count_fabric_drop(packet)
+            self._count_fabric_drop(victim, packet)
 
-    def _count_fabric_drop(self, packet: Packet) -> None:
-        oq = self._queues[(packet.egress_port, packet.flow_id)]
-        oq.fabric_dropped += packet.size
+    def _count_fabric_drop(self, port: _Port, packet: Packet) -> None:
+        """Charge a packet dropped from, or refused by, port's fabric FIFOs."""
+        port.queues[packet.flow_id].fabric_dropped += packet.size
 
     def _start_drain(self, port: _Port) -> None:
         hi, lo = port.fifos
@@ -417,8 +431,8 @@ class Switch:
         port.in_drain = packet
         loop = self.loop
         loop.at(loop.now + self._drain_ns[packet.size],
-                lambda: self._drain_done(port), port=port.index,
-                flow=packet.flow_id)
+                lambda: self._drain_done(port), RANK_DATA, port.index,
+                packet.flow_id)
 
     def _drain_done(self, port: _Port) -> None:
         packet = port.in_drain
@@ -431,17 +445,13 @@ class Switch:
     # --- output queues and scheduler --------------------------------------
 
     def _enqueue_out(self, port: _Port, packet: Packet) -> None:
-        oq = self._queues[(port.index, packet.flow_id)]
+        oq = port.queues[packet.flow_id]
         size = packet.size
         oq.arrived += size
-        drop = False
-        if oq.backlog + size > self.config.out_queue_size:
-            drop = True  # hard buffer bound applies under RED too
-        elif self.config.red is not None:
-            p = red_drop_probability(oq.red_avg, self.config.red)
-            if p >= 1.0 or (p > 0.0 and oq.red_rng.random() < p):
-                drop = True
-        if drop:
+        p = oq.red_p  # from the last RED tick; stays 0.0 without RED
+        # the hard buffer bound applies under RED too, and drops undrawn
+        if (oq.backlog + size > self.config.out_queue_size
+                or p >= 1.0 or (p > 0.0 and oq.red_rng.random() < p)):
             oq.egress_dropped += size
             return
         tag = 0.0
@@ -449,7 +459,9 @@ class Switch:
         if svc is not ServiceClass.PREMIUM:
             vt = (port.vt_assured if svc is ServiceClass.ASSURED
                   else port.vt_besteffort)
-            tag = max(oq.last_tag, vt) + size * 8.0 / oq.weight
+            last = oq.last_tag
+            # max(last, vt): the first operand unless the second is larger
+            tag = (vt if vt > last else last) + size * 8.0 / oq.weight
             oq.last_tag = tag
         oq.packets.append((packet, tag))
         oq.backlog += size
@@ -487,7 +499,7 @@ class Switch:
         if fid is None:
             port.busy = False
             return
-        oq = self._queues[(j, fid)]
+        oq = port.queues[fid]
         packet, tag = oq.packets.popleft()
         oq.backlog -= packet.size
         if oq.svc_class is ServiceClass.ASSURED:
@@ -498,7 +510,7 @@ class Switch:
         port.in_tx = packet
         loop = self.loop
         loop.at(loop.now + self._line_ns[packet.size],
-                lambda: self._out_done(port, oq, packet), port=j, flow=fid)
+                lambda: self._out_done(port, oq, packet), RANK_DATA, j, fid)
 
     def _out_done(self, port: _Port, oq: _OutQueue, packet: Packet) -> None:
         oq.delivered += packet.size
@@ -623,8 +635,9 @@ class Switch:
         # report (port -1) fires first; samplers, RED averages and zero-delay
         # control applications may then interleave in any order, because
         # none reads what another writes: samplers read the queue counters
-        # and PI state, RED reads backlog and writes red_avg, and a control
-        # application reads the gear level and writes drop_prob and level.
+        # and PI state, RED reads backlog and writes red_avg and red_p, and a
+        # control application reads the gear level and writes drop_prob and
+        # level.
         sample = self.sample_and_feedback
 
         def sample_all():
@@ -637,7 +650,8 @@ class Switch:
 
             def red_average():
                 for oq in queues.values():
-                    oq.red_avg = (1.0 - w) * oq.red_avg + w * oq.backlog
+                    oq.red_avg = avg = (1.0 - w) * oq.red_avg + w * oq.backlog
+                    oq.red_p = red_drop_probability(avg, red)
             tick(0, red_average, ns(red.sample_interval))
         tick(-1, self._report, self._report_ns)
 

@@ -10,6 +10,7 @@ delivered packets back by source id.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .events import NS, RANK_DATA, TxTimes, ns, stream, tx_ns
@@ -36,6 +37,9 @@ class CbrSource:
         self.svc_class = svc_class
         self.source_id = source_id
         self.period_ns = tx_ns(packet_size, rate_bps)
+        if self.period_ns < 1:  # would re-emit at the same instant forever
+            raise ValueError(f"rate_bps {rate_bps!r} sends {packet_size}-byte "
+                             "packets less than 1 ns apart")
         self._start_ns = ns(start)
         self._stop_ns = None if stop is None else ns(stop)
         self.seq = 0
@@ -48,8 +52,8 @@ class CbrSource:
     def _emit(self) -> None:
         now = self.loop.now
         self.sink(Packet(self.flow_id, self.ingress_port, self.egress_port,
-                         self.packet_size, self.svc_class, created_at=now,
-                         seq=self.seq, source=self.source_id))
+                         self.packet_size, self.svc_class, now, self.seq,
+                         self.source_id))
         self.seq += 1
         nxt = now + self.period_ns
         if self._stop_ns is None or nxt < self._stop_ns:
@@ -66,35 +70,29 @@ class AccessLink:
         self.buffer_bytes = buffer_bytes
         self.sink = sink
         self._tx_ns = TxTimes(rate_bps)
-        self._queue = []
-        self._head = 0
+        self._queue = deque()
         self._qbytes = 0
         self._busy = False
         self.dropped_packets = 0
         self.dropped_bytes = 0
 
     def send(self, packet: Packet) -> bool:
-        if self._qbytes + packet.size > self.buffer_bytes:
+        size = packet.size
+        if self._qbytes + size > self.buffer_bytes:
             self.dropped_packets += 1
-            self.dropped_bytes += packet.size
+            self.dropped_bytes += size
             return False
         self._queue.append(packet)
-        self._qbytes += packet.size
+        self._qbytes += size
         if not self._busy:
             self._next()
         return True
 
     def _next(self) -> None:
-        if self._head >= len(self._queue):
-            self._queue = []
-            self._head = 0
+        if not self._queue:
             self._busy = False
             return
-        packet = self._queue[self._head]
-        self._head = self._head + 1
-        if self._head > 512:  # keep the backing list from growing unbounded
-            del self._queue[:self._head]
-            self._head = 0
+        packet = self._queue.popleft()
         self._qbytes -= packet.size
         self._busy = True
 
@@ -182,18 +180,21 @@ class TcpSource:
         self.packets_sent += 1
         self.link.send(Packet(self.flow_id, self.ingress_port,
                               self.egress_port, self.packet_size,
-                              self.svc_class, created_at=self.loop.now,
-                              seq=seq, source=self.source_id))
+                              self.svc_class, self.loop.now, seq,
+                              self.source_id))
 
     def _try_send(self) -> None:
         """Send what the window allows, then time what is outstanding."""
+        seq = self.next_seq
         window = self.snd_una + int(self.cwnd)
-        while self.next_seq < window:
-            self._emit(self.next_seq)
-            if self.next_seq not in self._send_time:
-                self._send_time[self.next_seq] = self.loop.now
-            self.next_seq += 1
-        if self.snd_una < self.next_seq:
+        now = self.loop.now
+        send_time = self._send_time
+        while seq < window:
+            self._emit(seq)
+            send_time[seq] = now  # next_seq only grows: seq was never sent
+            seq += 1
+        self.next_seq = seq
+        if self.snd_una < seq:
             self._arm_timer()
         else:
             self.deadline = None  # nothing outstanding, cancel
@@ -202,8 +203,10 @@ class TcpSource:
         """Set the deadline one backed-off RTO from now, or re-arm an early
         event at `when`; push an event only if none is pending by then."""
         if when is None:
-            when = self.deadline = self.loop.now + ns(
-                min(self.rto * self.backoff, 120.0))
+            rto = self.rto * self.backoff
+            if 120.0 < rto:  # min(rto, 120.0) seconds
+                rto = 120.0
+            when = self.deadline = self.loop.now + int(round(rto * NS))
         if self._timer_at is not None and self._timer_at <= when:
             return
         self._timer_at = when
@@ -235,15 +238,19 @@ class TcpSource:
         self._emit(seq)
 
     def _handle_ack(self, ackno: int) -> None:
-        if ackno > self.snd_una:
-            newly = ackno - self.snd_una
+        una = self.snd_una
+        if ackno > una:
+            newly = ackno - una
+            send_time = self._send_time
+            rexmit = self._rexmit
             sample_seq = ackno - 1
-            if sample_seq in self._send_time and sample_seq not in self._rexmit:
-                self._rtt_sample((self.loop.now
-                                  - self._send_time[sample_seq]) / NS)
-            for seq in range(self.snd_una, ackno):
-                self._send_time.pop(seq, None)
-                self._rexmit.discard(seq)
+            sent = send_time.get(sample_seq)
+            if sent is not None and sample_seq not in rexmit:
+                self._rtt_sample((self.loop.now - sent) / NS)
+            for seq in range(una, ackno):
+                send_time.pop(seq, None)
+            if rexmit:
+                rexmit.difference_update(range(una, ackno))
             self.snd_una = ackno
             self.dup_acks = 0
             self.backoff = 1
@@ -252,11 +259,16 @@ class TcpSource:
                     self.in_recovery = False
                     self.cwnd = float(self.ssthresh)
                 else:
-                    self._retransmit(self.snd_una)  # partial ack
-            elif self.cwnd < self.ssthresh:
-                self.cwnd = min(self.cwnd + newly, self.MAX_CWND)
+                    self._retransmit(ackno)  # partial ack
             else:
-                self.cwnd = min(self.cwnd + newly / self.cwnd, self.MAX_CWND)
+                cwnd = self.cwnd
+                if cwnd < self.ssthresh:
+                    cwnd += newly
+                else:
+                    cwnd += newly / cwnd
+                # min(cwnd, MAX_CWND): the first operand unless the second
+                # is smaller
+                self.cwnd = self.MAX_CWND if self.MAX_CWND < cwnd else cwnd
             self._try_send()
         elif self.snd_una < self.next_seq:
             self.dup_acks += 1
@@ -275,7 +287,9 @@ class TcpSource:
         else:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - r)
             self.srtt = 0.875 * self.srtt + 0.125 * r
-        self.rto = max(self.MIN_RTO, self.srtt + 4.0 * self.rttvar)
+        rto = self.srtt + 4.0 * self.rttvar
+        # max(MIN_RTO, rto): the first operand unless the second is larger
+        self.rto = rto if rto > self.MIN_RTO else self.MIN_RTO
 
     # --- receiver ------------------------------------------------------------
 
@@ -283,14 +297,16 @@ class TcpSource:
         """Receiver ingest at egress delivery; acks come back a round trip
         later (receiver propagation plus the return path)."""
         seq = packet.seq
-        if seq == self.rcv_next:
-            self.rcv_next += 1
-            while self.rcv_next in self._ooo:
-                self._ooo.discard(self.rcv_next)
-                self.rcv_next += 1
-        elif seq > self.rcv_next:
-            self._ooo.add(seq)
         ackno = self.rcv_next
+        if seq == ackno:
+            ackno += 1
+            ooo = self._ooo
+            while ackno in ooo:
+                ooo.discard(ackno)
+                ackno += 1
+            self.rcv_next = ackno
+        elif seq > ackno:
+            self._ooo.add(seq)
         loop = self.loop
         loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
                 RANK_DATA, self.ingress_port, self.flow_id)

@@ -16,7 +16,8 @@ bound was frozen.
 
 The golden digests pin the CSV bytes of the four shipped configs across
 commits, both as the in-memory series writes them and as the streaming sink
-wrote them during the same run; they reuse the runs of criteria 4 and 5. Small inline configs pin
+wrote them during the same run; they reuse the runs of criteria 4 and 5, and
+so do the pinned TCP counts of the two TCP configs. Small inline configs pin
 what the shipped ones leave out: PI mode, a feedback delay, report windows
 shorter and longer than the feedback interval, and a RED average sampled at
 its own period, over two outputs with three flows each.
@@ -44,7 +45,7 @@ from foqsim.control import (
     drop_level_table,
 )
 from foqsim.events import ns, tx_ns
-from foqsim.experiment import run_experiment
+from foqsim.experiment import Experiment
 from foqsim.switch import (
     FeedbackConfig,
     FlowSpec,
@@ -75,6 +76,15 @@ GOLDEN_DIGESTS = {
         "befd6c489f94f8ed5180fe3fd1bf3c930615a5fdd20876a35c6189a6f98a075f",
     "inline_pi":
         "1d770c247226eed6e9e7eca6949f15f88ec8c0290b027d774737af56ce7cba5c",
+}
+
+# What the TCP sources of each shipped TCP config did at its seed, summed
+# over every source and access link: segments sent (retransmits not
+# counted), retransmits, timeouts, and bytes the access links dropped. The
+# CSV leaves these out, so the golden digests cannot pin them.
+TCP_COUNTS = {
+    "tcp_scaled": (128_012, 30_764, 19_657, 670_904),
+    "tcp_scaled_nofoq": (128_054, 30_782, 19_947, 670_904),
 }
 
 
@@ -156,8 +166,9 @@ class Tee:
 @pytest.fixture(scope="module")
 def runs():
     """Shipped or inline config name -> (its series at its seed, the CSV a
-    CsvSink streamed from the same run), each run at most once per module
-    so the bands and the digests share the simulations."""
+    CsvSink streamed from the same run, the Experiment that ran), each run
+    at most once per module so the bands, the digests and the TCP counts
+    share the simulations."""
     done = {}
 
     def run(name):
@@ -165,8 +176,9 @@ def runs():
             config = (build_experiment(parse_pairs(inline_config(INLINE[name])))
                       if name in INLINE else load_config(CONFIGS / f"{name}.cfg"))
             series, stream = TimeSeries(), io.StringIO()
-            run_experiment(config, sink=Tee(series, CsvSink(stream)))
-            done[name] = series, stream.getvalue()
+            experiment = Experiment(config, sink=Tee(series, CsvSink(stream)))
+            experiment.run()
+            done[name] = series, stream.getvalue(), experiment
         return done[name]
     return run
 
@@ -346,9 +358,19 @@ def test_criterion_5_tcp_experiment_bands(shipped):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_golden_digest(runs, name):
-    series, streamed = runs(name)
+    series, streamed, _ = runs(name)
     for text in (series.to_csv(), streamed):
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TCP_COUNTS))
+def test_tcp_counts(runs, name):
+    experiment = runs(name)[2]
+    sources = experiment.tcp_sources.values()
+    assert (sum(s.packets_sent for s in sources),
+            sum(s.retransmits for s in sources),
+            sum(s.timeouts for s in sources),
+            sum(link.dropped_bytes for link in experiment.links)) == TCP_COUNTS[name]
 
 
 def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,

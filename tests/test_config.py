@@ -279,10 +279,14 @@ class TestBuildExperiment:
         ("switch.report_interval", "-1e-3", "must be positive"),
         ("switch.feedback.interval", "1e-11", "must be at least 1 ns"),
         ("switch.red.sample_interval", "1e-11", "must be at least 1 ns"),
+        # 1000-byte packets 0.5 ns and 0.08 ns apart, which tx_ns rounds to 0
+        ("source.0.rate", "1.6e13", "must leave at least 1 ns between packets"),
+        ("source.0.rate", "1e14", "must leave at least 1 ns between packets"),
     ])
     def test_periods_are_judged_in_nanoseconds(self, key, value, message):
-        # each would pass a seconds check and then fail or never end in run
-        pairs = minimal(**CBR, **{key: value, "switch.queue_mgmt": "red"})
+        # each would pass a seconds check and then fail or never end in run;
+        # the configs are only built, never run
+        pairs = minimal(**{**CBR, key: value, "switch.queue_mgmt": "red"})
         with pytest.raises(ConfigError) as exc:
             build_experiment(pairs)
         assert exc.value.violations == [f"{key}: {message}"]

@@ -46,6 +46,10 @@ class TestCbr:
             CbrSource(loop, lambda p: None, 1, 0, 1, 0, 8e6)
         with pytest.raises(ValueError):
             CbrSource(loop, lambda p: None, 1, 0, 1, 1000, 0.0)
+        # 1000 B at 1e14 b/s is 0.08 ns, which tx_ns rounds to 0: the source
+        # would re-emit at one instant forever
+        with pytest.raises(ValueError, match="less than 1 ns apart"):
+            CbrSource(loop, lambda p: None, 1, 0, 1, 1000, 1e14)
 
 
 def mk_packet(seq, size=500):
