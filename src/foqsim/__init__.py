@@ -11,7 +11,6 @@ from .analytic import (
     StepScenario,
     initial_period,
     is_stable,
-    multiflow_initial_rate,
     poles,
     queue_at,
     queue_trajectory,
@@ -66,7 +65,7 @@ __all__ = [
     "SwitchConfig", "TcpSource", "TimeSeries", "apply_gb_signal", "d_mid",
     "derive_beta", "derive_thresholds", "drop_level_table",
     "drop_prob_from_rate", "gb_signal_from_congestion", "ingress_admit",
-    "initial_period", "is_stable", "load_config", "multiflow_initial_rate",
+    "initial_period", "is_stable", "load_config",
     "ns", "parse_pairs", "pi_update", "poles", "queue_at",
     "queue_trajectory", "red_drop_probability", "run_experiment",
     "staged_start", "step_response_closed_form",

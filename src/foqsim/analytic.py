@@ -7,6 +7,11 @@ then a geometric approach to the gap between arrival and desired rate. A
 brute-force time-stepping recurrence doubles as an oracle for the algebra
 and works outside the stability region, where the closed form refuses to.
 
+The O(n) routines read the scenario into locals once and evaluate queue_at's
+backlog expression, and their own per-interval terms, over those locals in
+the same operation order, with no call per interval: bit for bit what a
+per-interval queue_at evaluation gives. queue_at stays the scalar form.
+
 Everything here is the linear model: drop rates may go negative or exceed
 the arrival rate, saturation never re-engages once the backlog clears. The
 event-level simulator owns the nonlinear behaviour.
@@ -95,8 +100,13 @@ def queue_at(scenario: StepScenario, n: int):
 
 
 def queue_trajectory(scenario: StepScenario, count: int) -> list:
-    """queue_at evaluated for n = 0 .. count-1."""
-    return [queue_at(scenario, n) for n in range(count)]
+    """queue_at for n = 0 .. count-1: its expression over locals, bit for bit
+    (n K (sc - r_opt) stays (n K) (sc - r_opt), n (n+1) an exact int)."""
+    t, kp, ki = scenario.interval, scenario.gain_p, scenario.gain_i
+    gap = scenario.fabric_capacity - scenario.desired_rate
+    e = scenario.arrival_rate - scenario.fabric_capacity
+    return [t * ((n + 1) * e - n * kp * gap - (n * (n + 1) * ki * gap) / 2)
+            for n in range(count)]
 
 
 def initial_period(scenario: StepScenario) -> tuple[int, float, float]:
@@ -140,30 +150,40 @@ def step_response_recurrence(scenario: StepScenario, horizon: int) -> list[float
     """Brute-force iteration of the loop, valid for unstable gains too.
 
     During the ramp the measured rate is pinned at the fabric capacity and
-    the backlog shrinks by the previously demanded drop rate. When the
-    backlog clears, the loop delay restarts empty (the closed form solves the
-    post-ramp system with a fresh one-sided transform) while the accumulator
-    carries over. Saturation end is decided from the same per-interval
-    backlog quadratic the closed form uses, so both routes agree on n0.
+    the backlog shrinks by the previously demanded drop rate. The ramp ends
+    after the first interval whose backlog (queue_at's expression over
+    locals) is <= 0, a test made here and never through initial_period, so
+    the recurrence stays an independent oracle for the closed form's n0.
+    Then the loop delay restarts empty (the closed form solves the post-ramp
+    system with a fresh one-sided transform) while the accumulator carries.
     """
-    lam = scenario.arrival_rate
-    sc = scenario.fabric_capacity
-    ropt = scenario.desired_rate
+    lam, sc = scenario.arrival_rate, scenario.fabric_capacity
+    ropt, kp, ki = scenario.desired_rate, scenario.gain_p, scenario.gain_i
+    t = scenario.interval
     out: list[float] = []
+    append = out.append
     acc = 0.0
-    rho_prev = 0.0  # the loop delay element, reset when leaving saturation
-    saturated = lam > sc
-    for n in range(horizon):
-        rate = sc if saturated else lam - rho_prev
-        err = rate - ropt
-        acc += scenario.gain_i * err
-        rho = scenario.gain_p * err + acc
-        out.append(rho)
-        if saturated:
-            if queue_at(scenario, n) <= 0.0:
-                saturated = False  # next interval runs the closed loop
-        else:
-            rho_prev = rho
+    end = 0  # first interval of the closed loop
+    if lam > sc:
+        # the measured rate is pinned at sc, so the rate error is the gap
+        # sc - r_opt throughout and its proportional term is one product
+        gap = sc - ropt
+        kp_gap = kp * gap
+        e = lam - sc
+        end = horizon
+        for n in range(horizon):
+            acc += ki * gap
+            append(kp_gap + acc)
+            if t * ((n + 1) * e - n * kp * gap
+                    - (n * (n + 1) * ki * gap) / 2) <= 0.0:
+                end = n + 1
+                break
+    rho = 0.0  # the loop delay element, empty when leaving saturation
+    for _ in range(end, horizon):
+        err = (lam - rho) - ropt
+        acc += ki * err
+        rho = kp * err + acc
+        append(rho)
     return out
 
 
@@ -175,60 +195,35 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
     D (1 - A1 z1**m + A2 z2**m) with m = n - n0 and D the arrival/desired gap.
     Both sequences stop at the horizon: queue_sequence holds the ramp's
     backlog for n < min(n0, horizon), so a ramp of 1e9 intervals costs no
-    more memory than the horizon asks for.
+    more memory than the horizon asks for. Each sequence is one pass over
+    locals, its per-interval expression unchanged, bit for bit.
     """
-    if not is_stable(scenario.gain_p, scenario.gain_i):
+    kp, ki = scenario.gain_p, scenario.gain_i
+    if not is_stable(kp, ki):
         raise ValueError(
             "closed form diverges: gains outside stability region 0 < K_I < 2(1 - K)")
     n0, s_n0, _peak = initial_period(scenario)
-    z1, z2 = poles(scenario.gain_p, scenario.gain_i)
+    z1, z2 = poles(kp, ki)
     gap = scenario.fabric_capacity - scenario.desired_rate
     d = scenario.arrival_rate - scenario.desired_rate
 
-    seq: list[float] = []
     ramp = min(n0, horizon)
-    for n in range(ramp):
-        seq.append((scenario.gain_p + (n + 1) * scenario.gain_i) * gap)
+    seq = [(kp + i * ki) * gap for i in range(1, ramp + 1)]  # i = n + 1
 
     a1 = a2 = 0.0
     if d != 0.0 and z1 != z2:
         ratio = s_n0 / d
         a1 = (z1 * z1 - ratio * z1) / (z1 - z2)
         a2 = (z2 * z2 - ratio * z2) / (z1 - z2)
-    for n in range(ramp, horizon):
-        m = n - n0
-        if d == 0.0:
-            seq.append(0.0)
-        elif z1 == z2:
-            # repeated pole only happens at the origin (deadbeat gains)
-            total = scenario.gain_p + scenario.gain_i
-            seq.append(total * d + s_n0 if m == 0 else d)
-        else:
-            seq.append(d * (1.0 - a1 * z1 ** m + a2 * z2 ** m))
+    tail = range(ramp - n0, horizon - n0)  # m = n - n0 for n = ramp .. horizon-1
+    if d == 0.0:
+        seq += [0.0] * len(tail)
+    elif z1 == z2:
+        # repeated pole only happens at the origin (deadbeat gains)
+        seq += [(kp + ki) * d + s_n0 if m == 0 else d for m in tail]
+    else:
+        seq += [d * (1.0 - a1 * z1 ** m + a2 * z2 ** m) for m in tail]
 
-    return StepResponse(
-        n0=n0,
-        s_n0=s_n0,
-        pole1=z1,
-        pole2=z2,
-        coeff1=a1,
-        coeff2=a2,
-        rate_gap=d,
-        drop_sequence=seq,
-        queue_sequence=queue_trajectory(scenario, ramp),
-    )
-
-
-def multiflow_initial_rate(own_rate: float, other_rate: float,
-                           fabric_capacity: float) -> float:
-    """Fabric output rate a flow sees when sharing one output during saturation.
-
-    FIFO mixing hands each flow capacity in proportion to its arrival rate;
-    an uncontended output just passes the arrivals through.
-    """
-    total = own_rate + other_rate
-    if total <= 0:
-        raise ValueError("at least one flow must offer traffic")
-    if total > fabric_capacity:
-        return fabric_capacity * own_rate / total
-    return own_rate
+    return StepResponse(n0=n0, s_n0=s_n0, pole1=z1, pole2=z2, coeff1=a1,
+                        coeff2=a2, rate_gap=d, drop_sequence=seq,
+                        queue_sequence=queue_trajectory(scenario, ramp))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 
 from .analytic import (
@@ -104,7 +105,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    numbers = (("--k", args.k), ("--ki", args.ki), ("--lambda", args.lam),
+               ("--ropt", args.ropt), ("--sc", args.sc),
+               ("--interval", args.interval))
+    bad = [flag for flag, value in numbers if not math.isfinite(value)]
     try:
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
+        if args.horizon < 1 and not args.poles_only:
+            raise ValueError("--horizon must be at least 1")
         scenario = StepScenario(arrival_rate=args.lam, desired_rate=args.ropt,
                                 fabric_capacity=args.sc, gain_p=args.k,
                                 gain_i=args.ki, interval=args.interval)
@@ -121,12 +130,9 @@ def _cmd_analyze(args) -> int:
         return 1
 
     horizon = args.horizon
-    closed = None
-    rec = None
-    if stable:
-        closed = step_response_closed_form(scenario, horizon)
-    if args.recurrence or not stable:
-        rec = step_response_recurrence(scenario, horizon)
+    closed = step_response_closed_form(scenario, horizon) if stable else None
+    rec = (step_response_recurrence(scenario, horizon)
+           if args.recurrence or not stable else None)
     queue = queue_trajectory(scenario, horizon)
 
     buf = io.StringIO()

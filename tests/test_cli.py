@@ -243,6 +243,30 @@ class TestAnalyze:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("analyze:")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--interval", "nan"),
+        ("--k", "inf"), ("--ki", "nan"), ("--ropt", "-inf"), ("--sc", "nan"),
+    ])
+    def test_non_finite_number_refused(self, flag, value, capsys):
+        # nan and inf used to end in a traceback (ValueError, OverflowError)
+        # or in a column of nan with exit 0
+        assert main(analyze(f"{flag}={value}")) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"analyze: {flag} must be finite\n"
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_empty_horizon_refused(self, horizon, capsys):
+        # used to print only the header, with exit 0
+        assert main(analyze(f"--horizon={horizon}")) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "analyze: --horizon must be at least 1\n"
+
+    def test_poles_only_ignores_the_horizon(self, capsys):
+        assert main(analyze("--horizon=0", "--poles-only")) == 0
+        assert capsys.readouterr().out == "z1=0.5 z2=0.0 stable=True\n"
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "resp.csv"
         assert main(analyze("--horizon", "10", "--out", str(target))) == 0
