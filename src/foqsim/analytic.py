@@ -119,7 +119,12 @@ def initial_period(scenario: StepScenario) -> tuple[int, float, float]:
     * (sc - r_opt) is the accumulator value carried into the closed loop;
     max_queue is the ramp's backlog peak, at the vertex or an end of the
     ramp. Zero everything when the arrival rate never saturates the fabric.
+    A scenario number that is not finite raises ValueError.
     """
+    bad = [name for name, value in vars(scenario).items()
+           if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
     e = scenario.arrival_rate - scenario.fabric_capacity
     if e <= 0:
         return 0, 0.0, 0.0

@@ -112,11 +112,15 @@ def _cmd_analyze(args) -> int:
     try:
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
-        if args.horizon < 1 and not args.poles_only:
-            raise ValueError("--horizon must be at least 1")
-        scenario = StepScenario(arrival_rate=args.lam, desired_rate=args.ropt,
-                                fabric_capacity=args.sc, gain_p=args.k,
-                                gain_i=args.ki, interval=args.interval)
+        # the poles depend on the gains alone: --poles-only reads no
+        # horizon and builds no scenario
+        if not args.poles_only:
+            if args.horizon < 1:
+                raise ValueError("--horizon must be at least 1")
+            scenario = StepScenario(
+                arrival_rate=args.lam, desired_rate=args.ropt,
+                fabric_capacity=args.sc, gain_p=args.k, gain_i=args.ki,
+                interval=args.interval)
         z1, z2 = poles(args.k, args.ki)
     except ValueError as err:
         print(f"analyze: {err}", file=sys.stderr)

@@ -3,14 +3,14 @@
 Rates are bits/second throughout, probabilities plain fractions in [0, 1].
 Every controller step is a pure function on scalars: the caller passes in
 the loop's state (a PI accumulator and last drop probability, or a gear-box
-drop level) and stores what comes back. Each output queue owns its own
+drop level) and the loop's constants (the PI gains, or the gear-box band
+and table size) and stores what comes back. Each output queue owns its own
 state, so distinct (output, flow) loops never share it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -22,16 +22,9 @@ class FeedbackAction(Enum):
     HOLD = "hold"
 
 
-@dataclass(frozen=True)
-class PiParams:
-    """Gains of the proportional-integral drop controller."""
-
-    gain_p: float = 0.0
-    gain_i: float = 0.5
-
-
 def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
-              desired_rate: float, params: PiParams) -> tuple[float, float]:
+              desired_rate: float, gain_p: float,
+              gain_i: float) -> tuple[float, float]:
     """Advance the PI law one interval and return (drop_rate, accumulator).
 
     accumulator holds the integral term already scaled by gain_i, so the
@@ -42,8 +35,8 @@ def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
     up.
     """
     error = measured_rate - desired_rate
-    grown = accumulator + params.gain_i * error
-    raw = params.gain_p * error + grown
+    grown = accumulator + gain_i * error
+    raw = gain_p * error + grown
     if last_drop_prob < 1.0:
         ceiling = measured_rate / (1.0 - last_drop_prob)
     else:
@@ -69,35 +62,12 @@ def drop_prob_from_rate(drop_rate: float, fabric_out_rate: float,
 
 # --- gear-box variant -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GbParams:
-    """Quantized-controller constants.
-
-    d_min/d_max bound the relative-congestion dead band; beta is the
-    per-level admit shrink factor; table_size bounds the drop-level pointer.
-    """
-
-    d_max: float = 0.17
-    d_min: float = 0.02
-    beta: float | None = None  # derived from the band when omitted
-    table_size: int = 64
-
-    def __post_init__(self):
-        if not 0.0 <= self.d_min < self.d_max < 1.0:
-            raise ValueError("need 0 <= d_min < d_max < 1")
-        if self.table_size < 2:
-            raise ValueError("table_size must be at least 2")
-        if self.beta is None:
-            object.__setattr__(self, "beta", derive_beta(self.d_max, self.d_min))
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must be in (0, 1)")
-
-
-def gb_signal_from_congestion(congestion: float, params: GbParams) -> FeedbackAction:
+def gb_signal_from_congestion(congestion: float, d_min: float,
+                              d_max: float) -> FeedbackAction:
     """Map a relative-congestion measurement onto the two-bit signal."""
-    if congestion > params.d_max:
+    if congestion > d_max:
         return FeedbackAction.INCREASE
-    if congestion < params.d_min:
+    if congestion < d_min:
         return FeedbackAction.DECREASE
     return FeedbackAction.HOLD
 
@@ -145,23 +115,3 @@ def d_mid(d_min: float, d_max: float) -> float:
     if not 0.0 <= d_min < d_max < 1.0:
         raise ValueError("degenerate hysteresis band: need 0 <= d_min < d_max < 1")
     return 1.0 - math.sqrt((1.0 - d_min) * (1.0 - d_max))
-
-
-def derive_thresholds(alpha: float, speedup: float, gain_i: float,
-                      delta_max: float, delta_min: float) -> tuple[float, float]:
-    """Congestion thresholds equivalent to the quantizer dead band.
-
-    With gain_p = 0 the incremental demand crosses +delta_max exactly when
-    relative congestion crosses d_max = 1 - 1/(alpha*s) + delta_max/(alpha*s*gain_i),
-    and -delta_min at d_min = 1 - 1/(alpha*s) - delta_min/(alpha*s*gain_i).
-    d_min is clamped at zero; congestion below zero means the queue is draining.
-    """
-    if alpha * speedup <= 1.0:
-        raise ValueError("no congestion headroom: alpha * speedup must exceed 1")
-    if gain_i <= 0.0:
-        raise ValueError("gain_i must be positive")
-    base = 1.0 - 1.0 / (alpha * speedup)
-    scale = alpha * speedup * gain_i
-    dmax = base + delta_max / scale
-    dmin = max(base - delta_min / scale, 0.0)
-    return dmax, dmin

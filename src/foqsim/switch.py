@@ -29,9 +29,8 @@ from typing import Literal, get_args
 
 from .control import (
     FeedbackAction,
-    GbParams,
-    PiParams,
     apply_gb_signal,
+    derive_beta,
     drop_level_table,
     drop_prob_from_rate,
     gb_signal_from_congestion,
@@ -310,11 +309,8 @@ class Switch:
         self._report_ns = ns(config.report_interval
                              if config.report_interval is not None else fb.interval)
         if fb.mode == "gearbox":
-            self._gb_params = GbParams(d_max=fb.d_max, d_min=fb.d_min,
-                                       table_size=fb.table_size)
-            self._drop_table = drop_level_table(self._gb_params.beta, fb.table_size)
-        elif fb.mode == "pi":
-            self._pi_params = PiParams(gain_p=fb.gain_p, gain_i=fb.gain_i)
+            self._drop_table = drop_level_table(derive_beta(fb.d_max, fb.d_min),
+                                                fb.table_size)
         # where the measurement rows go; run() returns it
         self._series = sink if sink is not None else TimeSeries()
         self._started = False
@@ -544,10 +540,10 @@ class Switch:
             # an empty interval holds everything as-is, and ingress_admit
             # never applies a premium queue's drop level
             return None
-        measured = (congestion if fb.measure == "relcong"
-                    else (oq.egress_dropped - dropped0) / in_b)
         if fb.mode == "gearbox":
-            signal = gb_signal_from_congestion(measured, self._gb_params)
+            measured = (congestion if fb.measure == "relcong"
+                        else (oq.egress_dropped - dropped0) / in_b)
+            signal = gb_signal_from_congestion(measured, fb.d_min, fb.d_max)
             if signal is not FeedbackAction.HOLD:
                 self.loop.at(self.loop.now + self._delay_ns,
                              lambda: self._apply_gb(oq, signal),
@@ -558,7 +554,7 @@ class Switch:
         rate_out = out_b * 8.0 / interval
         desired = fb.alpha * self.config.speedup * rate_out
         rho, oq.accumulator = pi_update(oq.accumulator, oq.last_drop_prob,
-                                        rate_in, desired, self._pi_params)
+                                        rate_in, desired, fb.gain_p, fb.gain_i)
         prob = oq.last_drop_prob = drop_prob_from_rate(rho, rate_in,
                                                        oq.last_drop_prob)
         self.loop.at(self.loop.now + self._delay_ns,

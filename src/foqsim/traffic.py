@@ -311,10 +311,6 @@ class TcpSource:
         loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
                 RANK_DATA, self.ingress_port, self.flow_id)
 
-    @property
-    def delivered_segments(self) -> int:
-        return self.rcv_next
-
 
 @dataclass
 class SubnetGroup:

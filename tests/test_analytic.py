@@ -251,6 +251,18 @@ class TestRampAlgebra:
                                             fabric_capacity=1.0,
                                             gain_p=gain_p, gain_i=gain_i))
 
+    @pytest.mark.parametrize("field, value", [
+        ("arrival_rate", math.inf), ("arrival_rate", math.nan),
+        ("desired_rate", math.nan), ("gain_i", math.inf),
+    ])
+    def test_non_finite_scenario_refused(self, field, value):
+        # used to raise OverflowError (inf) or "cannot convert float NaN to
+        # integer" from math.ceil, which the message did not explain
+        numbers = dict(arrival_rate=2.0, desired_rate=0.9, fabric_capacity=1.0)
+        numbers[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            initial_period(StepScenario(**numbers))
+
     def test_no_saturation(self):
         calm = StepScenario(arrival_rate=0.8, desired_rate=0.5,
                             fabric_capacity=1.0)

@@ -267,6 +267,17 @@ class TestAnalyze:
         assert main(analyze("--horizon=0", "--poles-only")) == 0
         assert capsys.readouterr().out == "z1=0.5 z2=0.0 stable=True\n"
 
+    @pytest.mark.parametrize("rate", ["--lambda=0", "--ropt=1.5"])
+    def test_poles_only_ignores_the_rates(self, rate, capsys):
+        # the poles depend on the gains alone; the invalid scenario these
+        # rates make used to be built first and refused with exit 2
+        assert main(analyze(rate, "--poles-only")) == 0
+        assert capsys.readouterr().out == "z1=0.5 z2=0.0 stable=True\n"
+
+    def test_poles_only_refuses_negative_gain_p(self, capsys):
+        assert main(analyze("--k=-0.1", "--poles-only")) == 2
+        assert capsys.readouterr().err == "analyze: gain_p must be non-negative\n"
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "resp.csv"
         assert main(analyze("--horizon", "10", "--out", str(target))) == 0

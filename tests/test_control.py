@@ -3,69 +3,63 @@
 Expected values are frozen from hand arithmetic noted beside each assert.
 """
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from foqsim.control import (
     FeedbackAction,
-    GbParams,
-    PiParams,
     admit_level_table,
     apply_gb_signal,
     d_mid,
     derive_beta,
-    derive_thresholds,
     drop_level_table,
     drop_prob_from_rate,
     gb_signal_from_congestion,
     pi_update,
 )
 
-PARAMS = PiParams(gain_p=0.0, gain_i=0.5)
+GAINS = (0.0, 0.5)  # gain_p, gain_i
 
 
 class TestPiUpdate:
     def test_single_step(self):
         # e = 0.5, acc = 0 + 0.5 * 0.5 = 0.25, K = 0 -> rate 0.25
-        rate, acc = pi_update(0.0, 0.0, 1.5, 1.0, PARAMS)
+        rate, acc = pi_update(0.0, 0.0, 1.5, 1.0, *GAINS)
         assert rate == 0.25
         assert acc == 0.25
 
     def test_integral_accumulates(self):
         # same error twice: acc 0.25 then 0.5
-        _, acc = pi_update(0.0, 0.0, 1.5, 1.0, PARAMS)
-        rate, acc = pi_update(acc, 0.0, 1.5, 1.0, PARAMS)
+        _, acc = pi_update(0.0, 0.0, 1.5, 1.0, *GAINS)
+        rate, acc = pi_update(acc, 0.0, 1.5, 1.0, *GAINS)
         assert rate == 0.5
         assert acc == 0.5
 
     def test_proportional_term(self):
         # K = 0.4: rate = 0.4 * 0.5 + 0.25 = 0.45
-        params = PiParams(gain_p=0.4, gain_i=0.5)
-        rate, _ = pi_update(0.0, 0.0, 1.5, 1.0, params)
+        rate, _ = pi_update(0.0, 0.0, 1.5, 1.0, 0.4, 0.5)
         assert rate == pytest.approx(0.45, rel=1e-12)
 
     def test_floor_clamp_freezes_accumulator(self):
         # negative error pushes raw below zero; output clamps to 0 and the
         # accumulator must not wind down while pinned
-        rate, acc = pi_update(0.0, 0.0, 0.5, 1.0, PARAMS)
+        rate, acc = pi_update(0.0, 0.0, 0.5, 1.0, *GAINS)
         assert rate == 0.0
         assert acc == 0.0
-        rate, acc = pi_update(acc, 0.0, 0.5, 1.0, PARAMS)
+        rate, acc = pi_update(acc, 0.0, 0.5, 1.0, *GAINS)
         assert rate == 0.0
         assert acc == 0.0
 
     def test_ceiling_clamp_freezes_accumulator(self):
         # ceiling = measured / (1 - last_drop_prob) = 1.5 / 0.5 = 3.0
-        rate, acc = pi_update(10.0, 0.5, 1.5, 1.0, PARAMS)
+        rate, acc = pi_update(10.0, 0.5, 1.5, 1.0, *GAINS)
         assert rate == 3.0
         assert acc == 10.0
 
     def test_accumulator_resumes_after_clamp(self):
         # once the raw value re-enters the band the integral moves again
-        _, acc = pi_update(0.0, 0.0, 0.5, 1.0, PARAMS)
-        rate, acc = pi_update(acc, 0.0, 2.0, 1.0, PARAMS)
+        _, acc = pi_update(0.0, 0.0, 0.5, 1.0, *GAINS)
+        rate, acc = pi_update(acc, 0.0, 2.0, 1.0, *GAINS)
         assert rate == 0.5  # acc = 0 + 0.5 * 1.0
         assert acc == 0.5
 
@@ -89,13 +83,13 @@ class TestDropProbFromRate:
 
 class TestGearBox:
     def test_signal_from_congestion(self):
-        params = GbParams(d_max=0.17, d_min=0.02)
-        assert gb_signal_from_congestion(0.3, params) is FeedbackAction.INCREASE
-        assert gb_signal_from_congestion(0.01, params) is FeedbackAction.DECREASE
-        assert gb_signal_from_congestion(0.1, params) is FeedbackAction.HOLD
+        band = (0.02, 0.17)  # d_min, d_max
+        assert gb_signal_from_congestion(0.3, *band) is FeedbackAction.INCREASE
+        assert gb_signal_from_congestion(0.01, *band) is FeedbackAction.DECREASE
+        assert gb_signal_from_congestion(0.1, *band) is FeedbackAction.HOLD
         # thresholds themselves hold
-        assert gb_signal_from_congestion(0.17, params) is FeedbackAction.HOLD
-        assert gb_signal_from_congestion(0.02, params) is FeedbackAction.HOLD
+        assert gb_signal_from_congestion(0.17, *band) is FeedbackAction.HOLD
+        assert gb_signal_from_congestion(0.02, *band) is FeedbackAction.HOLD
 
     def test_pointer_moves_and_saturates(self):
         level = apply_gb_signal(0, FeedbackAction.INCREASE, 4)
@@ -116,14 +110,6 @@ class TestGearBox:
         for sig in signals:
             level = apply_gb_signal(level, sig, 8)
             assert 0 <= level <= 7
-
-    def test_gb_state_validation(self):
-        with pytest.raises(ValueError):
-            GbParams(d_max=0.02, d_min=0.17)
-        with pytest.raises(ValueError):
-            GbParams(table_size=1)
-        with pytest.raises(ValueError):
-            GbParams(beta=1.5)
 
 
 class TestDropTables:
@@ -192,30 +178,3 @@ class TestDerivedConstants:
         post_decrease = 1.0 - (1.0 - dmin) * (1.0 - beta)
         assert abs(post_increase - mid) <= 1e-12
         assert abs(post_decrease - mid) <= 1e-12
-
-    def test_thresholds(self):
-        # base 1 - 1/1.28 = 0.21875; dmax 0.21875 + 0.064/1.28 = 0.26875
-        dmax, dmin = derive_thresholds(1.0, 1.28, 1.0, 0.064, 0.256)
-        assert dmax == pytest.approx(0.26875, abs=1e-12)
-        assert dmin == pytest.approx(0.01875, abs=1e-12)
-
-    def test_threshold_floor_clamp(self):
-        # 0.21875 - 0.328/1.28 = -0.0375, clamped: draining is not congestion
-        _, dmin = derive_thresholds(1.0, 1.28, 1.0, 0.064, 0.328)
-        assert dmin == 0.0
-
-    def test_thresholds_reject_no_headroom(self):
-        with pytest.raises(ValueError):
-            derive_thresholds(0.7, 1.28, 1.0, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            derive_thresholds(1.0, 1.28, 0.0, 0.1, 0.1)
-
-    def test_deltas_invert_thresholds(self):
-        # solve d_max and d_min of the docstring for the deltas by hand,
-        # then map them back
-        dmax, dmin = 0.17, 0.02
-        base, scale = 1.0 - 1.0 / (0.95 * 1.28), 0.95 * 1.28 * 0.5
-        back = derive_thresholds(0.95, 1.28, 0.5, (dmax - base) * scale,
-                                 (base - dmin) * scale)
-        assert back[0] == pytest.approx(dmax, rel=1e-12)
-        assert back[1] == pytest.approx(dmin, rel=1e-12)

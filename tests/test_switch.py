@@ -140,6 +140,10 @@ class TestConfigValidation:
         assert "switch.feedback.mode: must be off, pi or gearbox" in bad
         assert "switch.feedback.interval: must be positive" in bad
         assert "switch.feedback.alpha: must be in (0, 1]" in bad
+        gearbox = base_config(feedback=FeedbackConfig(
+            mode="gearbox", d_min=0.2, d_max=0.1, table_size=1)).validate()
+        assert "switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1" in gearbox
+        assert "switch.feedback.table_size: must be at least 2" in gearbox
 
     def test_red_violations(self):
         cfg = base_config(red=RedParams(max_p=0.0, min_th=5, max_th=5,

@@ -114,8 +114,8 @@ class TestTcpClean:
         assert src.cwnd == TcpSource.MAX_CWND
         assert src.timeouts == 0 and src.retransmits == 0
         # 64 segments per 40 ms round trip once the window is open
-        assert src.delivered_segments > 2000
-        assert src.packets_sent - 64 <= src.delivered_segments <= src.packets_sent
+        assert src.rcv_next > 2000
+        assert src.packets_sent - 64 <= src.rcv_next <= src.packets_sent
 
     def test_rto_clamps_to_floor(self):
         # srtt near 40 ms gives srtt + 4*rttvar well under the 200 ms floor
@@ -138,8 +138,8 @@ class TestTcpLoss:
         # cwnd was 6 when the third duplicate arrived
         assert src.ssthresh == 3
         assert not src.in_recovery
-        assert src.delivered_segments > 500
-        assert src.delivered_segments <= src.packets_sent
+        assert src.rcv_next > 500
+        assert src.rcv_next <= src.packets_sent
 
     def test_timeout_recovery(self):
         # seq 0 vanishes with only one packet behind it: one duplicate ack
@@ -150,7 +150,7 @@ class TestTcpLoss:
         assert src.timeouts == 1
         assert src.ssthresh == 2  # max(int(2.0) // 2, 2)
         assert src.backoff == 1  # reset by the first new ack
-        assert src.delivered_segments > 100
+        assert src.rcv_next > 100
         assert src.srtt is not None
 
     def test_backoff_doubles_to_cap(self):
@@ -163,7 +163,7 @@ class TestTcpLoss:
         assert src.backoff == TcpSource.MAX_BACKOFF
         assert src.retransmits == 8
         assert src.packets_sent == 2  # retransmissions are not re-counted
-        assert src.delivered_segments == 0
+        assert src.rcv_next == 0
 
     def test_karns_rule_skips_retransmit_samples(self):
         # both initial packets vanish; the first ack acknowledges only the
@@ -179,7 +179,7 @@ class TestTcpLoss:
         # acknowledged and sampling resumes
         loop.run(ns(6.0))
         assert src.srtt is not None
-        assert src.delivered_segments > 10
+        assert src.rcv_next > 10
 
 
 class RecordingLink:
@@ -267,7 +267,7 @@ class TestLazyTimer:
         for k in range(1, 31):
             loop.run(ns(0.1 * k))
             peak = max(peak, timer_events(loop))
-        assert src.delivered_segments > 3000
+        assert src.rcv_next > 3000
         assert 1 <= peak <= 2
 
 
