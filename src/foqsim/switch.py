@@ -4,9 +4,14 @@ One N-port shared-memory switch. Ingress droppers thin arriving traffic per
 (output, flow); survivors enter a shared fabric pool with two priority FIFOs
 per output. Each output line drains its fabric queues at the speedup rate
 into per-flow output queues, which a strict-priority plus weighted-fair
-scheduler empties onto the line. A per-(output, flow) sampler measures
-relative congestion every interval and drives the configured feedback
-controller; the resulting drop level is applied at every ingress dropper.
+scheduler empties onto the line; a delivered packet is handed to its
+receiver, if it has one. A per-(output, flow) sampler measures relative
+congestion every interval and drives the configured feedback controller;
+the resulting drop level is applied at every ingress dropper.
+
+A flow's service class is read once, into its output queue's tier; every
+branch on the class (policer, fabric priority, WFQ tag and virtual time,
+sampler skip) reads the tier.
 
 Byte counters are integers, timestamps integer nanoseconds, and every
 stochastic decision draws from its own named generator, so equal seeds give
@@ -25,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal, get_args
+from typing import Callable, Literal, get_args
 
 from .control import (
     FeedbackAction,
@@ -42,6 +47,8 @@ from .timeseries import CsvSink, TimeSeries
 
 
 class ServiceClass(Enum):
+    """Service classes in tier order: a queue's tier is its class's index."""
+
     PREMIUM = "premium"
     ASSURED = "assured"
     BEST_EFFORT = "besteffort"
@@ -53,10 +60,8 @@ class Packet:
     ingress_port: int
     egress_port: int
     size: int  # bytes
-    svc_class: ServiceClass
-    created_at: int  # ns, set by the source
     seq: int = 0
-    source: int = 0
+    receiver: Callable[[Packet], None] | None = None  # called at delivery
     arrived_at: int = -1  # ns, stamped at the ingress dropper
 
 
@@ -142,12 +147,13 @@ class SwitchConfig:
                 bad.append("switch.feedback.gain_p: must be non-negative")
             if fb.gain_i <= 0:
                 bad.append("switch.feedback.gain_i: must be positive")
-        if fb.mode == "gearbox" and not 0.0 <= fb.d_min < fb.d_max < 1.0:
-            bad.append("switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1")
-        if fb.table_size < 2:
-            bad.append("switch.feedback.table_size: must be at least 2")
-        if fb.measure not in get_args(Measure):
-            bad.append("switch.feedback.measure: must be relcong or dropprob")
+        if fb.mode == "gearbox":
+            if not 0.0 <= fb.d_min < fb.d_max < 1.0:
+                bad.append("switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1")
+            if fb.table_size < 2:
+                bad.append("switch.feedback.table_size: must be at least 2")
+            if fb.measure not in get_args(Measure):
+                bad.append("switch.feedback.measure: must be relcong or dropprob")
         if self.red is not None:
             r = self.red
             if not 0.0 < r.max_p <= 1.0:
@@ -168,10 +174,8 @@ class SwitchConfig:
         return bad
 
 
-def ingress_admit(packet: Packet, drop_prob: float, rng) -> bool:
-    """Bernoulli admission at an ingress dropper; premium bypasses it."""
-    if packet.svc_class is ServiceClass.PREMIUM:
-        return True
+def ingress_admit(drop_prob: float, rng) -> bool:
+    """Bernoulli admission at an ingress dropper; no draw at 0 or 1."""
     if drop_prob <= 0.0:
         return True
     if drop_prob >= 1.0:
@@ -211,25 +215,20 @@ class _Port:
     """One egress: its two fabric FIFOs (premium first), the packets in
     drain and on the line, and its scheduler's queues and virtual times."""
 
-    __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx", "busy",
-                 "queues", "premium", "assured", "besteffort",
-                 "vt_assured", "vt_besteffort")
+    __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx",
+                 "queues", "tiers", "vt")
 
     def __init__(self, index):
         self.index = index
         self.fifos = (deque(), deque())
         self.fifo_bytes = [0, 0]
         self.in_drain = None
-        self.in_tx = None
-        self.busy = False
+        self.in_tx = None  # the packet on the line; None while it is idle
         self.queues = {}  # flow id -> its output queue at this egress
-        # output queues by service class, each in flow-id order; the
-        # attribute names are the ServiceClass values
-        self.premium = []
-        self.assured = []
-        self.besteffort = []
-        self.vt_assured = 0.0
-        self.vt_besteffort = 0.0
+        # output queues by tier, each in flow-id order, and each tier's
+        # virtual time: the finish tag it served last (premium's stays 0)
+        self.tiers = ([], [], [])
+        self.vt = [0.0, 0.0, 0.0]
 
 
 # the output-queue counters summed into each flow's ledger, in its order
@@ -245,18 +244,17 @@ class _OutQueue:
     read last; their interval and window values are differences against it.
     """
 
-    __slots__ = ("egress", "flow_id", "svc_class", "weight", "packets",
+    __slots__ = ("flow_id", "tier", "weight", "packets",
                  "backlog", "last_tag", "red_avg", "red_p", "red_rng",
                  "drop_prob", "level", "accumulator", "last_drop_prob", "delays",
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, egress, flow_id, svc_class, weight, red_rng, red_p):
-        self.egress = egress
+    def __init__(self, flow_id, tier, weight, red_rng, red_p):
         self.flow_id = flow_id
-        self.svc_class = svc_class
+        self.tier = tier        # 0 premium, 1 assured, 2 best effort
         self.weight = weight
-        self.packets = deque()  # (packet, finish_tag)
+        self.packets = deque()  # (packet, finish_tag); premium tags are 0.0
         self.backlog = 0        # bytes
         self.last_tag = 0.0
         self.red_avg = 0.0
@@ -289,10 +287,8 @@ class Switch:
         self.config = config
         self.seed = seed
         self.loop = loop if loop is not None else EventLoop()
-        self.fabric_line_rate = config.speedup * config.line_rate
-        self._drain_ns = TxTimes(self.fabric_line_rate)
+        self._drain_ns = TxTimes(config.speedup * config.line_rate)
         self._line_ns = TxTimes(config.line_rate)
-        self.delivery_hooks = []  # callables (packet) at egress completion
 
         self._queues: dict[tuple[int, int], _OutQueue] = {}  # sorted by run()
         # in port order, which the report and the eviction scan (ties to
@@ -330,7 +326,8 @@ class Switch:
             raise ValueError(f"egress port {egress} out of range")
         spec = self.config.flows[flow_id]
         red = self.config.red
-        oq = _OutQueue(egress, flow_id, spec.svc_class, spec.weight,
+        tier = list(ServiceClass).index(spec.svc_class)
+        oq = _OutQueue(flow_id, tier, spec.weight,
                        stream(self.seed, f"red.{egress}.{flow_id}"),
                        0.0 if red is None else red_drop_probability(0.0, red))
         self._queues[key] = oq
@@ -339,9 +336,8 @@ class Switch:
             port = self._ports[egress] = _Port(egress)
             self._ports = dict(sorted(self._ports.items()))
         port.queues[flow_id] = oq
-        tier = getattr(port, spec.svc_class.value)
-        tier.append(oq)
-        tier.sort(key=lambda q: q.flow_id)
+        port.tiers[tier].append(oq)
+        port.tiers[tier].sort(key=lambda q: q.flow_id)
 
     # --- ingress ---------------------------------------------------------
 
@@ -354,7 +350,7 @@ class Switch:
         now = packet.arrived_at = self.loop.now
         size = packet.size
         oq.injected += size
-        if packet.svc_class is ServiceClass.PREMIUM:
+        if oq.tier == 0:
             spec = self.config.flows[packet.flow_id]
             if spec.police_rate is not None:
                 bkey = (packet.ingress_port, packet.flow_id)
@@ -366,23 +362,23 @@ class Switch:
                 if not bucket.admit(size, now):
                     oq.ingress_dropped += size
                     return
-        if not ingress_admit(packet, oq.drop_prob,
+        # a premium queue's drop_prob stays 0.0: it runs no controller
+        if not ingress_admit(oq.drop_prob,
                              self._ingress_rng[packet.ingress_port]):
             oq.ingress_dropped += size
             return
-        self.fabric_enqueue(packet)
+        self.fabric_enqueue(packet, 1 if oq.tier else 0)
 
     # --- fabric ----------------------------------------------------------
 
-    def fabric_enqueue(self, packet: Packet) -> bool:
-        """Admit into the shared pool; False when the packet was dropped.
+    def fabric_enqueue(self, packet: Packet, prio: int) -> None:
+        """Admit into the shared pool at priority 0 (premium) or 1.
 
         A full pool tail-drops arrivals of equal or lower priority without
         regard to flow. Higher-priority arrivals instead evict from the tail
         of the largest lower-priority fabric queue, so premium traffic cannot
         be squeezed out by a pool pinned full of assured backlog.
         """
-        prio = 0 if packet.svc_class is ServiceClass.PREMIUM else 1
         size = packet.size
         port = self._ports[packet.egress_port]
         if self._occupancy + size > self.config.fabric_memory:
@@ -391,13 +387,12 @@ class Switch:
                     self._occupancy + size - self.config.fabric_memory)
             if self._occupancy + size > self.config.fabric_memory:
                 self._count_fabric_drop(port, packet)
-                return False
+                return
         self._occupancy += size
         port.fifos[prio].append(packet)
         port.fifo_bytes[prio] += size
         if port.in_drain is None:
             self._start_drain(port)
-        return True
 
     def _evict_low_priority(self, needed: int) -> None:
         while needed > 0:
@@ -451,33 +446,30 @@ class Switch:
             oq.egress_dropped += size
             return
         tag = 0.0
-        svc = oq.svc_class
-        if svc is not ServiceClass.PREMIUM:
-            vt = (port.vt_assured if svc is ServiceClass.ASSURED
-                  else port.vt_besteffort)
+        tier = oq.tier
+        if tier:
+            vt = port.vt[tier]
             last = oq.last_tag
             # max(last, vt): the first operand unless the second is larger
             tag = (vt if vt > last else last) + size * 8.0 / oq.weight
             oq.last_tag = tag
         oq.packets.append((packet, tag))
         oq.backlog += size
-        if not port.busy:
+        if port.in_tx is None:
             self._start_out(port)
 
     def out_scheduler_select(self, j: int) -> int | None:
         """Flow the output scheduler would serve next, None when idle.
 
-        Premium queues have strict priority (lowest flow id first), then
-        weighted-fair selection by smallest finish tag among assured queues,
-        then the same among best-effort queues.
+        The first tier with a backlog is served, by smallest head finish tag
+        with ties to the lowest flow id. Premium tags are all 0.0, so premium
+        queues have strict priority in flow-id order; then weighted-fair
+        selection among assured queues, then among best-effort queues.
         """
         port = self._ports.get(j)
         if port is None:
             return None
-        for oq in port.premium:
-            if oq.packets:
-                return oq.flow_id
-        for tier in (port.assured, port.besteffort):
+        for tier in port.tiers:
             best = None
             best_tag = 0.0
             for oq in tier:
@@ -493,16 +485,11 @@ class Switch:
         j = port.index
         fid = self.out_scheduler_select(j)
         if fid is None:
-            port.busy = False
             return
         oq = port.queues[fid]
         packet, tag = oq.packets.popleft()
         oq.backlog -= packet.size
-        if oq.svc_class is ServiceClass.ASSURED:
-            port.vt_assured = tag
-        elif oq.svc_class is ServiceClass.BEST_EFFORT:
-            port.vt_besteffort = tag
-        port.busy = True
+        port.vt[oq.tier] = tag
         port.in_tx = packet
         loop = self.loop
         loop.at(loop.now + self._line_ns[packet.size],
@@ -512,8 +499,9 @@ class Switch:
         oq.delivered += packet.size
         oq.delays.append(self.loop.now - packet.arrived_at)
         port.in_tx = None
-        for hook in self.delivery_hooks:
-            hook(packet)
+        receiver = packet.receiver
+        if receiver is not None:
+            receiver(packet)
         self._start_out(port)
 
     # --- feedback ----------------------------------------------------------
@@ -536,9 +524,9 @@ class Switch:
             self._series.append(self.loop.now / NS, "rel_cong", j, k,
                                 congestion, "ratio")
         fb = self.config.feedback
-        if fb.mode == "off" or in_b == 0 or oq.svc_class is ServiceClass.PREMIUM:
-            # an empty interval holds everything as-is, and ingress_admit
-            # never applies a premium queue's drop level
+        if fb.mode == "off" or in_b == 0 or oq.tier == 0:
+            # an empty interval holds everything as-is, and a premium queue
+            # runs no controller, so its drop_prob stays 0.0
             return None
         if fb.mode == "gearbox":
             measured = (congestion if fb.measure == "relcong"

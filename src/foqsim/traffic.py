@@ -1,11 +1,12 @@
 """Traffic sources: constant bit rate and a compact Reno-style TCP.
 
 Sources are event-loop citizens. A CBR source injects straight into a sink
-(normally Switch.ingress_arrival) on a fixed integer-nanosecond period. A TCP
-source transmits through an AccessLink that models its subnet uplink, infers
-loss from duplicate acknowledgements and retransmission timeouts, and keeps
-its receiver state in the same object so an experiment only has to route
-delivered packets back by source id.
+(normally Switch.ingress_arrival) on a fixed integer-nanosecond period; its
+packets have no receiver. A TCP source transmits through an AccessLink that
+models its subnet uplink, infers loss from duplicate acknowledgements and
+retransmission timeouts, and keeps its receiver state in the same object:
+each packet it sends carries the source's own receive method, which the
+switch calls when the packet leaves the output line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .events import NS, RANK_DATA, TxTimes, ns, stream, tx_ns
-from .switch import Packet, ServiceClass
+from .switch import Packet
 
 
 class CbrSource:
@@ -22,9 +23,7 @@ class CbrSource:
 
     def __init__(self, loop, sink, flow_id: int, ingress_port: int,
                  egress_port: int, packet_size: int, rate_bps: float,
-                 svc_class: ServiceClass = ServiceClass.ASSURED,
-                 start: float = 0.0, stop: float | None = None,
-                 source_id: int = 0):
+                 start: float = 0.0, stop: float | None = None):
         if packet_size <= 0 or rate_bps <= 0:
             raise ValueError("packet_size and rate_bps must be positive")
         self.loop = loop
@@ -33,9 +32,6 @@ class CbrSource:
         self.ingress_port = ingress_port
         self.egress_port = egress_port
         self.packet_size = packet_size
-        self.rate_bps = rate_bps
-        self.svc_class = svc_class
-        self.source_id = source_id
         self.period_ns = tx_ns(packet_size, rate_bps)
         if self.period_ns < 1:  # would re-emit at the same instant forever
             raise ValueError(f"rate_bps {rate_bps!r} sends {packet_size}-byte "
@@ -52,8 +48,7 @@ class CbrSource:
     def _emit(self) -> None:
         now = self.loop.now
         self.sink(Packet(self.flow_id, self.ingress_port, self.egress_port,
-                         self.packet_size, self.svc_class, now, self.seq,
-                         self.source_id))
+                         self.packet_size, self.seq))
         self.seq += 1
         nxt = now + self.period_ns
         if self._stop_ns is None or nxt < self._stop_ns:
@@ -66,7 +61,6 @@ class AccessLink:
 
     def __init__(self, loop, rate_bps: float, buffer_bytes: int, sink):
         self.loop = loop
-        self.rate_bps = rate_bps
         self.buffer_bytes = buffer_bytes
         self.sink = sink
         self._tx_ns = TxTimes(rate_bps)
@@ -135,8 +129,7 @@ class TcpSource:
 
     def __init__(self, loop, link, source_id: int, flow_id: int,
                  ingress_port: int, egress_port: int, packet_size: int = 1040,
-                 one_way: float = 20e-3,
-                 svc_class: ServiceClass = ServiceClass.ASSURED):
+                 one_way: float = 20e-3):
         self.loop = loop
         self.link = link
         self.source_id = source_id
@@ -144,7 +137,8 @@ class TcpSource:
         self.ingress_port = ingress_port
         self.egress_port = egress_port
         self.packet_size = packet_size
-        self.svc_class = svc_class
+        # bound once: every packet sent carries it as its receiver
+        self._receive = self.on_data_arrival
         self._rtt_ns = 2 * ns(one_way)
 
         self.cwnd = self.INIT_CWND
@@ -179,9 +173,8 @@ class TcpSource:
     def _emit(self, seq: int) -> None:
         self.packets_sent += 1
         self.link.send(Packet(self.flow_id, self.ingress_port,
-                              self.egress_port, self.packet_size,
-                              self.svc_class, self.loop.now, seq,
-                              self.source_id))
+                              self.egress_port, self.packet_size, seq,
+                              self._receive))
 
     def _try_send(self) -> None:
         """Send what the window allows, then time what is outstanding."""
@@ -294,8 +287,9 @@ class TcpSource:
     # --- receiver ------------------------------------------------------------
 
     def on_data_arrival(self, packet: Packet) -> None:
-        """Receiver ingest at egress delivery; acks come back a round trip
-        later (receiver propagation plus the return path)."""
+        """Receiver ingest when the switch delivers one of this source's
+        packets; acks come back a round trip later (receiver propagation
+        plus the return path)."""
         seq = packet.seq
         ackno = self.rcv_next
         if seq == ackno:
@@ -316,7 +310,6 @@ class TcpSource:
 class SubnetGroup:
     """Sources sharing one access link, started inside a time window."""
 
-    name: str
     sources: list = field(default_factory=list)
     window: tuple[float, float] = (0.0, 0.0)
 

@@ -386,9 +386,8 @@ def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,
     period = tx_ns(packet, rate)
     t, seq = 0, 0
     while t < ns(duration):
-        def arrive(t=t, seq=seq, sw=sw):
-            sw.ingress_arrival(Packet(1, 0, 1, packet, ServiceClass.ASSURED,
-                                      created_at=t, seq=seq))
+        def arrive(seq=seq, sw=sw):
+            sw.ingress_arrival(Packet(1, 0, 1, packet, seq))
         sw.loop.at(t, arrive, port=0, flow=1)
         t += period
         seq += 1
@@ -421,10 +420,8 @@ def test_criterion_6_property_suite():
     for flow in (1, 2):
         t, seq, period = 0, 0, tx_ns(125, 0.9e6)
         while t < ns(2.0):
-            def arrive(t=t, seq=seq, flow=flow):
-                wfq.ingress_arrival(Packet(flow, 0, 1, 125,
-                                           ServiceClass.ASSURED,
-                                           created_at=t, seq=seq))
+            def arrive(seq=seq, flow=flow):
+                wfq.ingress_arrival(Packet(flow, 0, 1, 125, seq))
             wfq.loop.at(t, arrive, port=0, flow=flow)
             t += period
             seq += 1

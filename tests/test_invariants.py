@@ -14,7 +14,7 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
-from foqsim.events import EventLoop
+from foqsim.events import EventLoop, ns
 from foqsim.experiment import Experiment
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -118,16 +118,26 @@ def config_texts(draw, drained=False):
     return "\n".join(lines) + "\n"
 
 
+PROBE_NS = ns(100e-6)
+
+
 def run_text(text):
     """Run a config; return the experiment, its series, and the controller
-    readings taken at every delivery."""
+    readings of every queue taken by a probe event every 100 us. A probe
+    only reads state, and the run's own events keep their order."""
     experiment = Experiment(build_experiment(parse_pairs(text)))
     sw = experiment.switch
+    queues = sorted({(spec.egress, spec.flow)
+                     for spec in experiment.config.sources})
     readings = []
-    sw.delivery_hooks.append(lambda p: readings.append(
-        (sw.drop_probability(p.egress_port, p.flow_id),
-         sw.drop_level(p.egress_port, p.flow_id))))
+
+    def probe():
+        readings.extend((sw.drop_probability(j, k), sw.drop_level(j, k))
+                        for j, k in queues)
+    for t in range(PROBE_NS, ns(experiment.config.duration) + 1, PROBE_NS):
+        sw.loop.at(t, probe)
     series = experiment.run()
+    assert readings
     return experiment, series, readings
 
 
@@ -232,3 +242,48 @@ def test_event_heap_stays_bounded_over_many_windows(monkeypatch):
              + len(queues) * (math.ceil(fb.delay / fb.interval) + 1))
     assert len(series.select("fabric_occupancy_bytes")) == 3000
     assert 0 < peak <= bound
+
+
+MIXED = """\
+switch.num_ports = 2
+switch.line_rate = 10e6
+switch.speedup = 1.28
+switch.fabric_memory = 30000
+switch.out_queue_size = 20000
+flow.0.class = assured
+flow.1.class = assured
+experiment.duration = 0.1
+source.1.kind = tcp_group
+source.1.flow = 1
+source.1.ingress = 1
+source.1.egress = 1
+source.1.packet_size = 1000
+source.1.count = 1
+source.1.link_rate = 10e6
+source.1.one_way = 2e-3
+source.1.window_start = 0
+source.1.window_end = 0
+source.{cbr}.kind = cbr
+source.{cbr}.flow = 0
+source.{cbr}.ingress = 0
+source.{cbr}.egress = 1
+source.{cbr}.packet_size = 500
+source.{cbr}.rate = 6e6
+"""
+
+
+def test_cbr_section_id_does_not_reach_a_tcp_receiver():
+    # TCP sources are numbered 0, 1, ... apart from the config's section
+    # ids, so a CBR section numbered 0 shares its id with TCP source 0; its
+    # deliveries must still reach no receiver, whatever its number
+    runs = []
+    for cbr in (0, 7):
+        experiment = Experiment(build_experiment(parse_pairs(
+            MIXED.format(cbr=cbr))))
+        series = experiment.run()
+        (tcp,) = experiment.tcp_sources.values()
+        runs.append((series.to_csv(), tcp.packets_sent, tcp.retransmits,
+                     tcp.timeouts, tcp.rcv_next,
+                     experiment.links[0].dropped_bytes))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0

@@ -29,9 +29,8 @@ from foqsim.switch import (
 )
 
 
-def packet(flow=1, ingress=0, egress=1, size=500,
-           svc=ServiceClass.ASSURED, seq=0):
-    return Packet(flow, ingress, egress, size, svc, created_at=0, seq=seq)
+def packet(flow=1, ingress=0, egress=1, size=500, seq=0, receiver=None):
+    return Packet(flow, ingress, egress, size, seq, receiver)
 
 
 def base_config(**over):
@@ -45,15 +44,16 @@ def base_config(**over):
 
 
 def feed_cbr(sw, flow, ingress, egress, size, rate_bps, duration,
-             svc=ServiceClass.ASSURED, start=0.0):
-    """Schedule a deterministic constant-rate packet train into the switch."""
+             start=0.0, receiver=None):
+    """Schedule a deterministic constant-rate packet train into the switch;
+    receiver, if given, is called with each packet the switch delivers."""
     period = tx_ns(size, rate_bps)
     t = ns(start)
     seq = 0
     while t < ns(duration):
-        def arrive(t=t, seq=seq):
-            sw.ingress_arrival(Packet(flow, ingress, egress, size, svc,
-                                      created_at=t, seq=seq))
+        def arrive(seq=seq):
+            sw.ingress_arrival(Packet(flow, ingress, egress, size, seq,
+                                      receiver))
         sw.loop.at(t, arrive, port=ingress, flow=flow)
         t += period
         seq += 1
@@ -144,6 +144,10 @@ class TestConfigValidation:
             mode="gearbox", d_min=0.2, d_max=0.1, table_size=1)).validate()
         assert "switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1" in gearbox
         assert "switch.feedback.table_size: must be at least 2" in gearbox
+        # only the gear-box reads its band, table and measure
+        assert base_config(feedback=FeedbackConfig(
+            mode="pi", d_min=0.2, d_max=0.1, table_size=1,
+            measure="magic")).validate() == []
 
     def test_red_violations(self):
         cfg = base_config(red=RedParams(max_p=0.0, min_th=5, max_th=5,
@@ -161,20 +165,15 @@ class TestConfigValidation:
 
 class TestIngressAdmit:
     def test_zero_prob_admits(self):
-        assert ingress_admit(packet(), 0.0, stream(1, "x"))
+        assert ingress_admit(0.0, stream(1, "x"))
 
     def test_certain_drop(self):
-        assert not ingress_admit(packet(), 1.0, stream(1, "x"))
-
-    def test_premium_bypasses_dropper(self):
-        prem = packet(svc=ServiceClass.PREMIUM)
-        assert ingress_admit(prem, 1.0, stream(1, "x"))
+        assert not ingress_admit(1.0, stream(1, "x"))
 
     def test_admit_fraction_half(self):
         # law of large numbers at a fixed stream: 0.5 +- 0.002 over 1e6
         rng = stream(1, "admit-test")
-        pkt = packet()
-        admitted = sum(ingress_admit(pkt, 0.5, rng) for _ in range(1_000_000))
+        admitted = sum(ingress_admit(0.5, rng) for _ in range(1_000_000))
         assert abs(admitted / 1e6 - 0.5) < 0.002
 
 
@@ -221,8 +220,7 @@ class TestFabric:
         for seq in range(7):
             sw.ingress_arrival(packet(flow=1, size=500, seq=seq))
         assert sw.fabric_occupancy == 3000
-        sw.ingress_arrival(packet(flow=0, size=500,
-                                  svc=ServiceClass.PREMIUM))
+        sw.ingress_arrival(packet(flow=0, size=500))
         acct = sw.conservation()
         assert acct[0]["fabric_dropped"] == 0      # premium got in
         assert acct[1]["fabric_dropped"] == 500    # one victim evicted
@@ -278,11 +276,12 @@ class TestScheduling:
         sw.register_flow_queue(1, 0)
         sw.register_flow_queue(1, 1)
         order = []
-        sw.delivery_hooks.append(lambda p: order.append(p.flow_id))
+
+        def deliver(p):
+            order.append(p.flow_id)
         # assured backlog builds first, premium arrives later and jumps it
-        feed_cbr(sw, 1, 0, 1, 500, 2e6, 0.1)
-        feed_cbr(sw, 0, 0, 1, 500, 0.2e6, 0.1,
-                 svc=ServiceClass.PREMIUM, start=0.01)
+        feed_cbr(sw, 1, 0, 1, 500, 2e6, 0.1, receiver=deliver)
+        feed_cbr(sw, 0, 0, 1, 500, 0.2e6, 0.1, start=0.01, receiver=deliver)
         ts = sw.run(0.1)
         assert 0 in order and order.index(0) > 0
         # premium waits for at most one in-service packet per hop (about
@@ -297,12 +296,29 @@ class TestScheduling:
         cfg = base_config(flows={
             0: FlowSpec(svc_class=ServiceClass.PREMIUM),
             1: FlowSpec(svc_class=ServiceClass.ASSURED),
-            2: FlowSpec(svc_class=ServiceClass.BEST_EFFORT)})
+            2: FlowSpec(svc_class=ServiceClass.BEST_EFFORT),
+            3: FlowSpec(svc_class=ServiceClass.PREMIUM)})
         sw = Switch(cfg, seed=1)
-        for fid in (0, 1, 2):
+        for fid in (0, 1, 2, 3):
             sw.register_flow_queue(1, fid)
         assert sw.out_scheduler_select(1) is None
         assert sw.out_scheduler_select(0) is None
+        # a 1500 B assured packet holds the line from 9.4 to 21.4 ms; the
+        # other four drain in behind it by 11.9 ms, premium 3 before 0 and
+        # best effort before assured, so all four queues wait at once
+        served = []
+        picks = []
+
+        def deliver(p):
+            served.append((p.flow_id, p.seq))
+        sw.ingress_arrival(packet(flow=1, size=1500, seq=0, receiver=deliver))
+        for fid, seq in ((2, 0), (1, 1), (3, 0), (0, 0)):
+            sw.ingress_arrival(packet(flow=fid, size=100, seq=seq,
+                                      receiver=deliver))
+        sw.loop.at(ns(15e-3), lambda: picks.append(sw.out_scheduler_select(1)))
+        sw.run(0.1)
+        assert picks == [0]
+        assert served == [(1, 0), (0, 0), (3, 0), (1, 1), (2, 0)]
 
 
 class TestPolicer:
@@ -312,7 +328,7 @@ class TestPolicer:
                         police_burst=1000)})
         sw = Switch(cfg, seed=1)
         sw.register_flow_queue(1, 0)
-        feed_cbr(sw, 0, 0, 1, 500, 1e6, 1.0, svc=ServiceClass.PREMIUM)
+        feed_cbr(sw, 0, 0, 1, 500, 1e6, 1.0)
         sw.run(1.2)
         acct = sw.conservation()[0]
         # 1 Mb/s offered against a 0.5 Mb/s bucket: half the bytes drop at
@@ -425,7 +441,7 @@ class TestFeedbackLoops:
         for k in range(1, 20):
             sw.loop.at(ns(k * 0.05) + 1, lambda: probes.append(
                 (sw.drop_probability(1, 1), sw.drop_level(1, 1))))
-        feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0, svc=ServiceClass.PREMIUM)
+        feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0)
         ts = sw.run(1.0)
         assert len(probes) == 19
         assert set(probes) == {(0.0, 0)}

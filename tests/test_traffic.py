@@ -4,7 +4,7 @@ control state machine, staged start schedules."""
 import pytest
 
 from foqsim.events import EventLoop, ns, tx_ns
-from foqsim.switch import Packet, ServiceClass
+from foqsim.switch import Packet
 from foqsim.traffic import AccessLink, CbrSource, SubnetGroup, TcpSource, staged_start
 
 
@@ -17,12 +17,13 @@ class TestCbr:
     def test_emission_window(self):
         loop = EventLoop()
         got = []
-        src = CbrSource(loop, got.append, 1, 0, 1, 1000, 8e6,
-                        start=5e-3, stop=8e-3)
+        src = CbrSource(loop, lambda p: got.append((loop.now, p)), 1, 0, 1,
+                        1000, 8e6, start=5e-3, stop=8e-3)
         src.start()
         loop.run(ns(1.0))
-        assert [p.created_at for p in got] == [ns(5e-3), ns(6e-3), ns(7e-3)]
-        assert [p.seq for p in got] == [0, 1, 2]
+        assert [t for t, _ in got] == [ns(5e-3), ns(6e-3), ns(7e-3)]
+        assert [p.seq for _, p in got] == [0, 1, 2]
+        assert all(p.receiver is None for _, p in got)
 
     def test_count_over_interval(self):
         loop = EventLoop()
@@ -53,7 +54,7 @@ class TestCbr:
 
 
 def mk_packet(seq, size=500):
-    return Packet(1, 0, 1, size, ServiceClass.ASSURED, created_at=0, seq=seq)
+    return Packet(1, 0, 1, size, seq)
 
 
 class TestAccessLink:
@@ -299,8 +300,8 @@ class StubSource:
 
 class TestStagedStart:
     def groups(self):
-        return [SubnetGroup("a", [StubSource(0), StubSource(1)], (0.0, 1.0)),
-                SubnetGroup("b", [StubSource(2)], (2.0, 3.0))]
+        return [SubnetGroup([StubSource(0), StubSource(1)], (0.0, 1.0)),
+                SubnetGroup([StubSource(2)], (2.0, 3.0))]
 
     def test_starts_inside_windows(self):
         groups = self.groups()
