@@ -18,7 +18,7 @@ from .analytic import (
     step_response_recurrence,
 )
 from .config import ConfigError, ConfigSyntaxError, load_config
-from .experiment import run_experiment
+from .experiment import Experiment
 from .timeseries import CsvSink
 
 STABILITY_MSG = "gains outside stability region 0 < K_I < 2(1 - K)"
@@ -97,10 +97,10 @@ def _cmd_run(args) -> int:
     if config is None:
         return code
     if args.out is None:
-        run_experiment(config, seed=args.seed, sink=CsvSink(sys.stdout))
+        Experiment(config, seed=args.seed, sink=CsvSink(sys.stdout)).run()
     else:
         with open(args.out, "w", newline="") as fh:
-            run_experiment(config, seed=args.seed, sink=CsvSink(fh))
+            Experiment(config, seed=args.seed, sink=CsvSink(fh)).run()
     return 0
 
 
@@ -137,14 +137,16 @@ def _cmd_analyze(args) -> int:
     closed = step_response_closed_form(scenario, horizon) if stable else None
     rec = (step_response_recurrence(scenario, horizon)
            if args.recurrence or not stable else None)
-    queue = queue_trajectory(scenario, horizon)
 
+    # q_n models the backlog during the ramp only, so it stops at n0
     buf = io.StringIO()
     if closed is not None:
+        queue = closed.queue_sequence
         buf.write(f"# z1={z1!r} z2={z2!r} n0={closed.n0} a1={closed.coeff1!r}"
                   f" a2={closed.coeff2!r} d={closed.rate_gap!r}\n")
     else:
         n0, _s, _peak = initial_period(scenario)
+        queue = queue_trajectory(scenario, min(n0, horizon))
         buf.write(f"# z1={z1!r} z2={z2!r} n0={n0} a1=nan a2=nan d=nan\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("n", "rho_closed", "rho_recurrence", "q_n"))
@@ -153,7 +155,7 @@ def _cmd_analyze(args) -> int:
             n,
             repr(closed.drop_sequence[n]) if closed is not None else "",
             repr(rec[n]) if rec is not None else "",
-            repr(queue[n]),
+            repr(queue[n]) if n < len(queue) else "",
         ))
     _emit(buf.getvalue(), args.out)
     return 0

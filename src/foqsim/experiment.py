@@ -1,12 +1,19 @@
-"""Assemble a configured experiment: one switch plus its traffic sources."""
+"""Assemble a configured experiment: one switch plus its traffic sources.
+
+`Experiment(config).run()` builds everything at construction and runs once.
+Each TCP source keeps its group's start window in one schedule, in build
+order; `run` draws every start time uniformly inside its window from the
+seed's "starts" stream, so the schedule depends only on the seed and the
+config's groups.
+"""
 
 from __future__ import annotations
 
 from .config import ExperimentConfig
-from .events import EventLoop
+from .events import EventLoop, ns, stream
 from .switch import Switch
 from .timeseries import CsvSink, TimeSeries
-from .traffic import AccessLink, CbrSource, SubnetGroup, TcpSource, staged_start
+from .traffic import AccessLink, CbrSource, TcpSource
 
 
 class Experiment:
@@ -22,7 +29,8 @@ class Experiment:
         self.cbr_sources: list[CbrSource] = []
         self.tcp_sources: dict[int, TcpSource] = {}
         self.links: list[AccessLink] = []
-        self.groups: list[SubnetGroup] = []
+        # (source, window start, window end) seconds, in build order
+        self._starts: list[tuple[TcpSource, float, float]] = []
         self._build()
 
     def _build(self) -> None:
@@ -38,27 +46,22 @@ class Experiment:
                 link = AccessLink(self.loop, spec.link_rate, spec.link_buffer,
                                   self.switch.ingress_arrival)
                 self.links.append(link)
-                group = SubnetGroup(window=(spec.window_start, spec.window_end))
                 for _ in range(spec.count):
                     src = TcpSource(self.loop, link, next_tcp_id, spec.flow,
                                     spec.ingress, spec.egress,
                                     packet_size=spec.packet_size,
                                     one_way=spec.one_way)
                     self.tcp_sources[next_tcp_id] = src
-                    group.sources.append(src)
+                    self._starts.append((src, spec.window_start,
+                                         spec.window_end))
                     next_tcp_id += 1
-                self.groups.append(group)
 
     def run(self) -> TimeSeries | CsvSink:
+        """Start the sources, run the switch for the configured duration
+        into the sink (a new TimeSeries by default) and return the sink."""
         for src in self.cbr_sources:
             src.start()
-        if self.groups:
-            staged_start(self.groups, self.seed)
+        rng = stream(self.seed, "starts")
+        for src, t0, t1 in self._starts:
+            src.start_at(ns(t0 + rng.random() * (t1 - t0)))
         return self.switch.run(self.config.duration)
-
-
-def run_experiment(config: ExperimentConfig, seed: int | None = None,
-                   sink: TimeSeries | CsvSink | None = None) -> TimeSeries | CsvSink:
-    """Run the experiment into sink, a new TimeSeries by default, and
-    return the sink."""
-    return Experiment(config, seed=seed, sink=sink).run()

@@ -231,9 +231,15 @@ class _Port:
         self.vt = [0.0, 0.0, 0.0]
 
 
-# the output-queue counters summed into each flow's ledger, in its order
-_TOTALS = ("injected", "ingress_dropped", "fabric_dropped", "egress_dropped",
-           "delivered")
+# the output-queue counters summed into each flow's ledger, in its order,
+# and the run-total metric each is reported as
+_TOTALS = {
+    "injected": "injected_bytes_total",
+    "ingress_dropped": "ingress_drop_bytes_total",
+    "fabric_dropped": "fabric_drop_bytes_total",
+    "egress_dropped": "egress_drop_bytes_total",
+    "delivered": "delivered_bytes_total",
+}
 
 
 class _OutQueue:
@@ -291,9 +297,9 @@ class Switch:
         self._line_ns = TxTimes(config.line_rate)
 
         self._queues: dict[tuple[int, int], _OutQueue] = {}  # sorted by run()
-        # in port order, which the report and the eviction scan (ties to
-        # the lowest port) walk; eviction can run before run()
-        self._ports: dict[int, _Port] = {}
+        # indexed by port; the report and the eviction scan (ties to the
+        # lowest port) walk it in port order
+        self._ports = [_Port(j) for j in range(config.num_ports)]
         self._occupancy = 0
         self._buckets: dict[tuple[int, int], _TokenBucket] = {}
         self._ingress_rng = [stream(seed, f"ingress.{i}")
@@ -331,10 +337,7 @@ class Switch:
                        stream(self.seed, f"red.{egress}.{flow_id}"),
                        0.0 if red is None else red_drop_probability(0.0, red))
         self._queues[key] = oq
-        port = self._ports.get(egress)
-        if port is None:
-            port = self._ports[egress] = _Port(egress)
-            self._ports = dict(sorted(self._ports.items()))
+        port = self._ports[egress]
         port.queues[flow_id] = oq
         port.tiers[tier].append(oq)
         port.tiers[tier].sort(key=lambda q: q.flow_id)
@@ -397,7 +400,7 @@ class Switch:
     def _evict_low_priority(self, needed: int) -> None:
         while needed > 0:
             victim = None
-            for port in self._ports.values():
+            for port in self._ports:
                 if port.fifos[1] and (victim is None or
                                       port.fifo_bytes[1] > victim.fifo_bytes[1]):
                     victim = port
@@ -466,10 +469,7 @@ class Switch:
         queues have strict priority in flow-id order; then weighted-fair
         selection among assured queues, then among best-effort queues.
         """
-        port = self._ports.get(j)
-        if port is None:
-            return None
-        for tier in port.tiers:
+        for tier in self._ports[j].tiers:
             best = None
             best_tag = 0.0
             for oq in tier:
@@ -588,9 +588,10 @@ class Switch:
                 s.append(t, "delay_mean_s", j, k, mean, "s")
                 s.append(t, "delay_p99_s", j, k, p99, "s")
                 oq.delays = []
-        for j, port in self._ports.items():
-            s.append(t, "fabric_queue_bytes", j, None,
-                     float(sum(port.fifo_bytes)), "bytes")
+        for port in self._ports:
+            if port.queues:
+                s.append(t, "fabric_queue_bytes", port.index, None,
+                         float(sum(port.fifo_bytes)), "bytes")
         s.append(t, "fabric_occupancy_bytes", None, None,
                  float(self._occupancy), "bytes")
 
@@ -647,21 +648,15 @@ class Switch:
         ledger = self.conservation()
         for fid in sorted(ledger):
             acct = ledger[fid]
-            for name, metric in (
-                ("injected", "injected_bytes_total"),
-                ("ingress_dropped", "ingress_drop_bytes_total"),
-                ("fabric_dropped", "fabric_drop_bytes_total"),
-                ("egress_dropped", "egress_drop_bytes_total"),
-                ("delivered", "delivered_bytes_total"),
-                ("resident", "resident_bytes_total"),
-            ):
+            for name, metric in (*_TOTALS.items(),
+                                 ("resident", "resident_bytes_total")):
                 self._series.append(duration, metric, None, fid,
                                     float(acct[name]), "bytes")
 
     def _resident_bytes(self) -> dict[int, int]:
         """Bytes still inside the switch, by flow, from the live structures."""
         res = {oq.flow_id: 0 for oq in self._queues.values()}
-        for port in self._ports.values():
+        for port in self._ports:
             for queue in port.fifos:
                 for packet in queue:
                     res[packet.flow_id] += packet.size
@@ -688,7 +683,8 @@ class Switch:
         for fid, acct in out.items():
             acct["resident"] = resident[fid]
             acct["balanced"] = acct["injected"] == (
-                sum(acct[name] for name in _TOTALS[1:]) + resident[fid])
+                sum(acct[name] for name in _TOTALS if name != "injected")
+                + resident[fid])
         return out
 
     @property

@@ -102,12 +102,6 @@ class TimeSeries:
                 if (port is None or ports[i] == port)
                 and (flow is None or flows[i] == flow)]
 
-    def value_at_end(self, metric: str, port=None, flow=None) -> float:
-        rows = self.select(metric, port, flow)
-        if not rows:
-            raise KeyError(f"no records for {metric}")
-        return rows[-1].value
-
     def __eq__(self, other):
         return (isinstance(other, TimeSeries)
                 and self._columns() == other._columns())

@@ -6,15 +6,15 @@ packets have no receiver. A TCP source transmits through an AccessLink that
 models its subnet uplink, infers loss from duplicate acknowledgements and
 retransmission timeouts, and keeps its receiver state in the same object:
 each packet it sends carries the source's own receive method, which the
-switch calls when the packet leaves the output line.
+switch calls when the packet leaves the output line. A TCP source starts
+when `start_at` arms it; `foqsim.experiment` draws each start time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
-from .events import NS, RANK_DATA, TxTimes, ns, stream, tx_ns
+from .events import NS, RANK_DATA, TxTimes, ns, tx_ns
 from .switch import Packet
 
 
@@ -152,8 +152,9 @@ class TcpSource:
         self.srtt = None
         self.rttvar = 0.0
         self.rto = self.INIT_RTO
-        self._send_time: dict[int, int] = {}
-        self._rexmit: set[int] = set()
+        # send time (ns) of each outstanding segment, snd_una first; None
+        # once it is retransmitted, so Karn's rule takes no sample from it
+        self._sent: list[int | None] = []
         self.deadline: int | None = None  # ns; None while no timer is armed
         self._timer_at: int | None = None  # ns of the pending timer event
 
@@ -181,10 +182,10 @@ class TcpSource:
         seq = self.next_seq
         window = self.snd_una + int(self.cwnd)
         now = self.loop.now
-        send_time = self._send_time
+        sent = self._sent
         while seq < window:
             self._emit(seq)
-            send_time[seq] = now  # next_seq only grows: seq was never sent
+            sent.append(now)  # next_seq only grows: seq was never sent
             seq += 1
         self.next_seq = seq
         if self.snd_una < seq:
@@ -225,7 +226,7 @@ class TcpSource:
         self._arm_timer()
 
     def _retransmit(self, seq: int) -> None:
-        self._rexmit.add(seq)
+        self._sent[seq - self.snd_una] = None
         self.retransmits += 1
         self.packets_sent -= 1  # _emit counts it again
         self._emit(seq)
@@ -234,16 +235,11 @@ class TcpSource:
         una = self.snd_una
         if ackno > una:
             newly = ackno - una
-            send_time = self._send_time
-            rexmit = self._rexmit
-            sample_seq = ackno - 1
-            sent = send_time.get(sample_seq)
-            if sent is not None and sample_seq not in rexmit:
-                self._rtt_sample((self.loop.now - sent) / NS)
-            for seq in range(una, ackno):
-                send_time.pop(seq, None)
-            if rexmit:
-                rexmit.difference_update(range(una, ackno))
+            sent = self._sent
+            at = sent[newly - 1]  # segment ackno - 1
+            if at is not None:
+                self._rtt_sample((self.loop.now - at) / NS)
+            del sent[:newly]
             self.snd_una = ackno
             self.dup_acks = 0
             self.backoff = 1
@@ -305,28 +301,3 @@ class TcpSource:
         loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
                 RANK_DATA, self.ingress_port, self.flow_id)
 
-
-@dataclass
-class SubnetGroup:
-    """Sources sharing one access link, started inside a time window."""
-
-    sources: list = field(default_factory=list)
-    window: tuple[float, float] = (0.0, 0.0)
-
-
-def staged_start(groups: list[SubnetGroup], seed: int) -> dict[int, float]:
-    """Give every source a uniform start time inside its group's window.
-
-    Draws come from one named stream in deterministic group and source
-    order, so the schedule depends only on the seed and the group layout.
-    Returns source_id -> start seconds and arms each source.
-    """
-    rng = stream(seed, "starts")
-    starts: dict[int, float] = {}
-    for group in groups:
-        t0, t1 = group.window
-        for src in group.sources:
-            t = t0 + rng.random() * (t1 - t0)
-            starts[src.source_id] = t
-            src.start_at(ns(t))
-    return starts

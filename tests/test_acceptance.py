@@ -302,9 +302,9 @@ def test_criterion_4_cbr_experiment_bands(shipped):
     for ts in (ts_off, ts_on):
         premium = mean(series_values(ts, "throughput_bps", 3, 0, lo=0.1))
         assert premium == pytest.approx(9.52e6, rel=0.02)
-        dropped = (ts.value_at_end("ingress_drop_bytes_total", None, 0)
-                   + ts.value_at_end("fabric_drop_bytes_total", None, 0)
-                   + ts.value_at_end("egress_drop_bytes_total", None, 0))
+        dropped = (ts.select("ingress_drop_bytes_total", None, 0)[-1].value
+                   + ts.select("fabric_drop_bytes_total", None, 0)[-1].value
+                   + ts.select("egress_drop_bytes_total", None, 0)[-1].value)
         assert dropped == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import foqsim
+from foqsim.analytic import StepScenario, queue_at
 from foqsim.cli import STABILITY_MSG, main
 from foqsim.timeseries import COLUMNS, TimeSeries
 
@@ -184,6 +185,19 @@ class TestAnalyze:
         assert float(closed) >= 0.0
         assert rec == ""  # recurrence column empty unless requested
         float(q)
+
+    def test_queue_column_stops_at_n0(self, capsys):
+        # q_n models the ramp's backlog: it ends at row n0 - 1, where it is
+        # <= 0 by the definition of n0, and is blank from n0 on
+        assert main(analyze("--horizon", "50")) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert " n0=42 " in lines[0]
+        scenario = StepScenario(arrival_rate=2.0, desired_rate=0.9,
+                                fabric_capacity=1.0, gain_p=0.0, gain_i=0.5)
+        q = [line.split(",")[3] for line in lines[2:]]
+        assert q[:42] == [repr(queue_at(scenario, n)) for n in range(42)]
+        assert float(q[41]) <= 0.0 < float(q[40])
+        assert q[42:] == [""] * 8
 
     def test_long_ramp_is_bounded_by_the_horizon(self):
         # K_I = 1e-9 gives a ramp of about 1.6e9 intervals, which the command

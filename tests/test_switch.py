@@ -227,6 +227,28 @@ class TestFabric:
         assert sw.fabric_occupancy <= 3000
         assert acct[0]["balanced"] and acct[1]["balanced"]
 
+    def test_eviction_tie_goes_to_the_lowest_port(self):
+        # assured flows 1 and 2 each wait with 1,500 B in the fabric, at
+        # egress 1 and egress 2 (a fourth packet each is in drain); the
+        # premium arrival must evict from the lowest port's queue
+        cfg = base_config(
+            num_ports=3, fabric_memory=3000, out_queue_size=100_000,
+            flows={0: FlowSpec(svc_class=ServiceClass.PREMIUM),
+                   1: FlowSpec(svc_class=ServiceClass.ASSURED),
+                   2: FlowSpec(svc_class=ServiceClass.ASSURED)})
+        sw = Switch(cfg, seed=1)
+        for egress, flow in ((1, 0), (1, 1), (2, 2)):
+            sw.register_flow_queue(egress, flow)
+        for flow in (1, 2):
+            for seq in range(4):
+                sw.ingress_arrival(packet(flow=flow, egress=flow, seq=seq))
+        assert sw.fabric_occupancy == 3000
+        sw.ingress_arrival(packet(flow=0, egress=1))
+        acct = sw.conservation()
+        assert acct[0]["fabric_dropped"] == 0
+        assert acct[1]["fabric_dropped"] == 500
+        assert acct[2]["fabric_dropped"] == 0
+
     def test_occupancy_freed_at_drain_start(self):
         sw = self.small_switch()
         sw.ingress_arrival(packet(flow=1, size=500))

@@ -31,13 +31,6 @@ class TestSelection:
         assert len(ts.select("rel_cong", port=3, flow=1)) == 1
         assert ts.select("rel_cong", flow=2) == []
 
-    def test_value_at_end(self):
-        ts = sample_series()
-        ts.append(0.003, "rel_cong", 3, 1, 0.1, "ratio")
-        assert ts.value_at_end("rel_cong", port=3, flow=1) == 0.1
-        with pytest.raises(KeyError):
-            ts.value_at_end("nonexistent")
-
     def test_len_and_eq(self):
         assert len(sample_series()) == 4
         assert sample_series() == sample_series()

@@ -1,11 +1,14 @@
-"""Traffic source tests: CBR pacing, access-link queueing, TCP congestion
-control state machine, staged start schedules."""
+"""Traffic source tests: CBR pacing, access-link queueing, the TCP
+congestion control state machine and its send log, and the staged start
+schedule an Experiment draws for its TCP sources."""
 
 import pytest
 
-from foqsim.events import EventLoop, ns, tx_ns
+from foqsim.config import build_experiment, parse_pairs
+from foqsim.events import EventLoop, ns, stream, tx_ns
+from foqsim.experiment import Experiment
 from foqsim.switch import Packet
-from foqsim.traffic import AccessLink, CbrSource, SubnetGroup, TcpSource, staged_start
+from foqsim.traffic import AccessLink, CbrSource, TcpSource
 
 
 class TestCbr:
@@ -166,6 +169,20 @@ class TestTcpLoss:
         assert src.packets_sent == 2  # retransmissions are not re-counted
         assert src.rcv_next == 0
 
+    def test_send_log_holds_the_outstanding_window(self):
+        # one send time per outstanding segment, snd_una first; the
+        # timeout's retransmission of seq 0 blanks its entry
+        loop, src = tcp_pair(drop_all=True)
+        src.start_at(0)
+        loop.run(ns(1.0))
+        assert src.timeouts == 1
+        assert src._sent == [None, 0]
+        loop, src = tcp_pair()
+        src.start_at(0)
+        loop.run(ns(1.0))
+        assert len(src._sent) == src.next_seq - src.snd_una > 0
+        assert None not in src._sent
+
     def test_karns_rule_skips_retransmit_samples(self):
         # both initial packets vanish; the first ack acknowledges only the
         # retransmitted seq 0, which must not produce an RTT sample
@@ -289,30 +306,57 @@ class TestReceiver:
         assert src.rcv_next == 1
 
 
-class StubSource:
-    def __init__(self, source_id):
-        self.source_id = source_id
-        self.armed_ns = None
-
-    def start_at(self, when):
-        self.armed_ns = when
+STAGED = """\
+switch.num_ports = 2
+switch.line_rate = 10e6
+switch.speedup = 1.28
+switch.fabric_memory = 30000
+switch.out_queue_size = 20000
+flow.0.class = assured
+experiment.duration = 1e-3
+source.0.kind = tcp_group
+source.0.flow = 0
+source.0.ingress = 0
+source.0.egress = 1
+source.0.packet_size = 1000
+source.0.count = 2
+source.0.link_rate = 10e6
+source.0.window_start = 0
+source.0.window_end = 1
+source.1.kind = tcp_group
+source.1.flow = 0
+source.1.ingress = 1
+source.1.egress = 1
+source.1.packet_size = 1000
+source.1.count = 1
+source.1.link_rate = 10e6
+source.1.window_start = 2
+source.1.window_end = 3
+"""
 
 
 class TestStagedStart:
-    def groups(self):
-        return [SubnetGroup([StubSource(0), StubSource(1)], (0.0, 1.0)),
-                SubnetGroup([StubSource(2)], (2.0, 3.0))]
+    def starts(self, seed):
+        """Source id -> the ns each TCP source was armed at by run()."""
+        experiment = Experiment(build_experiment(parse_pairs(STAGED)),
+                                seed=seed)
+        armed = {}
+        for sid, src in experiment.tcp_sources.items():
+            src.start_at = lambda when, sid=sid: armed.__setitem__(sid, when)
+        experiment.run()
+        return armed
 
     def test_starts_inside_windows(self):
-        groups = self.groups()
-        starts = staged_start(groups, seed=1)
+        starts = self.starts(1)
         assert set(starts) == {0, 1, 2}
-        assert 0.0 <= starts[0] < 1.0 and 0.0 <= starts[1] < 1.0
-        assert 2.0 <= starts[2] < 3.0
-        for group in groups:
-            for src in group.sources:
-                assert src.armed_ns == ns(starts[src.source_id])
+        assert 0 <= starts[0] <= ns(1.0) and 0 <= starts[1] <= ns(1.0)
+        assert ns(2.0) <= starts[2] <= ns(3.0)
+        # one draw per source from the seed's "starts" stream, in build order
+        rng = stream(1, "starts")
+        assert [starts[sid] for sid in (0, 1, 2)] == [
+            ns(t0 + rng.random() * (t1 - t0))
+            for t0, t1 in ((0.0, 1.0), (0.0, 1.0), (2.0, 3.0))]
 
     def test_deterministic_per_seed(self):
-        assert staged_start(self.groups(), 5) == staged_start(self.groups(), 5)
-        assert staged_start(self.groups(), 5) != staged_start(self.groups(), 6)
+        assert self.starts(5) == self.starts(5)
+        assert self.starts(5) != self.starts(6)
