@@ -145,7 +145,12 @@ def _cmd_analyze(args) -> int:
         buf.write(f"# z1={z1!r} z2={z2!r} n0={closed.n0} a1={closed.coeff1!r}"
                   f" a2={closed.coeff2!r} d={closed.rate_gap!r}\n")
     else:
-        n0, _s, _peak = initial_period(scenario)
+        # unstable gains can make a ramp that never ends
+        try:
+            n0, _s, _peak = initial_period(scenario)
+        except ValueError as err:
+            print(f"analyze: {err}", file=sys.stderr)
+            return 2
         queue = queue_trajectory(scenario, min(n0, horizon))
         buf.write(f"# z1={z1!r} z2={z2!r} n0={n0} a1=nan a2=nan d=nan\n")
     writer = csv.writer(buf, lineterminator="\n")

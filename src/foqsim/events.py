@@ -8,9 +8,13 @@ The switch schedules one tick per period, not one per queue: the report
 (port -1) fires first, then one sampler tick that samples every queue in
 key order and one RED tick that updates every queue's average (port 0).
 
-Handlers schedule with `at(now + delay, ...)`. Timers are lazy: a TCP source
-keeps one pending retransmission event and a deadline, so an ack that only
-moves the deadline later pushes nothing (see `TcpSource._arm_timer`).
+Handlers schedule with `at(now + delay, ...)`. Most events carry one of a
+few fixed delays (a serialisation time, the fabric drain, a TCP round
+trip), so the loop keeps one FIFO lane per delay registered with `lane`:
+such an event is appended to its lane instead of being pushed onto the
+heap. Timers are lazy: a TCP source keeps one pending retransmission event
+and a deadline, so an ack that only moves the deadline later pushes nothing
+(see `TcpSource._arm_timer`).
 
 Event keys and handler names are fixed: the benchmark's tracer
 (`bench/tracer.py`) classifies each event by its handler's `__qualname__`
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heappop, heappush, heapreplace
 from typing import Annotated
 
 RANK_CONTROL = 0  # feedback applications
@@ -47,14 +52,19 @@ def tx_ns(nbytes: int, rate_bps: float) -> int:
 
 
 class TxTimes(dict):
-    """tx_ns at one rate, memoised per packet size: size -> ns."""
+    """tx_ns at one rate, memoised per packet size: size -> ns.
 
-    def __init__(self, rate_bps: float):
+    Each size's time is registered as a lane of `loop` when first used.
+    """
+
+    def __init__(self, rate_bps: float, loop: EventLoop):
         super().__init__()
         self.rate_bps = rate_bps
+        self.loop = loop
 
     def __missing__(self, nbytes: int) -> int:
         value = self[nbytes] = tx_ns(nbytes, self.rate_bps)
+        self.loop.lane(value)
         return value
 
 
@@ -69,25 +79,77 @@ def stream(seed: int, name: str) -> random.Random:
 
 
 class EventLoop:
-    """Binary-heap event queue with a deterministic total order."""
+    """Event queue with a deterministic total order: a heap plus delay lanes.
+
+    Events pop in the order of their key (when, rank, port, flow, seq),
+    seq being the insertion count, so no two keys are equal. An event
+    scheduled `delay` after now, for a delay registered with `lane`, is
+    appended to that delay's FIFO when its key is above the lane's tail;
+    since now never decreases, that holds for all but an equal-time entry
+    out of key order, which goes to the heap. Every lane is therefore
+    sorted, and `_heads` is a heap of the first entry of each non-empty
+    lane: each pop takes the smaller of the heap's top and the lowest lane
+    head, at a cost independent of how many lanes there are. The pop order
+    is exactly that of one heap holding every event.
+    """
 
     def __init__(self):
-        self._heap: list = []
+        self._heap: list = []   # (when, rank, port, flow, seq, fn[, lane])
+        self._heads: list = []  # the first entry of each non-empty lane
+        self._lanes: dict[int, deque] = {}  # delay (ns) -> lane
         self._seq = 0
         self.now = 0  # ns
 
+    def lane(self, delay: int) -> None:
+        """Give events scheduled `delay` ns after now a FIFO lane."""
+        if delay not in self._lanes:
+            self._lanes[delay] = deque()
+
     def at(self, when: int, fn, rank: int = RANK_DATA, port: int = -1,
            flow: int = -1) -> None:
-        if when < self.now:
+        now = self.now
+        if when < now:
             raise ValueError("cannot schedule into the past")
-        heappush(self._heap, (when, rank, port, flow, self._seq, fn))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        lane = self._lanes.get(when - now)
+        if lane is None:
+            heappush(self._heap, (when, rank, port, flow, seq, fn))
+            return
+        entry = (when, rank, port, flow, seq, fn, lane)
+        if not lane:
+            lane.append(entry)
+            heappush(self._heads, entry)
+        elif entry > lane[-1]:
+            lane.append(entry)
+        else:
+            heappush(self._heap, entry)
 
     def run(self, until: int) -> None:
         """Process every event with timestamp <= until."""
         heap = self._heap
-        while heap and heap[0][0] <= until:
-            entry = heappop(heap)  # (when, rank, port, flow, seq, fn)
+        heads = self._heads
+        while True:
+            if heads:
+                entry = heads[0]
+                if heap and heap[0] < entry:
+                    entry = heap[0]
+                    if entry[0] > until:
+                        break
+                    heappop(heap)
+                else:
+                    if entry[0] > until:
+                        break
+                    lane = entry[6]
+                    lane.popleft()
+                    if lane:
+                        heapreplace(heads, lane[0])
+                    else:
+                        heappop(heads)
+            elif heap and heap[0][0] <= until:
+                entry = heappop(heap)
+            else:
+                break
             self.now = entry[0]
             entry[5]()
         self.now = until

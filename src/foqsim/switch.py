@@ -293,8 +293,8 @@ class Switch:
         self.config = config
         self.seed = seed
         self.loop = loop if loop is not None else EventLoop()
-        self._drain_ns = TxTimes(config.speedup * config.line_rate)
-        self._line_ns = TxTimes(config.line_rate)
+        self._drain_ns = TxTimes(config.speedup * config.line_rate, self.loop)
+        self._line_ns = TxTimes(config.line_rate, self.loop)
 
         self._queues: dict[tuple[int, int], _OutQueue] = {}  # sorted by run()
         # indexed by port; the report and the eviction scan (ties to the

@@ -63,7 +63,7 @@ class AccessLink:
         self.loop = loop
         self.buffer_bytes = buffer_bytes
         self.sink = sink
-        self._tx_ns = TxTimes(rate_bps)
+        self._tx_ns = TxTimes(rate_bps, loop)
         self._queue = deque()
         self._qbytes = 0
         self._busy = False
@@ -140,6 +140,7 @@ class TcpSource:
         # bound once: every packet sent carries it as its receiver
         self._receive = self.on_data_arrival
         self._rtt_ns = 2 * ns(one_way)
+        loop.lane(self._rtt_ns)
 
         self.cwnd = self.INIT_CWND
         self.ssthresh = self.INIT_SSTHRESH

@@ -251,6 +251,18 @@ class TestAnalyze:
         assert all(row[1] == "" for row in rows)  # no closed form
         assert all(row[2] != "" for row in rows)
 
+    def test_unstable_ramp_that_never_ends_refused(self, capsys):
+        # K_I < 0 with an overload: the fabric backlog never drains, so the
+        # ramp has no end; this used to end in a traceback with exit 1
+        args = ["analyze", "--k", "0", "--ki", "-0.5", "--lambda", "2",
+                "--ropt", "0.9", "--sc", "1", "--horizon", "5",
+                "--recurrence"]
+        assert main(args) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("analyze: fabric queue never drains; "
+                           "check the gains\n")
+
     def test_invalid_scenario(self, capsys):
         args = ["analyze", "--k", "0", "--ki", "0.5", "--lambda", "2",
                 "--ropt", "1.5", "--sc", "1"]

@@ -2,8 +2,11 @@
 feedback loops, byte conservation, determinism."""
 
 import dataclasses
+from heapq import heappop, heappush
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foqsim.control import derive_beta, drop_level_table
 from foqsim.events import (
@@ -59,7 +62,122 @@ def feed_cbr(sw, flow, ingress, egress, size, rate_bps, duration,
         seq += 1
 
 
+class HeapLoop:
+    """The event kernel before delay lanes: every event on one binary heap.
+
+    The reference order `EventLoop` must reproduce exactly; `lane` is
+    accepted and ignored."""
+
+    def __init__(self):
+        self._heap: list = []
+        self._seq = 0
+        self.now = 0
+
+    def lane(self, delay: int) -> None:
+        pass
+
+    def at(self, when, fn, rank=RANK_DATA, port=-1, flow=-1):
+        if when < self.now:
+            raise ValueError("cannot schedule into the past")
+        heappush(self._heap, (when, rank, port, flow, self._seq, fn))
+        self._seq += 1
+
+    def run(self, until):
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            entry = heappop(heap)
+            self.now = entry[0]
+            entry[5]()
+        self.now = until
+
+
+def replay(loop, lanes, first, plan, stops):
+    """Drive one scripted schedule through loop; return what fired, when.
+
+    Each firing consumes the next step of plan: the delays and keys of the
+    events it schedules, and a delay to register as a lane mid-run. The
+    loop runs to each stop's `until` in turn, and schedules that stop's
+    events from outside, then drains. Two loops that pop in the same order
+    make the same calls, so their records differ from the first pop on
+    which they disagree."""
+    fired = []
+    steps = iter(plan)
+    labels = count()
+
+    def schedule(when, key):
+        label = next(labels)
+
+        def fire():
+            fired.append((loop.now, label))
+            children, register = next(steps, ((), None))
+            if register is not None:
+                loop.lane(register)
+            for delay, child in children:
+                schedule(loop.now + delay, child)
+        loop.at(when, fire, *key)
+
+    for delay in lanes:
+        loop.lane(delay)
+    for when, key in first:
+        schedule(when, key)
+    until = 0
+    for advance, extra in stops:
+        until += advance
+        loop.run(until)
+        fired.append(("stop", loop.now))
+        for delay, key in extra:
+            schedule(loop.now + delay, key)
+    loop.run(10**6)
+    return fired
+
+
+# delays 0-9 ns, registered as lanes or not; few ranks, ports and flows, so
+# equal-time entries with lower keys than a lane's tail are common
+DELAYS = st.integers(0, 9)
+KEYS = st.tuples(st.integers(RANK_CONTROL, RANK_DATA), st.integers(-1, 2),
+                 st.integers(-1, 2))
+CHILDREN = st.lists(st.tuples(DELAYS, KEYS), max_size=3)
+
+
 class TestEventKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(lanes=st.sets(DELAYS, max_size=4),
+           first=st.lists(st.tuples(st.integers(0, 20), KEYS), max_size=8),
+           plan=st.lists(st.tuples(CHILDREN, st.none() | DELAYS),
+                         max_size=40),
+           stops=st.lists(st.tuples(st.integers(0, 15), CHILDREN),
+                          max_size=4))
+    def test_lanes_pop_in_the_heap_order(self, lanes, first, plan, stops):
+        assert (replay(EventLoop(), lanes, first, plan, stops)
+                == replay(HeapLoop(), lanes, first, plan, stops))
+
+    def test_equal_time_entry_below_a_lane_tail_goes_to_the_heap(self):
+        loop = EventLoop()
+        loop.lane(10)
+        order = []
+        loop.at(10, lambda: order.append(2), port=2)
+        loop.at(10, lambda: order.append(1), port=1)  # below the lane's tail
+        loop.at(10, lambda: order.append(3), port=3)  # above it: appended
+        assert (len(loop._heap), len(loop._lanes[10])) == (1, 2)
+        loop.run(10)
+        assert order == [1, 2, 3]
+
+    def test_entries_beyond_until_stay_pending(self):
+        loop = EventLoop()
+        loop.lane(5)
+        order = []
+        loop.at(5, lambda: order.append(5))  # lane
+        loop.at(3, lambda: order.append(3))  # heap
+        loop.run(4)
+        assert order == [3] and loop.now == 4
+        loop.at(9, lambda: order.append(9))  # 5 after now: behind 5 in the lane
+        loop.at(7, lambda: order.append(7))  # heap
+        loop.run(8)
+        assert order == [3, 5, 7] and loop.now == 8
+        loop.run(9)
+        assert order == [3, 5, 7, 9]
+        assert not loop._heap and not loop._heads
+
     def test_time_conversions(self):
         assert ns(1e-3) == 1_000_000
         assert ns(0.2) == 200_000_000

@@ -214,8 +214,11 @@ class RecordingLink:
 
 
 def timer_events(loop):
-    return sum(1 for entry in loop._heap
-               if entry[-1].__qualname__.startswith("TcpSource._arm_timer."))
+    # pending entries live on the heap and in the delay lanes; entry[5] is
+    # the handler
+    pending = [loop._heap, *loop._lanes.values()]
+    return sum(1 for entries in pending for entry in entries
+               if entry[5].__qualname__.startswith("TcpSource._arm_timer."))
 
 
 class TestLazyTimer:
