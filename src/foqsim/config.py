@@ -57,6 +57,11 @@ class _Source:
             bad.append("packet_size: must be positive")
         if flows and self.flow not in flows:
             bad.append(f"flow: flow {self.flow} is not defined")
+        spec = flows.get(self.flow)
+        if (spec is not None and spec.police_rate is not None
+                and self.packet_size > spec.police_burst):
+            # a bucket that never holds a packet admits none
+            bad.append(f"packet_size: exceeds flow {self.flow}'s police_burst")
         if num_ports is not None and num_ports >= 1:
             for key in ("ingress", "egress"):
                 if not 0 <= getattr(self, key) < num_ports:
@@ -99,6 +104,8 @@ class TcpGroupSpec(_Source):
             (self.window_start < 0, "window_start: must be non-negative"),
             (self.window_end < self.window_start,
              "window_end: must not precede window_start"),
+            (self.link_buffer < max(self.packet_size, 1),
+             "link_buffer: must hold a packet_size segment"),
             (self.one_way < 0, "one_way: must be non-negative")) if broken]
 
 

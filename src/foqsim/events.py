@@ -12,8 +12,9 @@ Handlers schedule with `at(now + delay, ...)`. Most events carry one of a
 few fixed delays (a serialisation time, the fabric drain, a TCP round
 trip), so the loop keeps one FIFO lane per delay registered with `lane`:
 such an event is appended to its lane instead of being pushed onto the
-heap. Timers are lazy: a TCP source keeps one pending retransmission event
-and a deadline, so an ack that only moves the deadline later pushes nothing
+heap. Timers are lazy: a TCP source keeps one live retransmission event
+and a deadline, so an ack that only moves the deadline later pushes nothing;
+an event superseded by an earlier deadline stays queued and fires as a no-op
 (see `TcpSource._arm_timer`).
 
 Event keys and handler names are fixed: the benchmark's tracer

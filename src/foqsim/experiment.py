@@ -47,7 +47,7 @@ class Experiment:
                                   self.switch.ingress_arrival)
                 self.links.append(link)
                 for _ in range(spec.count):
-                    src = TcpSource(self.loop, link, next_tcp_id, spec.flow,
+                    src = TcpSource(self.loop, link, spec.flow,
                                     spec.ingress, spec.egress,
                                     packet_size=spec.packet_size,
                                     one_way=spec.one_way)

@@ -133,8 +133,14 @@ class SwitchConfig:
         for fid, spec in self.flows.items():
             if spec.weight <= 0:
                 bad.append(f"flow.{fid}.weight: must be positive")
-            if spec.police_rate is not None and spec.police_rate <= 0:
-                bad.append(f"flow.{fid}.police_rate: must be positive")
+            if spec.police_rate is not None:
+                if spec.police_rate <= 0:
+                    bad.append(f"flow.{fid}.police_rate: must be positive")
+                if spec.svc_class is not ServiceClass.PREMIUM:
+                    bad.append(f"flow.{fid}.police_rate: "
+                               "only premium flows are policed")
+            if spec.police_burst <= 0:
+                bad.append(f"flow.{fid}.police_burst: must be positive")
         fb = self.feedback
         if fb.mode not in get_args(FeedbackMode):
             bad.append("switch.feedback.mode: must be off, pi or gearbox")
@@ -195,11 +201,11 @@ def red_drop_probability(avg: float, params: RedParams) -> float:
 class _TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "last")
 
-    def __init__(self, rate_bps: float, burst_bytes: int, now: int):
+    def __init__(self, rate_bps: float, burst_bytes: int):
         self.rate = rate_bps
         self.burst = float(burst_bytes)
         self.tokens = float(burst_bytes)
-        self.last = now
+        self.last = 0  # ns; a full bucket's first admit ignores it
 
     def admit(self, size: int, now: int) -> bool:
         self.tokens = min(self.burst,
@@ -301,7 +307,10 @@ class Switch:
         # lowest port) walk it in port order
         self._ports = [_Port(j) for j in range(config.num_ports)]
         self._occupancy = 0
-        self._buckets: dict[tuple[int, int], _TokenBucket] = {}
+        self._buckets = {  # a full bucket per (ingress, policed premium flow)
+            (i, fid): _TokenBucket(spec.police_rate, spec.police_burst)
+            for fid, spec in config.flows.items()
+            if spec.police_rate is not None for i in range(config.num_ports)}
         self._ingress_rng = [stream(seed, f"ingress.{i}")
                              for i in range(config.num_ports)]
 
@@ -354,17 +363,10 @@ class Switch:
         size = packet.size
         oq.injected += size
         if oq.tier == 0:
-            spec = self.config.flows[packet.flow_id]
-            if spec.police_rate is not None:
-                bkey = (packet.ingress_port, packet.flow_id)
-                bucket = self._buckets.get(bkey)
-                if bucket is None:
-                    bucket = _TokenBucket(spec.police_rate, spec.police_burst,
-                                          now)
-                    self._buckets[bkey] = bucket
-                if not bucket.admit(size, now):
-                    oq.ingress_dropped += size
-                    return
+            bucket = self._buckets.get((packet.ingress_port, packet.flow_id))
+            if bucket is not None and not bucket.admit(size, now):
+                oq.ingress_dropped += size
+                return
         # a premium queue's drop_prob stays 0.0: it runs no controller
         if not ingress_admit(oq.drop_prob,
                              self._ingress_rng[packet.ingress_port]):
@@ -506,12 +508,12 @@ class Switch:
 
     # --- feedback ----------------------------------------------------------
 
-    def sample_and_feedback(self, j: int, k: int):
+    def sample_and_feedback(self, j: int, k: int) -> None:
         """Harvest one interval's queue counters and drive the controller.
 
-        Returns the emitted gear-box signal, the emitted PI probability, or
-        None when feedback is off, the interval carried no information or
-        the queue is premium (its relative congestion is still recorded).
+        Feedback off, an interval that carried nothing and a premium queue
+        (whose relative congestion is still recorded) schedule no control
+        application.
         """
         oq = self._queues[(j, k)]
         arrived0, delivered0, dropped0 = oq.sampled
@@ -527,7 +529,7 @@ class Switch:
         if fb.mode == "off" or in_b == 0 or oq.tier == 0:
             # an empty interval holds everything as-is, and a premium queue
             # runs no controller, so its drop_prob stays 0.0
-            return None
+            return
         if fb.mode == "gearbox":
             measured = (congestion if fb.measure == "relcong"
                         else (oq.egress_dropped - dropped0) / in_b)
@@ -536,7 +538,7 @@ class Switch:
                 self.loop.at(self.loop.now + self._delay_ns,
                              lambda: self._apply_gb(oq, signal),
                              rank=RANK_CONTROL, port=j, flow=k)
-            return signal
+            return
         interval = fb.interval
         rate_in = in_b * 8.0 / interval
         rate_out = out_b * 8.0 / interval
@@ -548,7 +550,6 @@ class Switch:
         self.loop.at(self.loop.now + self._delay_ns,
                      lambda: self._apply_prob(oq, prob),
                      rank=RANK_CONTROL, port=j, flow=k)
-        return prob
 
     def _apply_gb(self, oq: _OutQueue, signal) -> None:
         oq.level = apply_gb_signal(oq.level, signal,

@@ -67,13 +67,11 @@ class AccessLink:
         self._queue = deque()
         self._qbytes = 0
         self._busy = False
-        self.dropped_packets = 0
         self.dropped_bytes = 0
 
     def send(self, packet: Packet) -> bool:
         size = packet.size
         if self._qbytes + size > self.buffer_bytes:
-            self.dropped_packets += 1
             self.dropped_bytes += size
             return False
         self._queue.append(packet)
@@ -115,9 +113,10 @@ class TcpSource:
     round trip is twice that plus queueing.
 
     The retransmission timer is lazy, as in ns-2: `deadline` says when it
-    expires and at most one timer event per source is pending on the loop.
-    Arming only moves the deadline unless it falls before the pending event;
-    an event that fires early re-arms itself at the deadline.
+    expires and at most one timer event per source is live on the loop.
+    Arming only moves the deadline unless it falls before the live event,
+    which then stays queued and fires as a no-op; an event that fires early
+    re-arms itself at the deadline.
     """
 
     INIT_CWND = 2.0
@@ -127,12 +126,11 @@ class TcpSource:
     MIN_RTO = 0.2
     MAX_BACKOFF = 64
 
-    def __init__(self, loop, link, source_id: int, flow_id: int,
-                 ingress_port: int, egress_port: int, packet_size: int = 1040,
+    def __init__(self, loop, link, flow_id: int, ingress_port: int,
+                 egress_port: int, packet_size: int = 1040,
                  one_way: float = 20e-3):
         self.loop = loop
         self.link = link
-        self.source_id = source_id
         self.flow_id = flow_id
         self.ingress_port = ingress_port
         self.egress_port = egress_port
@@ -156,8 +154,8 @@ class TcpSource:
         # send time (ns) of each outstanding segment, snd_una first; None
         # once it is retransmitted, so Karn's rule takes no sample from it
         self._sent: list[int | None] = []
-        self.deadline: int | None = None  # ns; None while no timer is armed
-        self._timer_at: int | None = None  # ns of the pending timer event
+        self.deadline: int | None = None  # ns; None only before the first send
+        self._timer_at: int | None = None  # ns of the live timer event
 
         self.rcv_next = 0
         self._ooo: set[int] = set()
@@ -189,10 +187,8 @@ class TcpSource:
             sent.append(now)  # next_seq only grows: seq was never sent
             seq += 1
         self.next_seq = seq
-        if self.snd_una < seq:
-            self._arm_timer()
-        else:
-            self.deadline = None  # nothing outstanding, cancel
+        # int(cwnd) >= 1, so at least snd_una is outstanding
+        self._arm_timer()
 
     def _arm_timer(self, when: int | None = None) -> None:
         """Set the deadline one backed-off RTO from now, or re-arm an early
@@ -212,8 +208,6 @@ class TcpSource:
         if when != self._timer_at:
             return  # superseded by an earlier event
         self._timer_at = None
-        if self.deadline is None:
-            return  # cancelled: nothing outstanding
         if self.deadline > when:
             self._arm_timer(self.deadline)  # acks moved the deadline on
             return
@@ -260,7 +254,7 @@ class TcpSource:
                 # is smaller
                 self.cwnd = self.MAX_CWND if self.MAX_CWND < cwnd else cwnd
             self._try_send()
-        elif self.snd_una < self.next_seq:
+        else:  # a duplicate; since the first send, snd_una < next_seq
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
                 self.ssthresh = max(int(self.cwnd) // 2, 2)

@@ -50,6 +50,9 @@ TCP = {
     "source.0.window_end": "1",
 }
 
+# flow 1 made a policed premium flow
+POLICED = {"flow.1.class": "premium", "flow.1.police_rate": "1e5"}
+
 # every key of every section with a non-default value: raw text, then the
 # value its field must hold
 EVERY_KEY = {
@@ -238,6 +241,43 @@ class TestBuildExperiment:
             build_experiment(pairs)
         assert ("source.0.window_end: must not precede window_start"
                 in exc.value.violations)
+
+    def test_missing_switch_section(self):
+        pairs = {key: value for key, value in minimal().items()
+                 if not key.startswith("switch.")}
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations[0] == "missing switch section"
+
+    def test_source_requires_its_kind(self):
+        pairs = minimal(**{key: value for key, value in CBR.items()
+                           if key != "source.0.kind"})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert "source.0.kind: required by every source" in exc.value.violations
+
+    @pytest.mark.parametrize("over, message", [
+        ({**CBR, "source.0.packet_size": "0"},
+         "source.0.packet_size: must be positive"),
+        ({**TCP, "source.0.packet_size": "0"},
+         "source.0.packet_size: must be positive"),
+        # each of these used to run and deliver 0 B, or police nothing
+        ({**CBR, "flow.1.police_rate": "1e5"},
+         "flow.1.police_rate: only premium flows are policed"),
+        ({**POLICED, "flow.1.police_burst": "-5"},
+         "flow.1.police_burst: must be positive"),
+        ({**TCP, "source.0.link_buffer": "0"},
+         "source.0.link_buffer: must hold a packet_size segment"),
+        ({**TCP, "source.0.link_buffer": "100"},
+         "source.0.link_buffer: must hold a packet_size segment"),
+        ({**POLICED, **CBR, "flow.1.police_burst": "100",
+          "source.0.packet_size": "500"},
+         "source.0.packet_size: exceeds flow 1's police_burst"),
+    ])
+    def test_refused_alone(self, over, message):
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(minimal(**over))
+        assert exc.value.violations == [message]
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ConfigError) as exc:

@@ -267,6 +267,20 @@ class TestConfigValidation:
             mode="pi", d_min=0.2, d_max=0.1, table_size=1,
             measure="magic")).validate() == []
 
+    @pytest.mark.parametrize("feedback, message", [
+        (FeedbackConfig(delay=-1e-3),
+         "switch.feedback.delay: must be non-negative"),
+        (FeedbackConfig(mode="pi", gain_p=-0.1),
+         "switch.feedback.gain_p: must be non-negative"),
+        (FeedbackConfig(mode="pi", gain_i=0.0),
+         "switch.feedback.gain_i: must be positive"),
+        # a config file refuses the choice before validate() sees it
+        (FeedbackConfig(mode="gearbox", measure="magic"),
+         "switch.feedback.measure: must be relcong or dropprob"),
+    ])
+    def test_each_feedback_violation_alone(self, feedback, message):
+        assert base_config(feedback=feedback).validate() == [message]
+
     def test_red_violations(self):
         cfg = base_config(red=RedParams(max_p=0.0, min_th=5, max_th=5,
                                         weight=0.0, sample_interval=0.0))
@@ -477,6 +491,25 @@ class TestPolicer:
         assert acct["delivered"] == pytest.approx(contract_bytes, rel=0.05)
         assert acct["ingress_dropped"] > 0
         assert acct["fabric_dropped"] == 0
+        assert acct["balanced"]
+
+    def test_each_ingress_gets_its_own_contract(self):
+        # one premium flow policed at 0.25 Mb/s, offered 0.3 Mb/s from each
+        # of ingress 0 and 2 into egress 1: the buckets are per (ingress,
+        # flow), so each ingress keeps its own contract and the flow gets
+        # two, not one shared between them
+        cfg = base_config(num_ports=3, flows={
+            0: FlowSpec(svc_class=ServiceClass.PREMIUM, police_rate=0.25e6,
+                        police_burst=1000)})
+        sw = Switch(cfg, seed=1)
+        sw.register_flow_queue(1, 0)
+        feed_cbr(sw, 0, 0, 1, 500, 0.3e6, 1.0)
+        feed_cbr(sw, 0, 2, 1, 500, 0.3e6, 1.0, start=1e-3)
+        sw.run(1.2)
+        acct = sw.conservation()[0]
+        contract_bytes = 0.25e6 * 1.0 / 8
+        assert acct["delivered"] == pytest.approx(2 * contract_bytes, rel=0.05)
+        assert acct["ingress_dropped"] > 0
         assert acct["balanced"]
 
 

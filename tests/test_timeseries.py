@@ -68,6 +68,10 @@ class TestCsv:
     def test_same_records_same_text(self):
         assert sample_series().to_csv() == sample_series().to_csv()
 
+    def test_unexpected_header_refused(self):
+        with pytest.raises(ValueError, match="unexpected header"):
+            TimeSeries.from_csv("t,metric,value\n0.1,x,1.0\n")
+
     def test_lf_newlines(self):
         assert "\r" not in sample_series().to_csv()
 

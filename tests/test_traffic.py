@@ -82,8 +82,7 @@ class TestAccessLink:
         assert link.send(mk_packet(2))
         assert link.queued_bytes == 1000
         assert not link.send(mk_packet(3))
-        assert link.dropped_packets == 1
-        assert link.dropped_bytes == 500
+        assert link.dropped_bytes == 500  # the one 500 B packet
         loop.run(ns(1.0))
         assert link.queued_bytes == 0
 
@@ -104,8 +103,7 @@ def tcp_pair(drop_first=(), drop_all=False):
         box["src"].on_data_arrival(pkt)
 
     link = AccessLink(loop, 1e9, 10_000_000, deliver)
-    src = TcpSource(loop, link, source_id=0, flow_id=1,
-                    ingress_port=0, egress_port=1)
+    src = TcpSource(loop, link, flow_id=1, ingress_port=0, egress_port=1)
     box["src"] = src
     return loop, src
 
@@ -225,8 +223,7 @@ class TestLazyTimer:
     def silent_source(self):
         loop = EventLoop()
         link = RecordingLink(loop)
-        src = TcpSource(loop, link, source_id=0, flow_id=1,
-                        ingress_port=0, egress_port=1)
+        src = TcpSource(loop, link, flow_id=1, ingress_port=0, egress_port=1)
         return loop, link, src
 
     def test_later_deadlines_give_one_timeout_at_the_last(self):
