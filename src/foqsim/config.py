@@ -277,6 +277,9 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
         p = f"source.{sid}."
         cls = reader.require(p + "kind", _KINDS, "every source")
         if cls is None:
+            # which keys a source takes depends on its kind: report the
+            # kind alone, not each other key as unknown
+            reader.seen.update(key for key in pairs if key.startswith(p))
             continue
         parsed = len(bad)
         spec = reader.section(cls, p, f"{cls.kind} sources", source_id=sid)

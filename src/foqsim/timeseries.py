@@ -12,11 +12,16 @@ differently, so `append` refuses anything else with TypeError.
 tuples in column order that compare equal to the plain 6-tuple of their
 fields. `select` matches on the metric column before it builds any.
 
-CSV is UTF-8 with LF newlines and round-trips exactly: the writer renders
-floats with repr and None as an empty field, so equal seeds give
-bit-identical files. `CsvSink` takes the same `append` and writes the same
-bytes to a stream row by row as they arrive, holding none of them, so a run
-streamed to a file keeps bounded memory however long it is.
+CSV is UTF-8 with LF newlines and round-trips exactly. Its bytes are
+`csv.writer`'s with `lineterminator="\n"`: floats as repr, None as an
+empty field, other fields quoted where csv.writer quotes them, so equal
+seeds give bit-identical files. csv.writer itself encodes each distinct
+metric, unit, port and flow once per writer (`_Fields`); every later
+occurrence is a dict hit, so the caches grow with the distinct labels and
+ids, never with the rows. `to_csv` formats its columns a block of rows at
+a time. `CsvSink` takes the same `append` and writes the same bytes to a
+stream row by row as they arrive, holding none of them, so a run streamed
+to a file keeps bounded memory however long it is.
 """
 
 from __future__ import annotations
@@ -50,11 +55,55 @@ def _refuse(t, value):
     raise TypeError(f"t and value must be floats, got {t!r} and {value!r}")
 
 
-def _csv_writer(stream):
-    """The one row writer of the CSV form, with the header written."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(COLUMNS)
-    return writer
+_HEADER = ",".join(COLUMNS) + "\n"
+_BLOCK = 4096  # rows to_csv joins at a time: it never lists every line
+# the id types _Fields stores: True and 1.0 equal 1 as dict keys, but
+# csv.writer writes them as "True" and "1.0"
+_STORED_IDS = frozenset((int, type(None)))
+
+
+def _encode(field) -> str:
+    """One field as csv.writer writes it inside a row.
+
+    A row holding only an empty string is written as `""`, while an empty
+    field among others is written as nothing, so the field is written as
+    the first of two and the trailing `,\\n` cut off.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((field, ""))
+    return buf.getvalue()[:-2]
+
+
+class _Fields(dict):
+    """The CSV text of each metric, unit, port and flow, encoded on first use.
+
+    Keys are metric and unit strings and int or None ids; an id of any
+    other type goes through `id_text`, which encodes it on every use.
+    """
+
+    def __missing__(self, field):
+        text = self[field] = _encode(field)
+        return text
+
+    def id_text(self, value) -> str:
+        return self[value] if type(value) in _STORED_IDS else _encode(value)
+
+    def id_texts(self, column):
+        """The texts of a block of ports or flows."""
+        if _STORED_IDS.issuperset(map(type, column)):
+            return map(self.__getitem__, column)
+        return map(self.id_text, column)
+
+
+def _time_texts(times):
+    """repr of each time in a block, each distinct time rendered once.
+
+    The memo is keyed by the float's bits, since as floats 0.0 == -0.0
+    and a nan equals nothing, not even itself.
+    """
+    keys = memoryview(times).cast("B").cast("Q")
+    memo = {key: repr(t) for key, t in dict(zip(keys, times)).items()}
+    return map(memo.__getitem__, keys)
 
 
 class TimeSeries:
@@ -110,9 +159,18 @@ class TimeSeries:
         return len(self._t)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        _csv_writer(buf).writerows(self._rows())
-        return buf.getvalue()
+        fields = _Fields()
+        label = fields.__getitem__
+        t, metrics, ports, flows, values, units = self._columns()
+        blocks = [_HEADER]
+        for i in range(0, len(t), _BLOCK):
+            j = i + _BLOCK
+            lines = map(",".join, zip(
+                _time_texts(t[i:j]), map(label, metrics[i:j]),
+                fields.id_texts(ports[i:j]), fields.id_texts(flows[i:j]),
+                map(repr, values[i:j]), map(label, units[i:j])))
+            blocks.append("\n".join(lines) + "\n")
+        return "".join(blocks)
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
@@ -121,14 +179,14 @@ class TimeSeries:
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         series = cls()
-        for row in reader:
-            if not row:
-                continue
-            t, metric, port, flow, value, unit = row
-            series.append(float(t), metric,
-                          None if port == "" else int(port),
-                          None if flow == "" else int(flow),
-                          float(value), unit)
+        ts, metrics, ports, flows, values, units = series._columns()
+        for t, metric, port, flow, value, unit in filter(None, reader):
+            ts.append(float(t))
+            metrics.append(metric)
+            ports.append(None if port == "" else int(port))
+            flows.append(None if flow == "" else int(flow))
+            values.append(float(value))
+            units.append(unit)
         return series
 
 
@@ -160,16 +218,24 @@ class Rows(Sequence):
 class CsvSink:
     """Takes rows like a TimeSeries and writes their CSV to a text stream.
 
-    The header is written at once and each row as it arrives, through one
-    csv.writer; the stream's own buffer is all the sink holds. The stream
-    then holds exactly what TimeSeries.to_csv would return for the same
-    rows. The caller owns the stream and closes it.
+    The header is written at once and each row as it arrives, in one
+    write; the stream's own buffer and the field cache are all the sink
+    holds. The stream then holds exactly what TimeSeries.to_csv would
+    return for the same rows. The caller owns the stream and closes it.
     """
 
     def __init__(self, stream):
-        self._writer = _csv_writer(stream)
+        self._write = stream.write
+        self._fields = _Fields()
+        # the rows of one report window share one time object
+        self._t = self._t_text = None
+        self._write(_HEADER)
 
     def append(self, t, metric, port, flow, value, unit):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
-        self._writer.writerow((t, metric, port, flow, value, unit))
+        if t is not self._t:
+            self._t, self._t_text = t, repr(t)
+        fields = self._fields
+        self._write(f"{self._t_text},{fields[metric]},{fields.id_text(port)},"
+                    f"{fields.id_text(flow)},{value!r},{fields[unit]}\n")

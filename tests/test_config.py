@@ -250,11 +250,19 @@ class TestBuildExperiment:
         assert exc.value.violations[0] == "missing switch section"
 
     def test_source_requires_its_kind(self):
-        pairs = minimal(**{key: value for key, value in CBR.items()
-                           if key != "source.0.kind"})
-        with pytest.raises(ConfigError) as exc:
-            build_experiment(pairs)
-        assert "source.0.kind: required by every source" in exc.value.violations
+        # without a kind the section's other keys cannot be judged, so
+        # the kind is the only violation reported
+        for source in (CBR, TCP):
+            for kind, message in [
+                    (None, "source.0.kind: required by every source"),
+                    ("bogus", "source.0.kind: must be one of cbr, tcp_group")]:
+                pairs = minimal(**{key: value for key, value in source.items()
+                                   if key != "source.0.kind"})
+                if kind is not None:
+                    pairs["source.0.kind"] = kind
+                with pytest.raises(ConfigError) as exc:
+                    build_experiment(pairs)
+                assert exc.value.violations == [message]
 
     @pytest.mark.parametrize("over, message", [
         ({**CBR, "source.0.packet_size": "0"},

@@ -1,11 +1,14 @@
 """TimeSeries record keeping, its CSV round trip and the streaming sink."""
 
+import csv
 import io
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from foqsim.timeseries import COLUMNS, CsvSink, Record, TimeSeries
+from foqsim.timeseries import _BLOCK, COLUMNS, CsvSink, Record, TimeSeries
 
 
 def sample_series() -> TimeSeries:
@@ -74,6 +77,18 @@ class TestCsv:
 
     def test_lf_newlines(self):
         assert "\r" not in sample_series().to_csv()
+
+    @pytest.mark.parametrize("text", [
+        "t_sec,metric,port,flow,value,unit\n0.1,x,1,2,3.0\n",
+        "t_sec,metric,port,flow,value,unit\n0.1,x,1,2,3.0,bps,extra\n",
+        "t_sec,metric,port,flow,value,unit\nsoon,x,1,2,3.0,bps\n",
+        "t_sec,metric,port,flow,value,unit\n0.1,x,1,2,lots,bps\n",
+        "t_sec,metric,port,flow,value,unit\n0.1,x,one,2,3.0,bps\n",
+        "t_sec,metric,port,flow,value,unit\n0.1,x,1,2.5,3.0,bps\n",
+    ])
+    def test_malformed_row_refused(self, text):
+        with pytest.raises(ValueError):
+            TimeSeries.from_csv(text)
 
 
 class TestRecord:
@@ -177,3 +192,79 @@ class TestCsvSink:
         for n, row in enumerate(random_rows(5), start=1):
             sink.append(*row)
             assert buf.getvalue().count("\n") == 1 + n
+
+
+def reference_csv(rows) -> str:
+    """The CSV form as csv.writer writes it, header first."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def sink_csv(rows) -> str:
+    buf = io.StringIO()
+    sink = CsvSink(buf)
+    for row in rows:
+        sink.append(*row)
+    return buf.getvalue()
+
+
+# labels that need quoting or are empty; ids signed and past 64 bits
+AWKWARD_LABELS = ("", ",", '"', "\r", "\n", 'say "a,b"\r\n', "débit µs", " ")
+LABELS = st.text() | st.sampled_from(AWKWARD_LABELS)
+IDS = (st.none() | st.integers() | st.integers(max_value=-1)
+       | st.integers(min_value=2**63))
+FLOATS = st.floats() | st.sampled_from(
+    (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072e-308))
+ROWS = st.lists(st.tuples(FLOATS, LABELS, IDS, IDS, FLOATS, LABELS), max_size=40)
+
+
+def awkward_rows(count, seed=11):
+    """Rows whose labels need quoting and whose times repeat, as in a run."""
+    rng = random.Random(seed)
+    ids = (None, 0, -1, 3, 2**64)
+    rows = []
+    for n in range(count):
+        t = (0.0, -0.0)[n % 2] if n < 8 else float(n // 50)
+        rows.append((t, rng.choice(AWKWARD_LABELS), rng.choice(ids),
+                     rng.choice(ids), rng.uniform(-1e9, 1e9),
+                     rng.choice(AWKWARD_LABELS)))
+    return rows
+
+
+class TestCsvBytes:
+    """Both writers write csv.writer's bytes, which no cache may change."""
+
+    @given(ROWS)
+    def test_both_writers_match_csv_writer(self, rows):
+        expected = reference_csv(rows)
+        assert TimeSeries(rows).to_csv() == expected
+        assert sink_csv(rows) == expected
+
+    @pytest.mark.parametrize("count", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_block_edges(self, count):
+        rows = awkward_rows(count)
+        expected = reference_csv(rows)
+        assert expected.count("\n") > count + 1  # some fields hold newlines
+        assert TimeSeries(rows).to_csv() == expected
+        assert sink_csv(rows) == expected
+
+    def test_negative_zero_time_after_zero(self):
+        # equal as floats, and so as memo keys, yet printed differently
+        rows = [(0.0, "x", 0, 0, 0.0, "s"), (-0.0, "x", 0, 0, -0.0, "s"),
+                (0.0, "x", 0, 0, 0.0, "s")]
+        text = TimeSeries(rows).to_csv()
+        assert text.splitlines()[1:] == ["0.0,x,0,0,0.0,s", "-0.0,x,0,0,-0.0,s",
+                                         "0.0,x,0,0,0.0,s"]
+        assert sink_csv(rows) == text == reference_csv(rows)
+
+    def test_ids_equal_to_a_cached_int_keep_their_text(self):
+        # True and 1.0 hit 1 in a dict, but csv.writer writes them apart
+        rows = [(0.0, "x", 1, 0, 1.0, "s"), (0.0, "x", True, 0.0, 1.0, "s"),
+                (0.0, "x", 1.0, False, 1.0, "s")]
+        expected = reference_csv(rows)
+        assert "True,0.0" in expected and "1.0,False" in expected
+        assert TimeSeries(rows).to_csv() == expected
+        assert sink_csv(rows) == expected
