@@ -24,8 +24,9 @@ class Experiment:
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.loop = EventLoop()
-        self.switch = Switch(config.switch, seed=self.seed, loop=self.loop,
-                             sink=sink)
+        self.switch = Switch(config.switch,
+                             [(s.egress, s.flow) for s in config.sources],
+                             seed=self.seed, loop=self.loop, sink=sink)
         self.cbr_sources: list[CbrSource] = []
         self.tcp_sources: dict[int, TcpSource] = {}
         self.links: list[AccessLink] = []
@@ -36,7 +37,6 @@ class Experiment:
     def _build(self) -> None:
         next_tcp_id = 0
         for spec in sorted(self.config.sources, key=lambda s: s.source_id):
-            self.switch.register_flow_queue(spec.egress, spec.flow)
             if spec.kind == "cbr":
                 self.cbr_sources.append(CbrSource(
                     self.loop, self.switch.ingress_arrival, spec.flow,

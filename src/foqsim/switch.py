@@ -5,9 +5,10 @@ One N-port shared-memory switch. Ingress droppers thin arriving traffic per
 per output. Each output line drains its fabric queues at the speedup rate
 into per-flow output queues, which a strict-priority plus weighted-fair
 scheduler empties onto the line; a delivered packet is handed to its
-receiver, if it has one. A per-(output, flow) sampler measures relative
-congestion every interval and drives the configured feedback controller;
-the resulting drop level is applied at every ingress dropper.
+receiver, if it has one. Each (output, flow) queue, built with the switch,
+is sampled every interval: the sampler steps the feedback controller at
+once, and the drop probability decided reaches the ingress droppers one
+feedback delay later.
 
 A flow's service class is read once, into its output queue's tier; every
 branch on the class (policer, fabric priority, WFQ tag and virtual time,
@@ -28,6 +29,7 @@ the benchmark's tracer (`bench/tracer.py`) classifies events by them.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Literal, get_args
@@ -288,24 +290,42 @@ class _OutQueue:
 
 
 class Switch:
-    """The simulated switch plus its event loop and measurement series."""
+    """The simulated switch, with one output queue per distinct (egress,
+    flow) pair in queues, plus its event loop and measurement series."""
 
-    def __init__(self, config: SwitchConfig, seed: int = 0,
+    def __init__(self, config: SwitchConfig,
+                 queues: Iterable[tuple[int, int]] = (), seed: int = 0,
                  loop: EventLoop | None = None,
                  sink: TimeSeries | CsvSink | None = None):
         bad = config.validate()
         if bad:
             raise ValueError("invalid switch config: " + "; ".join(bad))
         self.config = config
-        self.seed = seed
         self.loop = loop if loop is not None else EventLoop()
         self._drain_ns = TxTimes(config.speedup * config.line_rate, self.loop)
         self._line_ns = TxTimes(config.line_rate, self.loop)
 
-        self._queues: dict[tuple[int, int], _OutQueue] = {}  # sorted by run()
         # indexed by port; the report and the eviction scan (ties to the
         # lowest port) walk it in port order
         self._ports = [_Port(j) for j in range(config.num_ports)]
+        # built in key order, so _queues (walked by the sampler and the
+        # report) is in key order and each tier in flow-id order
+        self._queues: dict[tuple[int, int], _OutQueue] = {}
+        red = config.red
+        red_p = 0.0 if red is None else red_drop_probability(0.0, red)
+        for egress, flow_id in sorted(set(queues)):
+            spec = config.flows.get(flow_id)
+            if spec is None:
+                raise ValueError(f"flow {flow_id} not defined in the switch config")
+            if not 0 <= egress < config.num_ports:
+                raise ValueError(f"egress port {egress} out of range")
+            tier = list(ServiceClass).index(spec.svc_class)
+            oq = _OutQueue(flow_id, tier, spec.weight,
+                           stream(seed, f"red.{egress}.{flow_id}"), red_p)
+            self._queues[egress, flow_id] = oq
+            port = self._ports[egress]
+            port.queues[flow_id] = oq
+            port.tiers[tier].append(oq)
         self._occupancy = 0
         self._buckets = {  # a full bucket per (ingress, policed premium flow)
             (i, fid): _TokenBucket(spec.police_rate, spec.police_burst)
@@ -326,31 +346,6 @@ class Switch:
         self._series = sink if sink is not None else TimeSeries()
         self._started = False
 
-    # --- setup ---------------------------------------------------------
-
-    def register_flow_queue(self, egress: int, flow_id: int) -> None:
-        """Create the output queue for (egress, flow) before the run starts."""
-        key = (egress, flow_id)
-        if key in self._queues:
-            return
-        if self._started:
-            raise ValueError("cannot register queues after the run started")
-        if flow_id not in self.config.flows:
-            raise ValueError(f"flow {flow_id} not defined in the switch config")
-        if not 0 <= egress < self.config.num_ports:
-            raise ValueError(f"egress port {egress} out of range")
-        spec = self.config.flows[flow_id]
-        red = self.config.red
-        tier = list(ServiceClass).index(spec.svc_class)
-        oq = _OutQueue(flow_id, tier, spec.weight,
-                       stream(self.seed, f"red.{egress}.{flow_id}"),
-                       0.0 if red is None else red_drop_probability(0.0, red))
-        self._queues[key] = oq
-        port = self._ports[egress]
-        port.queues[flow_id] = oq
-        port.tiers[tier].append(oq)
-        port.tiers[tier].sort(key=lambda q: q.flow_id)
-
     # --- ingress ---------------------------------------------------------
 
     def ingress_arrival(self, packet: Packet) -> None:
@@ -359,17 +354,19 @@ class Switch:
         oq = self._queues.get(key)
         if oq is None:
             raise ValueError(f"no queue registered for egress/flow {key}")
+        ingress = packet.ingress_port
+        if not 0 <= ingress < len(self._ports):
+            raise ValueError(f"ingress port {ingress} out of range")
         now = packet.arrived_at = self.loop.now
         size = packet.size
         oq.injected += size
         if oq.tier == 0:
-            bucket = self._buckets.get((packet.ingress_port, packet.flow_id))
+            bucket = self._buckets.get((ingress, packet.flow_id))
             if bucket is not None and not bucket.admit(size, now):
                 oq.ingress_dropped += size
                 return
         # a premium queue's drop_prob stays 0.0: it runs no controller
-        if not ingress_admit(oq.drop_prob,
-                             self._ingress_rng[packet.ingress_port]):
+        if not ingress_admit(oq.drop_prob, self._ingress_rng[ingress]):
             oq.ingress_dropped += size
             return
         self.fabric_enqueue(packet, 1 if oq.tier else 0)
@@ -534,32 +531,30 @@ class Switch:
             measured = (congestion if fb.measure == "relcong"
                         else (oq.egress_dropped - dropped0) / in_b)
             signal = gb_signal_from_congestion(measured, fb.d_min, fb.d_max)
-            if signal is not FeedbackAction.HOLD:
-                self.loop.at(self.loop.now + self._delay_ns,
-                             lambda: self._apply_gb(oq, signal),
-                             rank=RANK_CONTROL, port=j, flow=k)
-            return
-        interval = fb.interval
-        rate_in = in_b * 8.0 / interval
-        rate_out = out_b * 8.0 / interval
-        desired = fb.alpha * self.config.speedup * rate_out
-        rho, oq.accumulator = pi_update(oq.accumulator, oq.last_drop_prob,
-                                        rate_in, desired, fb.gain_p, fb.gain_i)
-        prob = oq.last_drop_prob = drop_prob_from_rate(rho, rate_in,
-                                                       oq.last_drop_prob)
+            if signal is FeedbackAction.HOLD:
+                return
+            oq.level = apply_gb_signal(oq.level, signal, fb.table_size)
+            prob = self._drop_table[oq.level]
+        else:
+            rate_in = in_b * 8.0 / fb.interval
+            rate_out = out_b * 8.0 / fb.interval
+            desired = fb.alpha * self.config.speedup * rate_out
+            rho, oq.accumulator = pi_update(oq.accumulator, oq.last_drop_prob,
+                                            rate_in, desired, fb.gain_p,
+                                            fb.gain_i)
+            prob = oq.last_drop_prob = drop_prob_from_rate(rho, rate_in,
+                                                           oq.last_drop_prob)
+        # the droppers see the decided probability one feedback delay later
         self.loop.at(self.loop.now + self._delay_ns,
                      lambda: self._apply_prob(oq, prob),
                      rank=RANK_CONTROL, port=j, flow=k)
-
-    def _apply_gb(self, oq: _OutQueue, signal) -> None:
-        oq.level = apply_gb_signal(oq.level, signal,
-                                   self.config.feedback.table_size)
-        oq.drop_prob = self._drop_table[oq.level]
 
     def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
         oq.drop_prob = prob
 
     def drop_level(self, j: int, k: int) -> int:
+        """The gear level the controller decided last; the droppers apply
+        its probability one feedback delay after that decision."""
         return self._queues[(j, k)].level
 
     # --- measurement -------------------------------------------------------
@@ -606,7 +601,7 @@ class Switch:
             raise TypeError(f"duration must be a float, got {duration!r}")
         self._started = True
         until = ns(duration)
-        queues = self._queues = dict(sorted(self._queues.items()))
+        queues = self._queues
         loop = self.loop
 
         def tick(port, fn, period):
@@ -621,9 +616,9 @@ class Switch:
         # report (port -1) fires first; samplers, RED averages and zero-delay
         # control applications may then interleave in any order, because
         # none reads what another writes: samplers read the queue counters
-        # and PI state, RED reads backlog and writes red_avg and red_p, and a
-        # control application reads the gear level and writes drop_prob and
-        # level.
+        # and write the controller state (PI's, or the gear level), RED
+        # reads backlog and writes red_avg and red_p, and a control
+        # application writes only drop_prob.
         sample = self.sample_and_feedback
 
         def sample_all():

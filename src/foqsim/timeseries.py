@@ -12,16 +12,18 @@ differently, so `append` refuses anything else with TypeError.
 tuples in column order that compare equal to the plain 6-tuple of their
 fields. `select` matches on the metric column before it builds any.
 
-CSV is UTF-8 with LF newlines and round-trips exactly. Its bytes are
-`csv.writer`'s with `lineterminator="\n"`: floats as repr, None as an
-empty field, other fields quoted where csv.writer quotes them, so equal
-seeds give bit-identical files. csv.writer itself encodes each distinct
-metric, unit, port and flow once per writer (`_Fields`); every later
-occurrence is a dict hit, so the caches grow with the distinct labels and
-ids, never with the rows. `to_csv` formats its columns a block of rows at
-a time. `CsvSink` takes the same `append` and writes the same bytes to a
-stream row by row as they arrive, holding none of them, so a run streamed
-to a file keeps bounded memory however long it is.
+CSV is UTF-8 with LF newlines and round-trips exactly, unless a metric or
+unit holds a bare carriage return, which csv.writer leaves unquoted (no
+label the switch writes does). Its bytes are `csv.writer`'s with
+`lineterminator="\n"`: floats as repr, None as an empty field, other
+fields quoted where csv.writer quotes them, so equal seeds give
+bit-identical files. csv.writer itself encodes each distinct metric, unit,
+port and flow once per writer (`_Fields`); every later occurrence is a
+dict hit, so the caches grow with the distinct labels and ids, never with
+the rows. `to_csv` formats its columns a block of rows at a time.
+`CsvSink` takes the same `append` and writes the same bytes to a stream
+row by row as they arrive, holding none of them, so a run streamed to a
+file keeps bounded memory however long it is.
 """
 
 from __future__ import annotations

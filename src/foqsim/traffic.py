@@ -110,7 +110,9 @@ class TcpSource:
     Receiver side: cumulative acks with out-of-order buffering. The forward
     path is the access link plus the switch; 'one_way' covers propagation of
     the delivered data to the receiver and of the ack back, so the base
-    round trip is twice that plus queueing.
+    round trip is twice that plus queueing. The send log `_sent` holds one
+    entry per outstanding segment; the next new sequence number and the
+    count of segments sent are both snd_una + len(_sent).
 
     The retransmission timer is lazy, as in ns-2: `deadline` says when it
     expires and at most one timer event per source is live on the loop.
@@ -143,7 +145,6 @@ class TcpSource:
         self.cwnd = self.INIT_CWND
         self.ssthresh = self.INIT_SSTHRESH
         self.snd_una = 0
-        self.next_seq = 0
         self.dup_acks = 0
         self.in_recovery = False
         self.recover_point = 0
@@ -160,7 +161,6 @@ class TcpSource:
         self.rcv_next = 0
         self._ooo: set[int] = set()
 
-        self.packets_sent = 0
         self.retransmits = 0
         self.timeouts = 0
 
@@ -168,25 +168,28 @@ class TcpSource:
         self.loop.at(start_ns, self._try_send, rank=RANK_DATA,
                      port=self.ingress_port, flow=self.flow_id)
 
+    @property
+    def packets_sent(self) -> int:
+        """Segments sent, not counting resends; also the next new seq."""
+        return self.snd_una + len(self._sent)
+
     # --- sender ------------------------------------------------------------
 
     def _emit(self, seq: int) -> None:
-        self.packets_sent += 1
         self.link.send(Packet(self.flow_id, self.ingress_port,
                               self.egress_port, self.packet_size, seq,
                               self._receive))
 
     def _try_send(self) -> None:
         """Send what the window allows, then time what is outstanding."""
-        seq = self.next_seq
+        sent = self._sent
+        seq = self.snd_una + len(sent)  # the first never sent
         window = self.snd_una + int(self.cwnd)
         now = self.loop.now
-        sent = self._sent
         while seq < window:
             self._emit(seq)
-            sent.append(now)  # next_seq only grows: seq was never sent
+            sent.append(now)
             seq += 1
-        self.next_seq = seq
         # int(cwnd) >= 1, so at least snd_una is outstanding
         self._arm_timer()
 
@@ -223,7 +226,6 @@ class TcpSource:
     def _retransmit(self, seq: int) -> None:
         self._sent[seq - self.snd_una] = None
         self.retransmits += 1
-        self.packets_sent -= 1  # _emit counts it again
         self._emit(seq)
 
     def _handle_ack(self, ackno: int) -> None:
@@ -254,13 +256,13 @@ class TcpSource:
                 # is smaller
                 self.cwnd = self.MAX_CWND if self.MAX_CWND < cwnd else cwnd
             self._try_send()
-        else:  # a duplicate; since the first send, snd_una < next_seq
+        else:  # a duplicate; since the first send, _sent is not empty
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
                 self.ssthresh = max(int(self.cwnd) // 2, 2)
                 self.cwnd = float(self.ssthresh)
                 self.in_recovery = True
-                self.recover_point = self.next_seq
+                self.recover_point = self.snd_una + len(self._sent)
                 self._retransmit(self.snd_una)
                 self._arm_timer()
 

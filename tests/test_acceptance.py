@@ -381,8 +381,7 @@ def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,
         flows={1: FlowSpec(svc_class=ServiceClass.ASSURED)},
         feedback=FeedbackConfig(mode=mode, interval=interval, alpha=0.95,
                                 d_max=0.17, d_min=0.02))
-    sw = Switch(cfg, seed=seed)
-    sw.register_flow_queue(1, 1)
+    sw = Switch(cfg, [(1, 1)], seed=seed)
     period = tx_ns(packet, rate)
     t, seq = 0, 0
     while t < ns(duration):
@@ -414,9 +413,7 @@ def test_criterion_6_property_suite():
         num_ports=2, line_rate=1e6, speedup=4.0, fabric_memory=1_000_000,
         out_queue_size=1_000_000,
         flows={1: FlowSpec(weight=6.0), 2: FlowSpec(weight=1.0)})
-    wfq = Switch(cfg, seed=1)
-    wfq.register_flow_queue(1, 1)
-    wfq.register_flow_queue(1, 2)
+    wfq = Switch(cfg, [(1, 1), (1, 2)], seed=1)
     for flow in (1, 2):
         t, seq, period = 0, 0, tx_ns(125, 0.9e6)
         while t < ns(2.0):

@@ -255,7 +255,6 @@ class Probe:
         sw.out_scheduler_select = out_scheduler_select
         sw._evict_low_priority = evict_low_priority
         sw._enqueue_out = enqueue_out
-        sw._apply_gb = applying(sw._apply_gb)
         sw._apply_prob = applying(sw._apply_prob)
         loop.at = schedule
 

@@ -8,6 +8,7 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foqsim.config import build_experiment, parse_pairs
 from foqsim.control import derive_beta, drop_level_table
 from foqsim.events import (
     NS,
@@ -19,6 +20,7 @@ from foqsim.events import (
     stream,
     tx_ns,
 )
+from foqsim.experiment import Experiment
 from foqsim.switch import (
     FeedbackConfig,
     FlowSpec,
@@ -331,9 +333,7 @@ class TestFabric:
             fabric_memory=3000, out_queue_size=100_000,
             flows={0: FlowSpec(svc_class=ServiceClass.PREMIUM),
                    1: FlowSpec(svc_class=ServiceClass.ASSURED)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 0)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(cfg, [(1, 0), (1, 1)], seed=1)
         return sw
 
     def test_same_priority_tail_drop(self):
@@ -368,9 +368,7 @@ class TestFabric:
             flows={0: FlowSpec(svc_class=ServiceClass.PREMIUM),
                    1: FlowSpec(svc_class=ServiceClass.ASSURED),
                    2: FlowSpec(svc_class=ServiceClass.ASSURED)})
-        sw = Switch(cfg, seed=1)
-        for egress, flow in ((1, 0), (1, 1), (2, 2)):
-            sw.register_flow_queue(egress, flow)
+        sw = Switch(cfg, [(1, 0), (1, 1), (2, 2)], seed=1)
         for flow in (1, 2):
             for seq in range(4):
                 sw.ingress_arrival(packet(flow=flow, egress=flow, seq=seq))
@@ -395,9 +393,7 @@ class TestScheduling:
         cfg = base_config(speedup=4.0, flows={
             1: FlowSpec(svc_class=ServiceClass.ASSURED, weight=w1),
             2: FlowSpec(svc_class=ServiceClass.ASSURED, weight=w2)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 1)
-        sw.register_flow_queue(1, 2)
+        sw = Switch(cfg, [(1, 1), (1, 2)], seed=1)
         feed_cbr(sw, 1, 0, 1, 125, rate1, duration)
         feed_cbr(sw, 2, 0, 1, 125, rate2, duration)
         sw.run(duration)
@@ -426,9 +422,7 @@ class TestScheduling:
         cfg = base_config(flows={
             0: FlowSpec(svc_class=ServiceClass.PREMIUM),
             1: FlowSpec(svc_class=ServiceClass.ASSURED)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 0)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(cfg, [(1, 0), (1, 1)], seed=1)
         order = []
 
         def deliver(p):
@@ -452,9 +446,7 @@ class TestScheduling:
             1: FlowSpec(svc_class=ServiceClass.ASSURED),
             2: FlowSpec(svc_class=ServiceClass.BEST_EFFORT),
             3: FlowSpec(svc_class=ServiceClass.PREMIUM)})
-        sw = Switch(cfg, seed=1)
-        for fid in (0, 1, 2, 3):
-            sw.register_flow_queue(1, fid)
+        sw = Switch(cfg, [(1, fid) for fid in (0, 1, 2, 3)], seed=1)
         assert sw.out_scheduler_select(1) is None
         assert sw.out_scheduler_select(0) is None
         # a 1500 B assured packet holds the line from 9.4 to 21.4 ms; the
@@ -480,8 +472,7 @@ class TestPolicer:
         cfg = base_config(flows={
             0: FlowSpec(svc_class=ServiceClass.PREMIUM, police_rate=0.5e6,
                         police_burst=1000)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 0)
+        sw = Switch(cfg, [(1, 0)], seed=1)
         feed_cbr(sw, 0, 0, 1, 500, 1e6, 1.0)
         sw.run(1.2)
         acct = sw.conservation()[0]
@@ -501,8 +492,7 @@ class TestPolicer:
         cfg = base_config(num_ports=3, flows={
             0: FlowSpec(svc_class=ServiceClass.PREMIUM, police_rate=0.25e6,
                         police_burst=1000)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 0)
+        sw = Switch(cfg, [(1, 0)], seed=1)
         feed_cbr(sw, 0, 0, 1, 500, 0.3e6, 1.0)
         feed_cbr(sw, 0, 2, 1, 500, 0.3e6, 1.0, start=1e-3)
         sw.run(1.2)
@@ -530,8 +520,7 @@ class TestFeedbackLoops:
         # admitted arrivals 2e6 * (1 - beta)^7 = 1.12 Mb/s land between
         # d_min and d_max of the 1 Mb/s drain; the quantized loop hunts
         # around it by a couple of levels
-        sw = Switch(self.overload_config("gearbox"), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(self.overload_config("gearbox"), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 4.0)
         sw.run(4.0)
         level = sw.drop_level(1, 1)
@@ -548,25 +537,30 @@ class TestFeedbackLoops:
     def test_gearbox_feedback_delay(self):
         # at level 0 admission passes everything, so every 10 ms interval
         # sees 16 fabric enqueues against 12 or 13 line completions and is
-        # deterministically congested; the increase emitted at the first
-        # boundary applies only delay later
+        # deterministically congested; the sampler steps the level at once,
+        # at 10, 20 and 30 ms, and each step's probability reaches the
+        # droppers only delay later
         sw = Switch(self.overload_config(
-            "gearbox", interval=10e-3, delay=20e-3), seed=1)
-        sw.register_flow_queue(1, 1)
+            "gearbox", interval=10e-3, delay=20e-3), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 0.1)
+        table = drop_level_table(derive_beta(0.17, 0.02), 64)
         probes = []
-        sw.loop.at(ns(0.025), lambda: probes.append(sw.drop_probability(1, 1)))
-        sw.loop.at(ns(0.045), lambda: probes.append(sw.drop_probability(1, 1)))
+        for t in (15e-3, 25e-3, 35e-3):
+            sw.loop.at(ns(t), lambda: probes.append(
+                (sw.drop_level(1, 1), sw.drop_probability(1, 1))))
         sw.run(0.1)
-        assert probes[0] == 0.0
-        assert probes[1] > 0.0
+        assert probes == [(1, 0.0), (2, 0.0), (3, table[1])]
+        # once the applications still in flight have fired, the droppers
+        # apply the probability of the level decided last
+        sw.loop.run(ns(0.2))
+        assert sw.drop_level(1, 1) > 0
+        assert sw.drop_probability(1, 1) == table[sw.drop_level(1, 1)]
 
     def test_pi_regulates_toward_rate_match(self):
         # fluid equilibrium thins 2 Mb/s to alpha * s * 1 Mb/s, i.e. drop
         # prob 0.392; the sampled loop cycles around it with an upward
         # bias, so assert the band and the saturated line
-        sw = Switch(self.overload_config("pi"), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(self.overload_config("pi"), [(1, 1)], seed=1)
         probes = []
         for k in range(60, 120):
             sw.loop.at(ns(k * 0.05) + 1,
@@ -582,8 +576,7 @@ class TestFeedbackLoops:
         assert acct["balanced"]
 
     def test_feedback_off_holds_zero_prob(self):
-        sw = Switch(base_config(), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(base_config(), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 500, 2e6, 0.2)
         sw.run(0.2)
         assert sw.drop_probability(1, 1) == 0.0
@@ -592,8 +585,7 @@ class TestFeedbackLoops:
     def test_sampler_emits_rel_cong_records(self):
         # the interval sampler runs even with the controller off; values
         # never exceed 1 (output cannot be negative)
-        sw = Switch(base_config(), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(base_config(), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 500, 0.5e6, 0.1)
         ts = sw.run(0.1)
         cong = ts.select("rel_cong", 1, 1)
@@ -608,8 +600,7 @@ class TestFeedbackLoops:
         cfg = dataclasses.replace(
             self.overload_config(mode),
             flows={1: FlowSpec(svc_class=ServiceClass.PREMIUM)})
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(cfg, [(1, 1)], seed=1)
         probes = []
         for k in range(1, 20):
             sw.loop.at(ns(k * 0.05) + 1, lambda: probes.append(
@@ -634,8 +625,7 @@ class TestConservation:
             red=RedParams(max_p=0.5, min_th=500, max_th=1500,
                           sample_interval=1e-3),
             feedback=FeedbackConfig(mode="gearbox", interval=10e-3))
-        sw = Switch(cfg, seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(cfg, [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 500, 3e6, 0.5)
         sw.run(0.5)
         acct = sw.conservation()[1]
@@ -648,8 +638,7 @@ class TestConservation:
                                     + acct["delivered"] + acct["resident"])
 
     def test_totals_records_emitted(self):
-        sw = Switch(base_config(), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(base_config(), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 500, 0.5e6, 0.1)
         ts = sw.run(0.1)
         names = {r.metric for r in ts.records}
@@ -664,8 +653,7 @@ class TestDeterminism:
         cfg = base_config(fabric_memory=50_000, out_queue_size=50_000,
                           feedback=FeedbackConfig(mode="gearbox",
                                                   interval=10e-3))
-        sw = Switch(cfg, seed=seed)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(cfg, [(1, 1)], seed=seed)
         feed_cbr(sw, 1, 0, 1, 500, 2e6, 0.3)
         return sw.run(0.3).to_csv()
 
@@ -695,7 +683,10 @@ class TestTicks:
                    for k in range(flows)},
             feedback=FeedbackConfig(mode="gearbox", interval=1e-3))
         loop = self.CountingLoop()
-        sw = Switch(cfg, seed=1, loop=loop)
+        # the queues given in reverse key order
+        sw = Switch(cfg, [(j, k) for j in reversed(range(ports))
+                          for k in reversed(range(flows))],
+                    seed=1, loop=loop)
         sampled = []
         run_sample = sw.sample_and_feedback
 
@@ -703,9 +694,6 @@ class TestTicks:
             sampled.append((j, k))
             return run_sample(j, k)
         sw.sample_and_feedback = sample
-        for j in range(ports):
-            for k in range(flows):
-                sw.register_flow_queue(j, k)
         sw.run(0.02)
         return loop.ticks, sampled
 
@@ -720,25 +708,52 @@ class TestTicks:
 
 class TestLifecycle:
     def test_register_unknown_flow(self):
-        sw = Switch(base_config(), seed=1)
         with pytest.raises(ValueError, match="flow 9 not defined"):
-            sw.register_flow_queue(1, 9)
+            Switch(base_config(), [(1, 1), (1, 9)], seed=1)
 
     def test_register_bad_port(self):
-        sw = Switch(base_config(), seed=1)
-        with pytest.raises(ValueError, match="out of range"):
-            sw.register_flow_queue(5, 1)
+        for egress in (5, -1):
+            with pytest.raises(ValueError,
+                               match=f"egress port {egress} out of range"):
+                Switch(base_config(), [(egress, 1)], seed=1)
 
-    def test_register_after_start(self):
-        sw = Switch(base_config(), seed=1)
-        sw.register_flow_queue(1, 1)
-        sw.run(0.001)
-        with pytest.raises(ValueError, match="after the run started"):
-            sw.register_flow_queue(0, 1)
+    def test_sources_sharing_a_queue_build_one(self):
+        # two CBR sources, from ingress 0 and 1, into one (egress, flow)
+        text = "\n".join([
+            "switch.num_ports = 2", "switch.line_rate = 1e6",
+            "switch.speedup = 1.28", "switch.fabric_memory = 100000",
+            "switch.out_queue_size = 100000", "flow.1.class = assured",
+            "experiment.duration = 0.01",
+            *(f"source.{i}.{key} = {value}" for i in (0, 1)
+              for key, value in (("kind", "cbr"), ("flow", 1), ("ingress", i),
+                                 ("egress", 1), ("packet_size", 500),
+                                 ("rate", 0.3e6)))])
+        experiment = Experiment(build_experiment(parse_pairs(text)))
+        assert list(experiment.switch._queues) == [(1, 1)]
+        rows = [(r.t, r.port, r.flow) for r in experiment.run().records
+                if r.metric == "throughput_bps"]
+        # one row per 1 ms report window
+        assert rows == [(t / 1000, 1, 1) for t in range(1, 11)]
+
+    def test_out_of_range_ingress_refused(self):
+        # a policed premium flow, so a wrapped index would also skip the
+        # policer: no counter may move before the refusal
+        cfg = base_config(flows={0: FlowSpec(
+            svc_class=ServiceClass.PREMIUM, police_rate=1e3,
+            police_burst=500)})
+        sw = Switch(cfg, [(1, 0)], seed=1)
+        for ingress in (-1, cfg.num_ports):
+            for seq in range(5):
+                with pytest.raises(ValueError,
+                                   match=f"ingress port {ingress} out of range"):
+                    sw.ingress_arrival(packet(flow=0, ingress=ingress,
+                                              seq=seq))
+        acct = sw.conservation()[0]
+        assert acct["injected"] == 0
+        assert acct["balanced"]
 
     def test_run_twice_rejected(self):
-        sw = Switch(base_config(), seed=1)
-        sw.register_flow_queue(1, 1)
+        sw = Switch(base_config(), [(1, 1)], seed=1)
         sw.run(0.001)
         with pytest.raises(ValueError, match="only be called once"):
             sw.run(0.001)
