@@ -4,7 +4,8 @@ One N-port shared-memory switch. Ingress droppers thin arriving traffic per
 (output, flow); survivors enter a shared fabric pool with two priority FIFOs
 per output. Each output line drains its fabric queues at the speedup rate
 into per-flow output queues, which a strict-priority plus weighted-fair
-scheduler empties onto the line; a delivered packet is handed to its
+scheduler empties onto the line, picking from one heap of backlogged queues
+per output at O(log F) cost for F flows; a delivered packet is handed to its
 receiver, if it has one. Each (output, flow) queue, built with the switch,
 is sampled every interval: the sampler steps the feedback controller at
 once, and the drop probability decided reaches the ingress droppers one
@@ -32,6 +33,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Literal, get_args
 
 from .control import (
@@ -221,10 +223,10 @@ class _TokenBucket:
 
 class _Port:
     """One egress: its two fabric FIFOs (premium first), the packets in
-    drain and on the line, and its scheduler's queues and virtual times."""
+    drain and on the line, and its scheduler's ready heap and virtual times."""
 
     __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx",
-                 "queues", "tiers", "vt")
+                 "queues", "ready", "vt")
 
     def __init__(self, index):
         self.index = index
@@ -233,9 +235,9 @@ class _Port:
         self.in_drain = None
         self.in_tx = None  # the packet on the line; None while it is idle
         self.queues = {}  # flow id -> its output queue at this egress
-        # output queues by tier, each in flow-id order, and each tier's
-        # virtual time: the finish tag it served last (premium's stays 0)
-        self.tiers = ([], [], [])
+        # a heap of (tier, head finish tag, flow id, queue) per backlogged
+        # queue, and each tier's virtual time: the finish tag it served last
+        self.ready = []
         self.vt = [0.0, 0.0, 0.0]
 
 
@@ -308,8 +310,7 @@ class Switch:
         # indexed by port; the report and the eviction scan (ties to the
         # lowest port) walk it in port order
         self._ports = [_Port(j) for j in range(config.num_ports)]
-        # built in key order, so _queues (walked by the sampler and the
-        # report) is in key order and each tier in flow-id order
+        # built in key order, the order the sampler and the report walk
         self._queues: dict[tuple[int, int], _OutQueue] = {}
         red = config.red
         red_p = 0.0 if red is None else red_drop_probability(0.0, red)
@@ -323,9 +324,7 @@ class Switch:
             oq = _OutQueue(flow_id, tier, spec.weight,
                            stream(seed, f"red.{egress}.{flow_id}"), red_p)
             self._queues[egress, flow_id] = oq
-            port = self._ports[egress]
-            port.queues[flow_id] = oq
-            port.tiers[tier].append(oq)
+            self._ports[egress].queues[flow_id] = oq
         self._occupancy = 0
         self._buckets = {  # a full bucket per (ingress, policed premium flow)
             (i, fid): _TokenBucket(spec.police_rate, spec.police_burst)
@@ -455,7 +454,10 @@ class Switch:
             # max(last, vt): the first operand unless the second is larger
             tag = (vt if vt > last else last) + size * 8.0 / oq.weight
             oq.last_tag = tag
-        oq.packets.append((packet, tag))
+        packets = oq.packets
+        if not packets:
+            heappush(port.ready, (tier, tag, oq.flow_id, oq))
+        packets.append((packet, tag))
         oq.backlog += size
         if port.in_tx is None:
             self._start_out(port)
@@ -463,22 +465,15 @@ class Switch:
     def out_scheduler_select(self, j: int) -> int | None:
         """Flow the output scheduler would serve next, None when idle.
 
-        The first tier with a backlog is served, by smallest head finish tag
-        with ties to the lowest flow id. Premium tags are all 0.0, so premium
-        queues have strict priority in flow-id order; then weighted-fair
-        selection among assured queues, then among best-effort queues.
+        The least entry of the port's ready heap: the first tier with a
+        backlog, then the smallest head finish tag, ties to the lowest flow
+        id; (tier, tag, flow id) is unique at a port. Premium tags are all
+        0.0, so premium queues have strict priority in flow-id order; then
+        weighted-fair selection among assured queues, then among best-effort
+        queues. A pick is a peek; a dequeue re-keys its queue in O(log F).
         """
-        for tier in self._ports[j].tiers:
-            best = None
-            best_tag = 0.0
-            for oq in tier:
-                q = oq.packets
-                if q and (best is None or q[0][1] < best_tag):
-                    best = oq
-                    best_tag = q[0][1]
-            if best is not None:
-                return best.flow_id
-        return None
+        ready = self._ports[j].ready
+        return ready[0][2] if ready else None
 
     def _start_out(self, port: _Port) -> None:
         j = port.index
@@ -486,7 +481,12 @@ class Switch:
         if fid is None:
             return
         oq = port.queues[fid]
-        packet, tag = oq.packets.popleft()
+        packets = oq.packets
+        packet, tag = packets.popleft()
+        if packets:
+            heapreplace(port.ready, (oq.tier, packets[0][1], fid, oq))
+        else:
+            heappop(port.ready)
         oq.backlog -= packet.size
         port.vt[oq.tier] = tag
         port.in_tx = packet

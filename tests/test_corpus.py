@@ -7,7 +7,8 @@ the entry on the shared axes; a generator seeded by it draws the rest:
 - shape (`seed % 4`):
   - `width`: 2-8 ports and 2-64 flows per output, every flow of equal
     weight, packet size and phase, so finish tags tie and events from many
-    ports share instants;
+    ports share instants; from `WIDE_FROM` on, 64 flows at 3-8 ports with
+    weights of 1, 2 or 4, so tags tie only among some of them;
   - `evict`: a policed premium flow into a pool pinned full by identical,
     phase-aligned assured traffic at two or more egresses, so premium
     arrivals evict across ports that hold equal FIFO bytes;
@@ -15,7 +16,8 @@ the entry on the shared axes; a generator seeded by it draws the rest:
     each offering about its contract, beside assured and best-effort
     traffic;
   - `tcp`: one or two small TCP groups behind shallow access links, beside
-    a CBR flow;
+    a CBR flow; from `WIDE_FROM` on, the links run at a fifth or a third
+    of the line rate, so they drop;
 - feedback (`seed // 4 % 4`): off, PI, gear-box on relative congestion and
   gear-box on drop probability;
 - RED on or off, zero or non-zero feedback delay, and a report window
@@ -44,7 +46,11 @@ FEEDBACK = (("off", "relcong"), ("pi", "relcong"), ("gearbox", "relcong"),
             ("gearbox", "dropprob"))
 REPORT_SCALE = (0.5, 1.0, 2.5)  # report window / feedback interval
 LINE_RATE = 10e6
-SEEDS = range(20)
+SEEDS = range(24)
+# entries from this seed on draw wider configs: 64 flows of unequal weights
+# at three or more ports, and TCP behind access links at a fifth or a third
+# of the line rate, which drop; the entries below it keep their draws
+WIDE_FROM = 20
 
 
 def axes(seed):
@@ -61,6 +67,7 @@ def corpus_text(seed):
     """Config text of corpus entry `seed`."""
     shape, mode, measure, red, delayed, report = axes(seed)
     rng = random.Random(f"corpus/{seed}")
+    wide = seed >= WIDE_FROM
     interval = rng.choice((1e-3, 2e-3))
     out_queue = rng.choice((6000, 12000, 30000))
     speedup = rng.choice((1.1, 1.28, 2.0))
@@ -100,17 +107,20 @@ def corpus_text(seed):
                         {"rate": rate, "start": start}))
 
     if shape == "width":
-        ports = rng.randint(2, 8)
-        flows = rng.choice([f for f in (2, 4, 8, 16, 32, 64) if ports * f <= 128])
-        size = rng.choice((200, 576, 1000))
+        ports = rng.randint(3 if wide else 2, 8)
+        flows = 64 if wide else rng.choice(
+            [f for f in (2, 4, 8, 16, 32, 64) if ports * f <= 128])
+        size = rng.choice((200, 576) if wide else (200, 576, 1000))
         weight = rng.randint(1, 4)
         load = rng.choice((1.2, 1.6))
         start = rng.choice((0.0, 37e-6))
         lines += [f"switch.num_ports = {ports}",
                   f"switch.fabric_memory = {ports * rng.choice((8000, 30000))}",
-                  "experiment.duration = 0.04"]
+                  f"experiment.duration = {0.1 if wide else 0.04}"]
         for k in range(flows):
             cls = rng.choices(("premium", "assured", "besteffort"), (1, 6, 3))[0]
+            if wide:
+                weight = rng.choice((1, 2, 4))
             lines += [f"flow.{k}.class = {cls}", f"flow.{k}.weight = {weight}"]
         # every (egress, flow) gets the same size, rate and phase; ingress
         # ports rotate against the egresses, so one instant's arrivals span
@@ -177,7 +187,8 @@ def corpus_text(seed):
             count = rng.randint(1, 4)
             sources.append(("tcp_group", 0, rng.randrange(ports), egress, size, {
                 "count": count,
-                "link_rate": rng.choice((0.5, 1.0, 2.0)) * LINE_RATE,
+                "link_rate": rng.choice((0.2, 0.3) if wide else (0.5, 1.0, 2.0))
+                             * LINE_RATE,
                 # the first windows fit; later ones overflow
                 "link_buffer": count * rng.randint(2, 6) * size,
                 "one_way": rng.choice((0.2e-3, 1e-3, 2e-3)),
@@ -211,11 +222,11 @@ class Probe:
         def out_scheduler_select(j):
             fid = select(j)
             if fid is not None:
-                port = sw._ports[j]
-                oq = port.queues[fid]
-                tag = oq.packets[0][1]
-                if oq.tier and sum(1 for q in port.tiers[oq.tier]
-                                   if q.packets and q.packets[0][1] == tag) > 1:
+                # the pick is the least entry of the ready heap; a tie is
+                # another backlogged queue of its tier with an equal head tag
+                ready = sw._ports[j].ready
+                key = ready[0][:2]
+                if key[0] and sum(1 for entry in ready if entry[:2] == key) > 1:
                     self.tag_ties += 1
             return fid
 
@@ -301,6 +312,11 @@ def path_problems(seed, experiment, series, probe):
     if shape == "width":
         need(probe.tag_ties > 0, "no tied finish tags")
         need(probe.lane_fallbacks > 0, "no equal-time event below a lane tail")
+        if seed >= WIDE_FROM:
+            flows = config.switch.flows
+            need(len(flows) == 64 and config.switch.num_ports > 2
+                 and len({spec.weight for spec in flows.values()}) > 1,
+                 "not 64 flows of unequal weights at three or more ports")
     elif shape == "evict":
         need(probe.eviction_ties > 0, "no eviction among tied ports")
     elif shape == "police":
@@ -315,6 +331,9 @@ def path_problems(seed, experiment, series, probe):
              "a TCP source never had a segment acked")
         need(sum(s.retransmits for s in experiment.tcp_sources.values()) > 0,
              "no TCP loss was recovered")
+        if seed >= WIDE_FROM:
+            need(any(link.dropped_bytes for link in experiment.links),
+                 "no access link dropped")
     if mode == "off":
         need(probe.applied == [], "a controller ran with feedback off")
         need(series.select("rel_cong"), "the sampler recorded nothing")
@@ -355,6 +374,10 @@ CORPUS_DIGESTS = {
     17: "e26516429d5d0bd156ddc1e94feadacfa09192a5b41e1f734a1366611afc2031",
     18: "60019b16bb7337dffc48d1b8b6d473d4b9abcacbcbb61ba40d156615119496db",
     19: "beafa45ee54fdb0f5924c10bd140648c45d3c2e5aa3dd5681de988171dee875f",
+    20: "bb2a364a5aeadfb9b22b83bfc5ecced2e42b447e5d325e948ee808e7216786d0",
+    21: "e9227d31e11a31ad4c8dfafa94845313a4f48cc18a88518da780578508aa4065",
+    22: "c77829133d00e05803495569741c917ee9c9fc6d89c0e62e8a598fde6546491d",
+    23: "b80028bce0cb727278f0d527bfa584fa43be7b0d491768ea79d0636371b872b0",
 }
 CORPUS_TCP_COUNTS = {
     3: (82, 12, 2, 0),
@@ -362,6 +385,7 @@ CORPUS_TCP_COUNTS = {
     11: (50, 8, 2, 0),
     15: (525, 45, 0, 13500),
     19: (245, 20, 1, 0),
+    23: (65, 10, 6, 1500),
 }
 
 

@@ -2,6 +2,7 @@
 feedback loops, byte conservation, determinism."""
 
 import dataclasses
+import sys
 from heapq import heappop, heappush
 from itertools import count
 
@@ -131,6 +132,47 @@ def replay(loop, lanes, first, plan, stops):
             schedule(loop.now + delay, key)
     loop.run(10**6)
     return fired
+
+
+def scan_select(port):
+    """The output scheduler before the ready heap: each tier's queues
+    scanned in flow-id order, the first tier with a backlog served by its
+    smallest head finish tag, a later queue only on a strictly smaller one.
+
+    The reference pick `Switch.out_scheduler_select` must reproduce."""
+    for tier in range(3):
+        best = None
+        best_tag = 0.0
+        for fid in sorted(port.queues):
+            oq = port.queues[fid]
+            q = oq.packets
+            if oq.tier == tier and q and (best is None or q[0][1] < best_tag):
+                best = oq
+                best_tag = q[0][1]
+        if best is not None:
+            return best.flow_id
+    return None
+
+
+@st.composite
+def wide_outputs(draw):
+    """A switch config and the CBR trains that load its outputs: 1-4 ports,
+    2-32 flows of all three tiers at every output, weights all equal or
+    drawn from three values, and few sizes and phases, so finish tags tie;
+    each output is offered more than its line."""
+    ports = draw(st.integers(1, 4))
+    weights = (st.just(1.0) if draw(st.booleans())
+               else st.sampled_from((1.0, 2.0, 4.0)))
+    flows = {k: FlowSpec(svc_class=draw(st.sampled_from(ServiceClass)),
+                         weight=draw(weights))
+             for k in range(draw(st.integers(2, 32)))}
+    sizes = st.sampled_from(draw(st.lists(
+        st.sampled_from((64, 200, 576, 1500)), min_size=1, max_size=2)))
+    starts = st.sampled_from((0.0, 37e-6))
+    load = draw(st.sampled_from((1.2, 2.0))) * 1e8 / len(flows)
+    trains = [(k, draw(st.integers(0, ports - 1)), j, draw(sizes), load,
+               draw(starts)) for j in range(ports) for k in flows]
+    return base_config(num_ports=ports, line_rate=1e8, flows=flows), trains
 
 
 # delays 0-9 ns, registered as lanes or not; few ranks, ports and flows, so
@@ -439,6 +481,66 @@ class TestScheduling:
         assured = [r.value for r in ts.select("delay_mean_s", 1, 1)]
         assert prem and max(prem) < 0.02
         assert assured[-1] > max(prem)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_outputs())
+    def test_every_pick_matches_the_tier_scan(self, outputs):
+        cfg, trains = outputs
+        sw = Switch(cfg, [(j, k) for k, _, j, *_ in trains], seed=1)
+        for flow, ingress, egress, size, rate, start in trains:
+            feed_cbr(sw, flow, ingress, egress, size, rate, 5e-3, start)
+        select = sw.out_scheduler_select
+        picks = []
+
+        def checked(j):
+            fid = select(j)
+            picks.append((sw.loop.now, j, fid, scan_select(sw._ports[j])))
+            return fid
+        sw.out_scheduler_select = checked
+        sw.run(5e-3)
+        assert picks
+        assert [p for p in picks if p[2] != p[3]] == []
+
+    def opcodes_per_pick(self, flows):
+        """Opcodes run in `out_scheduler_select` and `_start_out` per pick,
+        with `flows` assured CBR flows into one output at 1.5x its line."""
+        cfg = base_config(line_rate=1e7, speedup=4.0,
+                          flows={k: FlowSpec() for k in range(flows)})
+        sw = Switch(cfg, [(1, k) for k in range(flows)], seed=1)
+        for k in range(flows):
+            feed_cbr(sw, k, 0, 1, 125, 1.5e7 / flows, 0.04, k * 1e-6)
+        names = {"out_scheduler_select", "_start_out"}
+        counts = {"opcode": 0, "picks": 0}
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts["opcode"] += 1
+            return local
+
+        def trace(frame, event, arg):
+            # co_name, since co_qualname is new in Python 3.11
+            name = frame.f_code.co_name
+            if name not in names:
+                return None
+            if name == "out_scheduler_select":
+                counts["picks"] += 1
+            frame.f_trace_opcodes = True
+            return local
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            sw.run(0.04)
+        finally:
+            sys.settrace(previous)
+        assert counts["picks"] > 300
+        return counts["opcode"] / counts["picks"]
+
+    def test_pick_cost_does_not_grow_with_the_flow_count(self):
+        # a scan of every queue of the tier costs 15.4x as much per pick at
+        # 256 flows as at 8; a peek at the ready heap and one re-key cost
+        # the same opcodes at any width (the heap's sifts run in C)
+        narrow, wide = self.opcodes_per_pick(8), self.opcodes_per_pick(256)
+        assert wide <= 2 * narrow, (narrow, wide)
 
     def test_scheduler_select_order(self):
         cfg = base_config(flows={
