@@ -9,8 +9,12 @@ and works outside the stability region, where the closed form refuses to.
 
 The O(n) routines read the scenario into locals once and evaluate queue_at's
 backlog expression, and their own per-interval terms, over those locals in
-the same operation order, with no call per interval: bit for bit what a
-per-interval queue_at evaluation gives. queue_at stays the scalar form.
+the same operation order, with no call per interval. They count intervals in
+floats, so every operation is float by float: below 2**53 the counter is
+exact and each product of it is correctly rounded, which gives the bits of
+queue_at's int form. queue_at stays the scalar int form. The sequences come
+back as array('d'), 8 bytes per interval, each double the one a list of
+floats would hold.
 
 Everything here is the linear model: drop rates may go negative or exceed
 the arrival rate, saturation never re-engages once the backlog clears. The
@@ -20,6 +24,7 @@ event-level simulator owns the nonlinear behaviour.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -58,8 +63,8 @@ class StepResponse:
     coeff1: float
     coeff2: float
     rate_gap: float          # arrival minus desired rate
-    drop_sequence: list[float] = field(repr=False)
-    queue_sequence: list[float] = field(repr=False)  # ramp backlog, to the horizon
+    drop_sequence: array = field(repr=False)
+    queue_sequence: array = field(repr=False)  # ramp backlog, to the horizon
 
 
 def poles(gain_p: float, gain_i: float) -> tuple[float, float]:
@@ -99,14 +104,16 @@ def queue_at(scenario: StepScenario, n: int):
     )
 
 
-def queue_trajectory(scenario: StepScenario, count: int) -> list:
-    """queue_at for n = 0 .. count-1: its expression over locals, bit for bit
-    (n K (sc - r_opt) stays (n K) (sc - r_opt), n (n+1) an exact int)."""
+def queue_trajectory(scenario: StepScenario, count: int) -> array:
+    """queue_at for n = 0 .. count-1: its expression over locals and a float
+    counter x, bit for bit (n K (sc - r_opt) stays (x K) (sc - r_opt); x (x+1)
+    rounds the exact int n (n+1) as converting it to float does)."""
     t, kp, ki = scenario.interval, scenario.gain_p, scenario.gain_i
     gap = scenario.fabric_capacity - scenario.desired_rate
     e = scenario.arrival_rate - scenario.fabric_capacity
-    return [t * ((n + 1) * e - n * kp * gap - (n * (n + 1) * ki * gap) / 2)
-            for n in range(count)]
+    return array("d", [
+        t * ((x + 1.0) * e - x * kp * gap - (x * (x + 1.0) * ki * gap) / 2.0)
+        for x in map(float, range(count))])
 
 
 def initial_period(scenario: StepScenario) -> tuple[int, float, float]:
@@ -151,7 +158,7 @@ def initial_period(scenario: StepScenario) -> tuple[int, float, float]:
     return n + 1, scenario.gain_i * (n + 1) * gap, max_queue
 
 
-def step_response_recurrence(scenario: StepScenario, horizon: int) -> list[float]:
+def step_response_recurrence(scenario: StepScenario, horizon: int) -> array:
     """Brute-force iteration of the loop, valid for unstable gains too.
 
     During the ramp the measured rate is pinned at the fabric capacity and
@@ -171,17 +178,18 @@ def step_response_recurrence(scenario: StepScenario, horizon: int) -> list[float
     end = 0  # first interval of the closed loop
     if lam > sc:
         # the measured rate is pinned at sc, so the rate error is the gap
-        # sc - r_opt throughout and its proportional term is one product
+        # sc - r_opt throughout and each of its terms is one product
         gap = sc - ropt
         kp_gap = kp * gap
+        ki_gap = ki * gap
         e = lam - sc
         end = horizon
-        for n in range(horizon):
-            acc += ki * gap
+        for x in map(float, range(horizon)):
+            acc += ki_gap
             append(kp_gap + acc)
-            if t * ((n + 1) * e - n * kp * gap
-                    - (n * (n + 1) * ki * gap) / 2) <= 0.0:
-                end = n + 1
+            if t * ((x + 1.0) * e - x * kp * gap
+                    - (x * (x + 1.0) * ki * gap) / 2.0) <= 0.0:
+                end = int(x) + 1
                 break
     rho = 0.0  # the loop delay element, empty when leaving saturation
     for _ in range(end, horizon):
@@ -189,7 +197,7 @@ def step_response_recurrence(scenario: StepScenario, horizon: int) -> list[float
         acc += ki * err
         rho = kp * err + acc
         append(rho)
-    return out
+    return array("d", out)
 
 
 def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepResponse:
@@ -200,8 +208,8 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
     D (1 - A1 z1**m + A2 z2**m) with m = n - n0 and D the arrival/desired gap.
     Both sequences stop at the horizon: queue_sequence holds the ramp's
     backlog for n < min(n0, horizon), so a ramp of 1e9 intervals costs no
-    more memory than the horizon asks for. Each sequence is one pass over
-    locals, its per-interval expression unchanged, bit for bit.
+    more than the horizon's 8 bytes per interval of each. Each sequence is
+    one pass over locals, its per-interval expression unchanged, bit for bit.
     """
     kp, ki = scenario.gain_p, scenario.gain_i
     if not is_stable(kp, ki):
@@ -213,7 +221,10 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
     d = scenario.arrival_rate - scenario.desired_rate
 
     ramp = min(n0, horizon)
-    seq = [(kp + i * ki) * gap for i in range(1, ramp + 1)]  # i = n + 1
+    # the backlog first, so only one sequence is ever a list of floats
+    queue = queue_trajectory(scenario, ramp)
+    # x = n + 1
+    seq = [(kp + x * ki) * gap for x in map(float, range(1, ramp + 1))]
 
     a1 = a2 = 0.0
     if d != 0.0 and z1 != z2:
@@ -230,5 +241,5 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
         seq += [d * (1.0 - a1 * z1 ** m + a2 * z2 ** m) for m in tail]
 
     return StepResponse(n0=n0, s_n0=s_n0, pole1=z1, pole2=z2, coeff1=a1,
-                        coeff2=a2, rate_gap=d, drop_sequence=seq,
-                        queue_sequence=queue_trajectory(scenario, ramp))
+                        coeff2=a2, rate_gap=d, drop_sequence=array("d", seq),
+                        queue_sequence=queue)

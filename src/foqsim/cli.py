@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import sys
+from itertools import chain, repeat
 
 from .analytic import (
     StepScenario,
@@ -66,12 +67,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """stdout, or the file at out opened for writing and closed after."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _load(path: str, violations):
@@ -96,11 +99,8 @@ def _cmd_run(args) -> int:
     config, code = _load(args.config, sys.stderr)
     if config is None:
         return code
-    if args.out is None:
-        Experiment(config, seed=args.seed, sink=CsvSink(sys.stdout)).run()
-    else:
-        with open(args.out, "w", newline="") as fh:
-            Experiment(config, seed=args.seed, sink=CsvSink(fh)).run()
+    with _output(args.out) as fh:
+        Experiment(config, seed=args.seed, sink=CsvSink(fh)).run()
     return 0
 
 
@@ -127,23 +127,20 @@ def _cmd_analyze(args) -> int:
         return 2
     stable = is_stable(args.k, args.ki)
     if args.poles_only:
-        _emit(f"z1={z1!r} z2={z2!r} stable={stable}\n", args.out)
+        with _output(args.out) as fh:
+            fh.write(f"z1={z1!r} z2={z2!r} stable={stable}\n")
         return 0
     if not stable and not args.recurrence:
         print(f"analyze: {STABILITY_MSG}", file=sys.stderr)
         return 1
 
     horizon = args.horizon
-    closed = step_response_closed_form(scenario, horizon) if stable else None
-    rec = (step_response_recurrence(scenario, horizon)
-           if args.recurrence or not stable else None)
-
-    # q_n models the backlog during the ramp only, so it stops at n0
-    buf = io.StringIO()
-    if closed is not None:
-        queue = closed.queue_sequence
-        buf.write(f"# z1={z1!r} z2={z2!r} n0={closed.n0} a1={closed.coeff1!r}"
-                  f" a2={closed.coeff2!r} d={closed.rate_gap!r}\n")
+    if stable:
+        closed = step_response_closed_form(scenario, horizon)
+        n0, queue = closed.n0, closed.queue_sequence
+        fit = (f"a1={closed.coeff1!r} a2={closed.coeff2!r}"
+               f" d={closed.rate_gap!r}")
+        drops = map(repr, closed.drop_sequence)
     else:
         # unstable gains can make a ramp that never ends
         try:
@@ -152,17 +149,19 @@ def _cmd_analyze(args) -> int:
             print(f"analyze: {err}", file=sys.stderr)
             return 2
         queue = queue_trajectory(scenario, min(n0, horizon))
-        buf.write(f"# z1={z1!r} z2={z2!r} n0={n0} a1=nan a2=nan d=nan\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("n", "rho_closed", "rho_recurrence", "q_n"))
-    for n in range(horizon):
-        writer.writerow((
-            n,
-            repr(closed.drop_sequence[n]) if closed is not None else "",
-            repr(rec[n]) if rec is not None else "",
-            repr(queue[n]) if n < len(queue) else "",
-        ))
-    _emit(buf.getvalue(), args.out)
+        fit = "a1=nan a2=nan d=nan"
+        drops = repeat("")
+    recs = (map(repr, step_response_recurrence(scenario, horizon))
+            if args.recurrence else repeat(""))
+    # q_n models the backlog during the ramp only, so it stops at n0
+    queues = chain(map(repr, queue), repeat(""))
+
+    # each row goes out as it is formatted: the CSV is never held whole
+    with _output(args.out) as fh:
+        fh.write(f"# z1={z1!r} z2={z2!r} n0={n0} {fit}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("n", "rho_closed", "rho_recurrence", "q_n"))
+        writer.writerows(zip(range(horizon), drops, recs, queues))
     return 0
 
 

@@ -270,7 +270,33 @@ class TestRampAlgebra:
 
     def test_trajectory_matches_pointwise(self):
         traj = queue_trajectory(FLOAT_CASE, 10)
-        assert traj == [queue_at(FLOAT_CASE, n) for n in range(10)]
+        assert bits(traj) == bits([queue_at(FLOAT_CASE, n) for n in range(10)])
+
+    @settings(deadline=None, max_examples=300)
+    @given(n=st.integers(0, 2**53 - 1),
+           sc=st.floats(0.5, 2.0), share=st.floats(0.0, 0.95),
+           excess=st.floats(-0.5, 2.0),
+           k=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           ki=st.one_of(st.floats(1e-9, 3.0), st.floats(-1.0, 0.0)),
+           interval=st.one_of(st.just(1.0), st.floats(1e-4, 10.0)))
+    def test_float_counter_matches_the_int_form(self, n, sc, share, excess,
+                                                k, ki, interval):
+        # the O(n) loops count intervals in floats: below 2**53 the counter
+        # and n + 1 are exact, and x (x + 1) rounds the exact int n (n + 1)
+        # once, as converting it to float does, so every term keeps its bits
+        scenario = StepScenario(arrival_rate=sc * (1.0 + excess),
+                                desired_rate=sc * share, fabric_capacity=sc,
+                                gain_p=k, gain_i=ki, interval=interval)
+        assert bits([queue_at(scenario, float(n))]) == \
+            bits([queue_at(scenario, n)])
+
+    def test_sequences_are_double_arrays(self):
+        resp = step_response_closed_form(FLOAT_CASE, 50)
+        for seq in (queue_trajectory(FLOAT_CASE, 10),
+                    step_response_recurrence(FLOAT_CASE, 50),
+                    resp.drop_sequence, resp.queue_sequence):
+            assert type(seq) is array
+            assert seq.typecode == "d"
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):

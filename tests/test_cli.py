@@ -1,6 +1,7 @@
 """CLI tests: exit codes, output routing, CSV shapes for run, analyze and
 validate."""
 
+import hashlib
 import os
 import resource
 import subprocess
@@ -56,6 +57,26 @@ source.{port}.rate = 4e5
 
 # the address space a child may add after its imports
 RUN_BUDGET = 16 << 20
+
+needs_statm = pytest.mark.skipif(
+    not Path("/proc/self/statm").exists(),
+    reason="reads the address-space size from /proc")
+
+
+def run_capped(*args):
+    """Run the CLI in a child whose address space is capped at its size after
+    the imports plus RUN_BUDGET."""
+    child = (
+        "import resource, sys\n"
+        "from foqsim.cli import main\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        f"cap = size + {RUN_BUDGET}\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(foqsim.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", child, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.fixture
@@ -138,8 +159,7 @@ class TestRun:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert capsys.readouterr().err != ""
 
-    @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
-                        reason="reads the address-space size from /proc")
+    @needs_statm
     def test_long_run_streams_in_bounded_memory(self, tmp_path):
         # The child caps its address space at its size after the imports
         # plus RUN_BUDGET, well under what the run's rows would take if they
@@ -148,18 +168,7 @@ class TestRun:
         cfg = tmp_path / "long.cfg"
         cfg.write_text(LONG)
         out = tmp_path / "long.csv"
-        child = (
-            "import resource, sys\n"
-            "from foqsim.cli import main\n"
-            "with open('/proc/self/statm') as fh:\n"
-            "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
-            f"cap = size + {RUN_BUDGET}\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(foqsim.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "run", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_capped("run", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr[-2000:]
         with open(out) as fh:
             assert next(fh) == ",".join(COLUMNS) + "\n"
@@ -173,7 +182,49 @@ def analyze(*extra):
             "--ropt", "0.9", "--sc", "1", *extra]
 
 
+# SHA-256 of analyze's bytes, pinned on the list-of-floats solver: the
+# README example with and without the recurrence, and unstable gains (one
+# with a proportional term) that only the recurrence answers
+ANALYZE_DIGESTS = {
+    ("--k", "0", "--ki", "0.5", "--horizon", "50"):
+        "b55f5801044ddd720d13405e8a2845a0a31c3449b299581cb7fcfaec162847a0",
+    ("--k", "0", "--ki", "0.5", "--horizon", "50", "--recurrence"):
+        "3ac525f4060027ddf1618ffeaab1cb14bd23b2ba681977f003586ed9c3fac9ab",
+    ("--k", "0", "--ki", "2.5", "--horizon", "60", "--recurrence"):
+        "e17a9e43a377ca6e81208d49732ccfe32508cd3e08d435159cd5aa74fff9921d",
+    ("--k", "0.3", "--ki", "1.6", "--horizon", "60", "--recurrence"):
+        "f299f9b054b8b2180381655190817e19231eac915ae7d0a2561856d9cfe22276",
+}
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("gains", ANALYZE_DIGESTS)
+    def test_golden_digest(self, gains, capsys):
+        args = ["analyze", "--lambda", "2", "--ropt", "0.9", "--sc", "1",
+                *gains]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            ANALYZE_DIGESTS[gains]
+
+    @needs_statm
+    def test_long_horizon_streams_in_bounded_memory(self, tmp_path):
+        # 100,000 rows of three columns under a RUN_BUDGET cap. Streamed
+        # from array('d') columns they need about 10 MiB of it; held whole in
+        # an io.StringIO, with the columns as lists of floats, they needed
+        # about 29 MiB and the child ran out of memory.
+        out = tmp_path / "long.csv"
+        proc = run_capped("analyze", "--k", "0.1", "--ki", "1e-6",
+                          "--lambda", "2", "--ropt", "0.9", "--sc", "1",
+                          "--horizon", "100000", "--recurrence",
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 100_002
+        assert lines[-1].split(",")[0] == "99999"
+        assert "" not in lines[-1].split(",")
+
     def test_stable_csv_shape(self, capsys):
         assert main(analyze("--horizon", "50")) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -251,7 +302,7 @@ class TestAnalyze:
         assert all(row[1] == "" for row in rows)  # no closed form
         assert all(row[2] != "" for row in rows)
 
-    def test_unstable_ramp_that_never_ends_refused(self, capsys):
+    def test_unstable_ramp_that_never_ends_refused(self, tmp_path, capsys):
         # K_I < 0 with an overload: the fabric backlog never drains, so the
         # ramp has no end; this used to end in a traceback with exit 1
         args = ["analyze", "--k", "0", "--ki", "-0.5", "--lambda", "2",
@@ -262,6 +313,10 @@ class TestAnalyze:
         assert out.out == ""
         assert out.err == ("analyze: fabric queue never drains; "
                            "check the gains\n")
+        # the refusal comes before --out is opened
+        target = tmp_path / "never.csv"
+        assert main([*args, "--out", str(target)]) == 2
+        assert not target.exists()
 
     def test_invalid_scenario(self, capsys):
         args = ["analyze", "--k", "0", "--ki", "0.5", "--lambda", "2",
