@@ -19,12 +19,14 @@ Byte counters are integers, timestamps integer nanoseconds, and every
 stochastic decision draws from its own named generator, so equal seeds give
 bit-identical runs.
 
-The per-packet steps (ingress, fabric drain, output enqueue, line
-completion) read only state resolved at setup, such as each port's
-flow-id -> queue map, or computed by the tick that changes it, such as a
-queue's RED drop probability, which the RED tick refreshes right after the
-average it follows from. Event keys and handler names stay fixed, because
-the benchmark's tracer (`bench/tracer.py`) classifies events by them.
+The ingress finds a packet's (egress, flow) queue once and stamps it on the
+packet; every later per-packet step (fabric charge, output enqueue, line
+start, line completion) reaches the queue through the packet or the ready
+heap entry. These steps read only state resolved at setup or computed by
+the tick that changes it, such as a queue's RED drop probability, which the
+RED tick refreshes right after the average it follows from. Event keys and
+handler names stay fixed, because the benchmark's tracer (`bench/tracer.py`)
+classifies events by them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class Packet:
     seq: int = 0
     receiver: Callable[[Packet], None] | None = None  # called at delivery
     arrived_at: int = -1  # ns, stamped at the ingress dropper
+    # its (egress, flow) queue, stamped next to arrived_at
+    queue: _OutQueue | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,11 @@ class _TokenBucket:
 
 class _Port:
     """One egress: its two fabric FIFOs (premium first), the packets in
-    drain and on the line, and its scheduler's ready heap and virtual times."""
+    drain and on the line, and its scheduler's ready heap and virtual times.
+    Its output queues are reached through the heap and the packets."""
 
     __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx",
-                 "queues", "ready", "vt")
+                 "ready", "vt")
 
     def __init__(self, index):
         self.index = index
@@ -234,7 +239,6 @@ class _Port:
         self.fifo_bytes = [0, 0]
         self.in_drain = None
         self.in_tx = None  # the packet on the line; None while it is idle
-        self.queues = {}  # flow id -> its output queue at this egress
         # a heap of (tier, head finish tag, flow id, queue) per backlogged
         # queue, and each tier's virtual time: the finish tag it served last
         self.ready = []
@@ -253,20 +257,22 @@ _TOTALS = {
 
 
 class _OutQueue:
-    """One (egress, flow) queue with its dropper, controller and counters.
+    """One (egress, flow) queue with its dropper, controller and counters;
+    the packets bound for it carry it from the ingress on.
 
     Each byte event adds to exactly one of the six cumulative byte counters.
     The sampler and the report each keep a snapshot of the counters they
     read last; their interval and window values are differences against it.
     """
 
-    __slots__ = ("flow_id", "tier", "weight", "packets",
+    __slots__ = ("egress", "flow_id", "tier", "weight", "packets",
                  "backlog", "last_tag", "red_avg", "red_p", "red_rng",
                  "drop_prob", "level", "accumulator", "last_drop_prob", "delays",
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, flow_id, tier, weight, red_rng, red_p):
+    def __init__(self, egress, flow_id, tier, weight, red_rng, red_p):
+        self.egress = egress
         self.flow_id = flow_id
         self.tier = tier        # 0 premium, 1 assured, 2 best effort
         self.weight = weight
@@ -321,10 +327,12 @@ class Switch:
             if not 0 <= egress < config.num_ports:
                 raise ValueError(f"egress port {egress} out of range")
             tier = list(ServiceClass).index(spec.svc_class)
-            oq = _OutQueue(flow_id, tier, spec.weight,
-                           stream(seed, f"red.{egress}.{flow_id}"), red_p)
-            self._queues[egress, flow_id] = oq
-            self._ports[egress].queues[flow_id] = oq
+            self._queues[egress, flow_id] = _OutQueue(
+                egress, flow_id, tier, spec.weight,
+                stream(seed, f"red.{egress}.{flow_id}"), red_p)
+        # the ports with a queue, in port order: the report's fabric rows
+        self._queued_ports = [self._ports[j]
+                              for j in sorted({j for j, _ in self._queues})]
         self._occupancy = 0
         self._buckets = {  # a full bucket per (ingress, policed premium flow)
             (i, fid): _TokenBucket(spec.police_rate, spec.police_burst)
@@ -357,6 +365,7 @@ class Switch:
         if not 0 <= ingress < len(self._ports):
             raise ValueError(f"ingress port {ingress} out of range")
         now = packet.arrived_at = self.loop.now
+        packet.queue = oq
         size = packet.size
         oq.injected += size
         if oq.tier == 0:
@@ -373,7 +382,8 @@ class Switch:
     # --- fabric ----------------------------------------------------------
 
     def fabric_enqueue(self, packet: Packet, prio: int) -> None:
-        """Admit into the shared pool at priority 0 (premium) or 1.
+        """Admit a packet from `ingress_arrival` into the shared pool at
+        priority 0 (premium) or 1; a drop is charged to the queue it carries.
 
         A full pool tail-drops arrivals of equal or lower priority without
         regard to flow. Higher-priority arrivals instead evict from the tail
@@ -387,7 +397,7 @@ class Switch:
                 self._evict_low_priority(
                     self._occupancy + size - self.config.fabric_memory)
             if self._occupancy + size > self.config.fabric_memory:
-                self._count_fabric_drop(port, packet)
+                packet.queue.fabric_dropped += size
                 return
         self._occupancy += size
         port.fifos[prio].append(packet)
@@ -408,11 +418,7 @@ class Switch:
             victim.fifo_bytes[1] -= packet.size
             self._occupancy -= packet.size
             needed -= packet.size
-            self._count_fabric_drop(victim, packet)
-
-    def _count_fabric_drop(self, port: _Port, packet: Packet) -> None:
-        """Charge a packet dropped from, or refused by, port's fabric FIFOs."""
-        port.queues[packet.flow_id].fabric_dropped += packet.size
+            packet.queue.fabric_dropped += packet.size
 
     def _start_drain(self, port: _Port) -> None:
         hi, lo = port.fifos
@@ -437,7 +443,7 @@ class Switch:
     # --- output queues and scheduler --------------------------------------
 
     def _enqueue_out(self, port: _Port, packet: Packet) -> None:
-        oq = port.queues[packet.flow_id]
+        oq = packet.queue
         size = packet.size
         oq.arrived += size
         p = oq.red_p  # from the last RED tick; stays 0.0 without RED
@@ -480,13 +486,14 @@ class Switch:
         fid = self.out_scheduler_select(j)
         if fid is None:
             return
-        oq = port.queues[fid]
+        ready = port.ready
+        oq = ready[0][3]  # the queue of the entry just picked
         packets = oq.packets
         packet, tag = packets.popleft()
         if packets:
-            heapreplace(port.ready, (oq.tier, packets[0][1], fid, oq))
+            heapreplace(ready, (oq.tier, packets[0][1], fid, oq))
         else:
-            heappop(port.ready)
+            heappop(ready)
         oq.backlog -= packet.size
         port.vt[oq.tier] = tag
         port.in_tx = packet
@@ -505,14 +512,14 @@ class Switch:
 
     # --- feedback ----------------------------------------------------------
 
-    def sample_and_feedback(self, j: int, k: int) -> None:
-        """Harvest one interval's queue counters and drive the controller.
+    def sample_and_feedback(self, oq: _OutQueue) -> None:
+        """Harvest one interval's counters of queue oq and drive its controller.
 
         Feedback off, an interval that carried nothing and a premium queue
         (whose relative congestion is still recorded) schedule no control
         application.
         """
-        oq = self._queues[(j, k)]
+        j, k = oq.egress, oq.flow_id
         arrived0, delivered0, dropped0 = oq.sampled
         oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
         in_b = oq.arrived - arrived0
@@ -552,11 +559,6 @@ class Switch:
     def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
         oq.drop_prob = prob
 
-    def drop_level(self, j: int, k: int) -> int:
-        """The gear level the controller decided last; the droppers apply
-        its probability one feedback delay after that decision."""
-        return self._queues[(j, k)].level
-
     # --- measurement -------------------------------------------------------
 
     def _report(self) -> None:
@@ -584,10 +586,9 @@ class Switch:
                 s.append(t, "delay_mean_s", j, k, mean, "s")
                 s.append(t, "delay_p99_s", j, k, p99, "s")
                 oq.delays = []
-        for port in self._ports:
-            if port.queues:
-                s.append(t, "fabric_queue_bytes", port.index, None,
-                         float(sum(port.fifo_bytes)), "bytes")
+        for port in self._queued_ports:
+            s.append(t, "fabric_queue_bytes", port.index, None,
+                     float(sum(port.fifo_bytes)), "bytes")
         s.append(t, "fabric_occupancy_bytes", None, None,
                  float(self._occupancy), "bytes")
 
@@ -622,8 +623,8 @@ class Switch:
         sample = self.sample_and_feedback
 
         def sample_all():
-            for j, k in queues:
-                sample(j, k)
+            for oq in queues.values():
+                sample(oq)
         tick(0, sample_all, self._interval_ns)
         red = self.config.red
         if red is not None:
@@ -682,10 +683,3 @@ class Switch:
                 sum(acct[name] for name in _TOTALS if name != "injected")
                 + resident[fid])
         return out
-
-    @property
-    def fabric_occupancy(self) -> int:
-        return self._occupancy
-
-    def drop_probability(self, j: int, k: int) -> float:
-        return self._queues[(j, k)].drop_prob

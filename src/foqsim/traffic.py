@@ -96,10 +96,6 @@ class AccessLink:
         loop.at(loop.now + self._tx_ns[packet.size], done, RANK_DATA,
                 packet.ingress_port, packet.flow_id)
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._qbytes
-
 
 class TcpSource:
     """Reno-flavoured TCP endpoint pair collapsed into one object.

@@ -242,7 +242,7 @@ class Probe:
         limit = sw.config.out_queue_size
 
         def enqueue_out(port, packet):
-            oq = port.queues[packet.flow_id]
+            oq = packet.queue
             room = oq.backlog + packet.size <= limit
             dropped = oq.egress_dropped
             enqueue(port, packet)

@@ -132,7 +132,7 @@ def run_text(text):
     readings = []
 
     def probe():
-        readings.extend((sw.drop_probability(j, k), sw.drop_level(j, k))
+        readings.extend((sw._queues[j, k].drop_prob, sw._queues[j, k].level)
                         for j, k in queues)
     for t in range(PROBE_NS, ns(experiment.config.duration) + 1, PROBE_NS):
         sw.loop.at(t, probe)
@@ -156,7 +156,7 @@ def test_randomized_run_invariants(text):
     assert again.to_csv() == series.to_csv()
 
     queues = {(spec.egress, spec.flow) for spec in experiment.config.sources}
-    readings += [(sw.drop_probability(j, k), sw.drop_level(j, k))
+    readings += [(sw._queues[j, k].drop_prob, sw._queues[j, k].level)
                  for j, k in queues]
     for prob, level in readings:
         assert 0.0 <= prob <= 1.0

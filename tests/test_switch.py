@@ -134,17 +134,19 @@ def replay(loop, lanes, first, plan, stops):
     return fired
 
 
-def scan_select(port):
-    """The output scheduler before the ready heap: each tier's queues
-    scanned in flow-id order, the first tier with a backlog served by its
-    smallest head finish tag, a later queue only on a strictly smaller one.
+def scan_select(sw, j):
+    """The output scheduler before the ready heap: each tier's queues at
+    egress j scanned in flow-id order, the first tier with a backlog served
+    by its smallest head finish tag, a later queue only on a strictly
+    smaller one.
 
     The reference pick `Switch.out_scheduler_select` must reproduce."""
     for tier in range(3):
         best = None
         best_tag = 0.0
-        for fid in sorted(port.queues):
-            oq = port.queues[fid]
+        for (egress, _), oq in sorted(sw._queues.items()):
+            if egress != j:
+                continue
             q = oq.packets
             if oq.tier == tier and q and (best is None or q[0][1] < best_tag):
                 best = oq
@@ -384,7 +386,7 @@ class TestFabric:
             sw.ingress_arrival(packet(flow=1, size=500, seq=seq))
         # one packet is already draining (freed at drain start), the pool
         # holds six more at 500 B, the rest tail-drop
-        assert sw.fabric_occupancy == 3000
+        assert sw._occupancy == 3000
         acct = sw.conservation()[1]
         assert acct["fabric_dropped"] == 3 * 500
         assert acct["balanced"]
@@ -393,12 +395,12 @@ class TestFabric:
         sw = self.small_switch()
         for seq in range(7):
             sw.ingress_arrival(packet(flow=1, size=500, seq=seq))
-        assert sw.fabric_occupancy == 3000
+        assert sw._occupancy == 3000
         sw.ingress_arrival(packet(flow=0, size=500))
         acct = sw.conservation()
         assert acct[0]["fabric_dropped"] == 0      # premium got in
         assert acct[1]["fabric_dropped"] == 500    # one victim evicted
-        assert sw.fabric_occupancy <= 3000
+        assert sw._occupancy <= 3000
         assert acct[0]["balanced"] and acct[1]["balanced"]
 
     def test_eviction_tie_goes_to_the_lowest_port(self):
@@ -414,7 +416,7 @@ class TestFabric:
         for flow in (1, 2):
             for seq in range(4):
                 sw.ingress_arrival(packet(flow=flow, egress=flow, seq=seq))
-        assert sw.fabric_occupancy == 3000
+        assert sw._occupancy == 3000
         sw.ingress_arrival(packet(flow=0, egress=1))
         acct = sw.conservation()
         assert acct[0]["fabric_dropped"] == 0
@@ -425,7 +427,7 @@ class TestFabric:
         sw = self.small_switch()
         sw.ingress_arrival(packet(flow=1, size=500))
         # the head packet went straight into drain, so the pool is empty
-        assert sw.fabric_occupancy == 0
+        assert sw._occupancy == 0
 
 
 class TestScheduling:
@@ -494,7 +496,7 @@ class TestScheduling:
 
         def checked(j):
             fid = select(j)
-            picks.append((sw.loop.now, j, fid, scan_select(sw._ports[j])))
+            picks.append((sw.loop.now, j, fid, scan_select(sw, j)))
             return fid
         sw.out_scheduler_select = checked
         sw.run(5e-3)
@@ -625,10 +627,10 @@ class TestFeedbackLoops:
         sw = Switch(self.overload_config("gearbox"), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 4.0)
         sw.run(4.0)
-        level = sw.drop_level(1, 1)
+        level = sw._queues[1, 1].level
         assert 4 <= level <= 10
         beta = derive_beta(0.17, 0.02)
-        assert sw.drop_probability(1, 1) == drop_level_table(beta, 64)[level]
+        assert sw._queues[1, 1].drop_prob == drop_level_table(beta, 64)[level]
         acct = sw.conservation()[1]
         # line saturated, and the dropped fraction sits near P_7 = 0.44
         assert acct["delivered"] == pytest.approx(1e6 * 4.0 / 8, rel=0.02)
@@ -649,14 +651,14 @@ class TestFeedbackLoops:
         probes = []
         for t in (15e-3, 25e-3, 35e-3):
             sw.loop.at(ns(t), lambda: probes.append(
-                (sw.drop_level(1, 1), sw.drop_probability(1, 1))))
+                (sw._queues[1, 1].level, sw._queues[1, 1].drop_prob)))
         sw.run(0.1)
         assert probes == [(1, 0.0), (2, 0.0), (3, table[1])]
         # once the applications still in flight have fired, the droppers
         # apply the probability of the level decided last
         sw.loop.run(ns(0.2))
-        assert sw.drop_level(1, 1) > 0
-        assert sw.drop_probability(1, 1) == table[sw.drop_level(1, 1)]
+        assert sw._queues[1, 1].level > 0
+        assert sw._queues[1, 1].drop_prob == table[sw._queues[1, 1].level]
 
     def test_pi_regulates_toward_rate_match(self):
         # fluid equilibrium thins 2 Mb/s to alpha * s * 1 Mb/s, i.e. drop
@@ -666,7 +668,7 @@ class TestFeedbackLoops:
         probes = []
         for k in range(60, 120):
             sw.loop.at(ns(k * 0.05) + 1,
-                       lambda: probes.append(sw.drop_probability(1, 1)))
+                       lambda: probes.append(sw._queues[1, 1].drop_prob))
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 6.0)
         ts = sw.run(6.0)
         assert all(0.2 <= p <= 0.8 for p in probes)
@@ -677,11 +679,37 @@ class TestFeedbackLoops:
         assert acct["delivered"] == pytest.approx(1e6 * 6.0 / 8, rel=0.02)
         assert acct["balanced"]
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: once PI drives drop_prob to 1.0, no byte reaches "
+        "the output, the sampler sees an empty interval and holds, and the "
+        "queue stays latched after its overload ends"))
+    @pytest.mark.parametrize("gain_p, gain_i", [(0.0, 0.5), (0.1, 0.3),
+                                                (0.5, 0.5)])
+    def test_pi_releases_after_overload(self, gain_p, gain_i):
+        # a 30 Mb/s burst into a 10 Mb/s best-effort line for 50 ms, under
+        # a 2 Mb/s stream that runs on: once the burst ends, the stream
+        # alone fits the line, so the queue must deliver again
+        cfg = base_config(
+            line_rate=1e7, fabric_memory=50_000, out_queue_size=20_000,
+            flows={1: FlowSpec(svc_class=ServiceClass.BEST_EFFORT)},
+            feedback=FeedbackConfig(mode="pi", interval=1e-3, gain_p=gain_p,
+                                    gain_i=gain_i))
+        sw = Switch(cfg, [(1, 1)], seed=1)
+        late = []
+
+        def deliver(p):
+            if sw.loop.now > ns(0.2):
+                late.append(p.size)
+        feed_cbr(sw, 1, 0, 1, 1000, 3e7, 0.05, receiver=deliver)
+        feed_cbr(sw, 1, 1, 1, 1000, 2e6, 0.3, receiver=deliver)
+        sw.run(0.3)
+        assert sum(late) > 0, sw._queues[1, 1].drop_prob
+
     def test_feedback_off_holds_zero_prob(self):
         sw = Switch(base_config(), [(1, 1)], seed=1)
         feed_cbr(sw, 1, 0, 1, 500, 2e6, 0.2)
         sw.run(0.2)
-        assert sw.drop_probability(1, 1) == 0.0
+        assert sw._queues[1, 1].drop_prob == 0.0
         assert sw.conservation()[1]["ingress_dropped"] == 0
 
     def test_sampler_emits_rel_cong_records(self):
@@ -706,12 +734,12 @@ class TestFeedbackLoops:
         probes = []
         for k in range(1, 20):
             sw.loop.at(ns(k * 0.05) + 1, lambda: probes.append(
-                (sw.drop_probability(1, 1), sw.drop_level(1, 1))))
+                (sw._queues[1, 1].drop_prob, sw._queues[1, 1].level)))
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0)
         ts = sw.run(1.0)
         assert len(probes) == 19
         assert set(probes) == {(0.0, 0)}
-        assert (sw.drop_probability(1, 1), sw.drop_level(1, 1)) == (0.0, 0)
+        assert (sw._queues[1, 1].drop_prob, sw._queues[1, 1].level) == (0.0, 0)
         cong = [r.value for r in ts.select("rel_cong", 1, 1)]
         assert len(cong) == 20
         # every interval after the first sits above d_max: a controller
@@ -792,9 +820,9 @@ class TestTicks:
         sampled = []
         run_sample = sw.sample_and_feedback
 
-        def sample(j, k):
-            sampled.append((j, k))
-            return run_sample(j, k)
+        def sample(oq):
+            sampled.append((oq.egress, oq.flow_id))
+            return run_sample(oq)
         sw.sample_and_feedback = sample
         sw.run(0.02)
         return loop.ticks, sampled
@@ -859,6 +887,15 @@ class TestLifecycle:
         sw.run(0.001)
         with pytest.raises(ValueError, match="only be called once"):
             sw.run(0.001)
+
+    def test_non_float_duration_refused_before_the_run(self):
+        sw = Switch(base_config(), [(1, 1)], seed=1)
+        feed_cbr(sw, 1, 0, 1, 500, 1e5, 0.1)
+        with pytest.raises(TypeError, match="duration must be a float"):
+            sw.run(1)
+        # the refusal leaves the switch unstarted: a float run still works
+        sw.run(0.1)
+        assert sw.conservation()[1]["delivered"] > 0
 
     def test_arrival_without_queue(self):
         sw = Switch(base_config(), seed=1)

@@ -41,6 +41,11 @@ class TestSelection:
         other.append(1.0, "x", None, None, 0.0, "bps")
         assert sample_series() != other
 
+    def test_records_equal_only_sequences(self):
+        records = sample_series().records
+        assert records.__eq__(4) is NotImplemented
+        assert records != 4
+
 
 class TestCsv:
     def test_header(self):

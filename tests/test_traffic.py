@@ -80,11 +80,11 @@ class TestAccessLink:
         assert link.send(mk_packet(0))
         assert link.send(mk_packet(1))
         assert link.send(mk_packet(2))
-        assert link.queued_bytes == 1000
+        assert link._qbytes == 1000
         assert not link.send(mk_packet(3))
         assert link.dropped_bytes == 500  # the one 500 B packet
         loop.run(ns(1.0))
-        assert link.queued_bytes == 0
+        assert link._qbytes == 0
 
 
 def tcp_pair(drop_first=(), drop_all=False):
@@ -243,6 +243,16 @@ class TestLazyTimer:
         assert src.timeouts == 1
         assert link.sent[-1] == (final, 2)  # first unacked seq, at once
         loop.run(final + ns(1.0))  # the backed-off deadline is farther out
+        assert src.timeouts == 1
+
+    def test_backed_off_rto_caps_at_120_s(self):
+        # a 2 s RTO backed off 64-fold would be 128 s
+        loop, link, src = self.silent_source()
+        src.rto, src.backoff = 2.0, 64
+        src.start_at(0)
+        loop.run(0)
+        assert src.deadline == ns(120.0)
+        loop.run(ns(120.0))
         assert src.timeouts == 1
 
     def test_backoff_reset_pulls_the_deadline_earlier(self):
