@@ -6,10 +6,12 @@ per output. Each output line drains its fabric queues at the speedup rate
 into per-flow output queues, which a strict-priority plus weighted-fair
 scheduler empties onto the line, picking from one heap of backlogged queues
 per output at O(log F) cost for F flows; a delivered packet is handed to its
-receiver, if it has one. Each (output, flow) queue, built with the switch,
-is sampled every interval: the sampler steps the feedback controller at
-once, and the drop probability decided reaches the ingress droppers one
-feedback delay later.
+receiver, if it has one. Each (output, flow) queue is built with the switch,
+with its sink's label for each row it writes, and is sampled every
+interval: the sampler steps the feedback controller at once, and the drop
+probability decided reaches the ingress droppers one feedback delay later.
+The report's fabric and occupancy labels are built with it too, so a row
+is appended as (time, label, value) and no label is made per row.
 
 A flow's service class is read once, into its output queue's tier; every
 branch on the class (policer, fabric priority, WFQ tag and virtual time,
@@ -245,6 +247,12 @@ class _Port:
         self.vt = [0.0, 0.0, 0.0]
 
 
+# the rows each output queue writes: its sampler's, then its report's
+_QUEUE_ROWS = (("rel_cong", "ratio"), ("throughput_bps", "bps"),
+               ("ingress_drop_bps", "bps"), ("fabric_drop_bps", "bps"),
+               ("egress_drop_bps", "bps"), ("out_queue_bytes", "bytes"),
+               ("delay_mean_s", "s"), ("delay_p99_s", "s"))
+
 # the output-queue counters summed into each flow's ledger, in its order,
 # and the run-total metric each is reported as
 _TOTALS = {
@@ -265,15 +273,16 @@ class _OutQueue:
     read last; their interval and window values are differences against it.
     """
 
-    __slots__ = ("egress", "flow_id", "tier", "weight", "packets",
+    __slots__ = ("egress", "flow_id", "labels", "tier", "weight", "packets",
                  "backlog", "last_tag", "red_avg", "red_p", "red_rng",
                  "drop_prob", "level", "accumulator", "last_drop_prob", "delays",
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, egress, flow_id, tier, weight, red_rng, red_p):
+    def __init__(self, egress, flow_id, labels, tier, weight, red_rng, red_p):
         self.egress = egress
         self.flow_id = flow_id
+        self.labels = labels    # its sink's label of each of _QUEUE_ROWS
         self.tier = tier        # 0 premium, 1 assured, 2 best effort
         self.weight = weight
         self.packets = deque()  # (packet, finish_tag); premium tags are 0.0
@@ -281,7 +290,7 @@ class _OutQueue:
         self.last_tag = 0.0
         self.red_avg = 0.0
         self.red_p = red_p      # RED drop probability at red_avg; 0 without RED
-        self.red_rng = red_rng
+        self.red_rng = red_rng  # None without RED
         self.drop_prob = 0.0    # applied at every ingress dropper
         self.level = 0          # gear-box drop level
         self.accumulator = 0.0  # PI integral term
@@ -313,6 +322,10 @@ class Switch:
         self._drain_ns = TxTimes(config.speedup * config.line_rate, self.loop)
         self._line_ns = TxTimes(config.line_rate, self.loop)
 
+        # where the measurement rows go, under labels built here; run()
+        # returns it
+        self._series = sink if sink is not None else TimeSeries()
+        label = self._series.label
         # indexed by port; the report and the eviction scan (ties to the
         # lowest port) walk it in port order
         self._ports = [_Port(j) for j in range(config.num_ports)]
@@ -327,12 +340,18 @@ class Switch:
             if not 0 <= egress < config.num_ports:
                 raise ValueError(f"egress port {egress} out of range")
             tier = list(ServiceClass).index(spec.svc_class)
+            labels = tuple(label(metric, egress, flow_id, unit)
+                           for metric, unit in _QUEUE_ROWS)
+            rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")
             self._queues[egress, flow_id] = _OutQueue(
-                egress, flow_id, tier, spec.weight,
-                stream(seed, f"red.{egress}.{flow_id}"), red_p)
-        # the ports with a queue, in port order: the report's fabric rows
-        self._queued_ports = [self._ports[j]
-                              for j in sorted({j for j, _ in self._queues})]
+                egress, flow_id, labels, tier, spec.weight, rng, red_p)
+        # each port with a queue, in port order, and the label of its
+        # fabric row in the report
+        self._queued_ports = [
+            (self._ports[j], label("fabric_queue_bytes", j, None, "bytes"))
+            for j in sorted({j for j, _ in self._queues})]
+        self._occupancy_label = label("fabric_occupancy_bytes", None, None,
+                                      "bytes")
         self._occupancy = 0
         self._buckets = {  # a full bucket per (ingress, policed premium flow)
             (i, fid): _TokenBucket(spec.police_rate, spec.police_burst)
@@ -349,8 +368,6 @@ class Switch:
         if fb.mode == "gearbox":
             self._drop_table = drop_level_table(derive_beta(fb.d_max, fb.d_min),
                                                 fb.table_size)
-        # where the measurement rows go; run() returns it
-        self._series = sink if sink is not None else TimeSeries()
         self._started = False
 
     # --- ingress ---------------------------------------------------------
@@ -519,7 +536,6 @@ class Switch:
         (whose relative congestion is still recorded) schedule no control
         application.
         """
-        j, k = oq.egress, oq.flow_id
         arrived0, delivered0, dropped0 = oq.sampled
         oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
         in_b = oq.arrived - arrived0
@@ -527,8 +543,7 @@ class Switch:
         congestion = None
         if in_b > 0:
             congestion = 1.0 - out_b / in_b
-            self._series.append(self.loop.now / NS, "rel_cong", j, k,
-                                congestion, "ratio")
+            self._series.append(self.loop.now / NS, oq.labels[0], congestion)
         fb = self.config.feedback
         if fb.mode == "off" or in_b == 0 or oq.tier == 0:
             # an empty interval holds everything as-is, and a premium queue
@@ -554,7 +569,7 @@ class Switch:
         # the droppers see the decided probability one feedback delay later
         self.loop.at(self.loop.now + self._delay_ns,
                      lambda: self._apply_prob(oq, prob),
-                     rank=RANK_CONTROL, port=j, flow=k)
+                     rank=RANK_CONTROL, port=oq.egress, flow=oq.flow_id)
 
     def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
         oq.drop_prob = prob
@@ -564,33 +579,26 @@ class Switch:
     def _report(self) -> None:
         t = self.loop.now / NS
         span = self._report_ns / NS
-        s = self._series
-        for (j, k), oq in self._queues.items():
+        append = self._series.append
+        for oq in self._queues.values():
+            _, thr, ingress, fabric, egress, backlog, mean, p99 = oq.labels
             delivered0, ingress0, fabric0, egress0 = oq.reported
             oq.reported = (oq.delivered, oq.ingress_dropped, oq.fabric_dropped,
                            oq.egress_dropped)
-            s.append(t, "throughput_bps", j, k,
-                     (oq.delivered - delivered0) * 8 / span, "bps")
-            s.append(t, "ingress_drop_bps", j, k,
-                     (oq.ingress_dropped - ingress0) * 8 / span, "bps")
-            s.append(t, "fabric_drop_bps", j, k,
-                     (oq.fabric_dropped - fabric0) * 8 / span, "bps")
-            s.append(t, "egress_drop_bps", j, k,
-                     (oq.egress_dropped - egress0) * 8 / span, "bps")
-            s.append(t, "out_queue_bytes", j, k, float(oq.backlog), "bytes")
+            append(t, thr, (oq.delivered - delivered0) * 8 / span)
+            append(t, ingress, (oq.ingress_dropped - ingress0) * 8 / span)
+            append(t, fabric, (oq.fabric_dropped - fabric0) * 8 / span)
+            append(t, egress, (oq.egress_dropped - egress0) * 8 / span)
+            append(t, backlog, float(oq.backlog))
             delays = oq.delays
             if delays:
                 delays.sort()
-                mean = sum(delays) / len(delays) / NS
-                p99 = delays[int(round(0.99 * (len(delays) - 1)))] / NS
-                s.append(t, "delay_mean_s", j, k, mean, "s")
-                s.append(t, "delay_p99_s", j, k, p99, "s")
+                append(t, mean, sum(delays) / len(delays) / NS)
+                append(t, p99, delays[int(round(0.99 * (len(delays) - 1)))] / NS)
                 oq.delays = []
-        for port in self._queued_ports:
-            s.append(t, "fabric_queue_bytes", port.index, None,
-                     float(sum(port.fifo_bytes)), "bytes")
-        s.append(t, "fabric_occupancy_bytes", None, None,
-                 float(self._occupancy), "bytes")
+        for port, label in self._queued_ports:
+            append(t, label, float(sum(port.fifo_bytes)))
+        append(t, self._occupancy_label, float(self._occupancy))
 
     # --- run -----------------------------------------------------------
 
@@ -642,13 +650,14 @@ class Switch:
         return self._series
 
     def _emit_totals(self, duration: float) -> None:
+        s = self._series
         ledger = self.conservation()
         for fid in sorted(ledger):
             acct = ledger[fid]
             for name, metric in (*_TOTALS.items(),
                                  ("resident", "resident_bytes_total")):
-                self._series.append(duration, metric, None, fid,
-                                    float(acct[name]), "bytes")
+                s.append(duration, s.label(metric, None, fid, "bytes"),
+                         float(acct[name]))
 
     def _resident_bytes(self) -> dict[int, int]:
         """Bytes still inside the switch, by flow, from the live structures."""

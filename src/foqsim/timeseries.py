@@ -1,16 +1,18 @@
 """Measurement rows, held as columns, and their CSV form.
 
 One row per (time, metric, port, flow); aggregates leave port/flow blank.
-A `TimeSeries` keeps its rows as columns: times and values in `array('d')`,
-and metric, port, flow and unit as lists of references. A run's rows share
-a handful of metric, port, flow and unit objects, so a row it appends costs
-about 50 bytes instead of a tuple of boxed values' 130. Times and values
-must be floats: the arrays would turn an int into a float that prints
-differently, so `append` refuses anything else with TypeError.
+A sink takes rows in two steps: `label(metric, port, flow, unit)` returns
+a handle, built once by whoever writes that series, and
+`append(t, label, value)` adds one row under it. A `TimeSeries` keeps its
+rows as three columns: times and values in `array('d')`, and a list of
+references to the shared `(metric, port, flow, unit)` tuples its `label`
+returns, so a row costs about 24 bytes whatever its label. Times and
+values must be floats: the arrays would turn an int into a float that
+prints differently, so `append` refuses anything else with TypeError.
 
 `records` reads the rows as `Record`s, built on access: immutable named
 tuples in column order that compare equal to the plain 6-tuple of their
-fields. `select` matches on the metric column before it builds any.
+fields. `select` matches on the labels' metrics before it builds any.
 
 CSV is UTF-8 with LF newlines and round-trips exactly, unless a metric or
 unit holds a bare carriage return, which csv.writer leaves unquoted (no
@@ -20,10 +22,12 @@ fields quoted where csv.writer quotes them, so equal seeds give
 bit-identical files. csv.writer itself encodes each distinct metric, unit,
 port and flow once per writer (`_Fields`); every later occurrence is a
 dict hit, so the caches grow with the distinct labels and ids, never with
-the rows. `to_csv` formats its columns a block of rows at a time.
-`CsvSink` takes the same `append` and writes the same bytes to a stream
-row by row as they arrive, holding none of them, so a run streamed to a
-file keeps bounded memory however long it is.
+the rows. `to_csv` formats its columns a block of rows at a time and
+encodes each label object once, keyed by identity: labels that compare
+equal can print apart, as an id of True or 1.0 equals 1. A `CsvSink`'s
+label is the label's CSV text; it writes the same bytes to a stream row by
+row as they arrive, holding none of them, so a run streamed to a file
+keeps bounded memory however long it is.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ import csv
 import io
 from array import array
 from collections.abc import Sequence
-from functools import partial
 from itertools import compress, repeat
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 COLUMNS = ("t_sec", "metric", "port", "flow", "value", "unit")
@@ -49,8 +52,10 @@ class Record(NamedTuple):
     unit: str
 
 
-# a Record from a 6-tuple, skipping the named tuple's keyword binding
-_record = partial(tuple.__new__, Record)
+def _record_of(t, label, value) -> Record:
+    """A row's Record, skipping the named tuple's keyword binding."""
+    metric, port, flow, unit = label
+    return tuple.__new__(Record, (t, metric, port, flow, value, unit))
 
 
 def _refuse(t, value):
@@ -90,11 +95,11 @@ class _Fields(dict):
     def id_text(self, value) -> str:
         return self[value] if type(value) in _STORED_IDS else _encode(value)
 
-    def id_texts(self, column):
-        """The texts of a block of ports or flows."""
-        if _STORED_IDS.issuperset(map(type, column)):
-            return map(self.__getitem__, column)
-        return map(self.id_text, column)
+    def label(self, label) -> tuple[str, str]:
+        """A label's CSV text, in two parts: before and after the value."""
+        metric, port, flow, unit = label
+        return (f"{self[metric]},{self.id_text(port)},{self.id_text(flow)}",
+                self[unit])
 
 
 def _time_texts(times):
@@ -113,31 +118,22 @@ class TimeSeries:
 
     def __init__(self, records=None):
         self._t = array("d")
-        self._metric: list[str] = []
-        self._port: list[int | None] = []
-        self._flow: list[int | None] = []
+        self._label: list[tuple] = []  # shared (metric, port, flow, unit)
         self._value = array("d")
-        self._unit: list[str] = []
-        for row in records or ():
-            self.append(*row)
+        for t, metric, port, flow, value, unit in records or ():
+            self.append(t, self.label(metric, port, flow, unit), value)
 
-    def append(self, t, metric, port, flow, value, unit):
+    @staticmethod
+    def label(metric, port, flow, unit) -> tuple:
+        """The label rows are appended under; every row holds a reference."""
+        return (metric, port, flow, unit)
+
+    def append(self, t, label, value):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
         self._t.append(t)
-        self._metric.append(metric)
-        self._port.append(port)
-        self._flow.append(flow)
+        self._label.append(label)
         self._value.append(value)
-        self._unit.append(unit)
-
-    def _columns(self):
-        return (self._t, self._metric, self._port, self._flow, self._value,
-                self._unit)
-
-    def _rows(self):
-        """The rows as plain 6-tuples, in order."""
-        return zip(*self._columns())
 
     @property
     def records(self) -> "Rows":
@@ -146,31 +142,39 @@ class TimeSeries:
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
         """Records for one metric, optionally narrowed to a port and flow."""
-        t, metrics, ports, flows, values, units = self._columns()
-        hits = compress(range(len(t)), map(eq, metrics, repeat(metric)))
-        return [_record((t[i], metrics[i], ports[i], flows[i], values[i], units[i]))
-                for i in hits
-                if (port is None or ports[i] == port)
-                and (flow is None or flows[i] == flow)]
+        t, labels, values = self._t, self._label, self._value
+        hits = compress(range(len(t)),
+                        map(eq, map(itemgetter(0), labels), repeat(metric)))
+        return [_record_of(t[i], labels[i], values[i]) for i in hits
+                if (port is None or labels[i][1] == port)
+                and (flow is None or labels[i][2] == flow)]
 
     def __eq__(self, other):
-        return (isinstance(other, TimeSeries)
-                and self._columns() == other._columns())
+        return isinstance(other, TimeSeries) and (
+            (self._t, self._value, self._label)
+            == (other._t, other._value, other._label))
 
     def __len__(self):
         return len(self._t)
 
     def to_csv(self) -> str:
         fields = _Fields()
-        label = fields.__getitem__
-        t, metrics, ports, flows, values, units = self._columns()
+        # each label object's texts before and after the value, keyed by
+        # identity as _time_texts keys by bits: equal labels can print
+        # apart (True and 1.0 equal 1); the series keeps every id in use
+        heads, tails = {}, {}
+        t, labels, values = self._t, self._label, self._value
         blocks = [_HEADER]
         for i in range(0, len(t), _BLOCK):
             j = i + _BLOCK
+            block = labels[i:j]
+            keys = list(map(id, block))
+            for key, label in dict(zip(keys, block)).items():
+                if key not in heads:
+                    heads[key], tails[key] = fields.label(label)
             lines = map(",".join, zip(
-                _time_texts(t[i:j]), map(label, metrics[i:j]),
-                fields.id_texts(ports[i:j]), fields.id_texts(flows[i:j]),
-                map(repr, values[i:j]), map(label, units[i:j])))
+                _time_texts(t[i:j]), map(heads.__getitem__, keys),
+                map(repr, values[i:j]), map(tails.__getitem__, keys)))
             blocks.append("\n".join(lines) + "\n")
         return "".join(blocks)
 
@@ -181,14 +185,16 @@ class TimeSeries:
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         series = cls()
-        ts, metrics, ports, flows, values, units = series._columns()
+        ts, labels, values = series._t, series._label, series._value
+        # equal rows share one label: ids read back are int or None, so
+        # labels that compare equal print the same
+        shared = {}
         for t, metric, port, flow, value, unit in filter(None, reader):
             ts.append(float(t))
-            metrics.append(metric)
-            ports.append(None if port == "" else int(port))
-            flows.append(None if flow == "" else int(flow))
+            label = (metric, None if port == "" else int(port),
+                     None if flow == "" else int(flow), unit)
+            labels.append(shared.setdefault(label, label))
             values.append(float(value))
-            units.append(unit)
         return series
 
 
@@ -206,10 +212,12 @@ class Rows(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return _record(tuple(column[i] for column in self._series._columns()))
+        s = self._series
+        return _record_of(s._t[i], s._label[i], s._value[i])
 
     def __iter__(self):
-        return map(_record, self._series._rows())
+        s = self._series
+        return map(_record_of, s._t, s._label, s._value)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -233,11 +241,14 @@ class CsvSink:
         self._t = self._t_text = None
         self._write(_HEADER)
 
-    def append(self, t, metric, port, flow, value, unit):
+    def label(self, metric, port, flow, unit) -> tuple[str, str]:
+        """The label rows are appended under: its CSV text, encoded once."""
+        return self._fields.label((metric, port, flow, unit))
+
+    def append(self, t, label, value):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
         if t is not self._t:
             self._t, self._t_text = t, repr(t)
-        fields = self._fields
-        self._write(f"{self._t_text},{fields[metric]},{fields.id_text(port)},"
-                    f"{fields.id_text(flow)},{value!r},{fields[unit]}\n")
+        head, tail = label
+        self._write(f"{self._t_text},{head},{value!r},{tail}\n")

@@ -158,9 +158,12 @@ class Tee:
     def __init__(self, *sinks):
         self.sinks = sinks
 
-    def append(self, *row):
-        for sink in self.sinks:
-            sink.append(*row)
+    def label(self, *fields):
+        return tuple(sink.label(*fields) for sink in self.sinks)
+
+    def append(self, t, labels, value):
+        for sink, label in zip(self.sinks, labels):
+            sink.append(t, label, value)
 
 
 @pytest.fixture(scope="module")

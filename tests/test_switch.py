@@ -2,9 +2,11 @@
 feedback loops, byte conservation, determinism."""
 
 import dataclasses
+import random
 import sys
 from heapq import heappop, heappush
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,8 @@ from foqsim.switch import (
     ingress_admit,
     red_drop_probability,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def packet(flow=1, ingress=0, egress=1, size=500, seq=0, receiver=None):
@@ -864,6 +868,25 @@ class TestLifecycle:
                 if r.metric == "throughput_bps"]
         # one row per 1 ms report window
         assert rows == [(t / 1000, 1, 1) for t in range(1, 11)]
+
+    def test_red_generators_only_under_red(self):
+        queues = [(0, 1), (1, 1)]
+        droptail = Switch(base_config(), queues, seed=1)
+        assert [oq.red_rng for oq in droptail._queues.values()] == [None, None]
+        red = Switch(base_config(red=RedParams()), queues, seed=1)
+        rngs = [oq.red_rng for oq in red._queues.values()]
+        assert all(type(rng) is random.Random for rng in rngs)
+        assert rngs[0] is not rngs[1]
+
+    def test_each_label_built_once(self, monkeypatch):
+        # every row of a series shares the one label object built for it
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import wide_cbr_pi_text
+        config = build_experiment(parse_pairs(wide_cbr_pi_text(1, ports=2)))
+        labels = Experiment(config).run()._label
+        assert len(set(map(id, labels))) == len(set(labels))
+        # 2 x 8 queues of 8 rows, 2 fabric rows, occupancy, 8 flows' 6 totals
+        assert len(set(labels)) == 16 * 8 + 2 + 1 + 8 * 6
 
     def test_out_of_range_ingress_refused(self):
         # a policed premium flow, so a wrapped index would also skip the

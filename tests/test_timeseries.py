@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import random
+import tracemalloc
+from itertools import repeat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +13,17 @@ from hypothesis import given, strategies as st
 from foqsim.timeseries import _BLOCK, COLUMNS, CsvSink, Record, TimeSeries
 
 
+def put(sink, t, metric, port, flow, value, unit):
+    """Append one 6-tuple row to a TimeSeries or a CsvSink via its label."""
+    sink.append(t, sink.label(metric, port, flow, unit), value)
+
+
 def sample_series() -> TimeSeries:
     ts = TimeSeries()
-    ts.append(0.001, "throughput_bps", 3, 1, 59.3e6, "bps")
-    ts.append(0.001, "fabric_queue_bytes", 3, None, 1000.0, "bytes")
-    ts.append(0.002, "rel_cong", 3, 1, 0.21875, "ratio")
-    ts.append(0.2, "delivered_bytes_total", None, 0, 238000.0, "bytes")
+    put(ts, 0.001, "throughput_bps", 3, 1, 59.3e6, "bps")
+    put(ts, 0.001, "fabric_queue_bytes", 3, None, 1000.0, "bytes")
+    put(ts, 0.002, "rel_cong", 3, 1, 0.21875, "ratio")
+    put(ts, 0.2, "delivered_bytes_total", None, 0, 238000.0, "bytes")
     return ts
 
 
@@ -38,7 +45,7 @@ class TestSelection:
         assert len(sample_series()) == 4
         assert sample_series() == sample_series()
         other = sample_series()
-        other.append(1.0, "x", None, None, 0.0, "bps")
+        put(other, 1.0, "x", None, None, 0.0, "bps")
         assert sample_series() != other
 
     def test_records_equal_only_sequences(self):
@@ -66,8 +73,8 @@ class TestCsv:
     def test_repr_floats_are_lossless(self):
         # awkward values must survive the text form bit-exactly
         ts = TimeSeries()
-        ts.append(1 / 3, "x", 0, 0, 0.1 + 0.2, "bps")
-        ts.append(2e-9, "x", 0, 0, 7.105427357601002e-15, "bps")
+        put(ts, 1 / 3, "x", 0, 0, 0.1 + 0.2, "bps")
+        put(ts, 2e-9, "x", 0, 0, 7.105427357601002e-15, "bps")
         again = TimeSeries.from_csv(ts.to_csv())
         assert again.records[0].t == 1 / 3
         assert again.records[0].value == 0.30000000000000004
@@ -150,7 +157,7 @@ class TestColumnarStore:
     def test_records_read_the_live_series(self):
         ts = TimeSeries()
         view = ts.records
-        ts.append(0.5, "x", 1, 2, 3.0, "bps")
+        put(ts, 0.5, "x", 1, 2, 3.0, "bps")
         assert view[0] == (0.5, "x", 1, 2, 3.0, "bps")
 
     @pytest.mark.parametrize("t, value", [(5, 1.0), (1.0, 5), (1.0, True),
@@ -160,14 +167,29 @@ class TestColumnarStore:
         # taken, in the store and in the sink alike
         ts = TimeSeries()
         with pytest.raises(TypeError):
-            ts.append(t, "x", 0, 0, value, "bps")
+            put(ts, t, "x", 0, 0, value, "bps")
         assert len(ts) == 0
         assert ts.to_csv() == ",".join(COLUMNS) + "\n"
         buf = io.StringIO()
         sink = CsvSink(buf)
         with pytest.raises(TypeError):
-            sink.append(t, "x", 0, 0, value, "bps")
+            put(sink, t, "x", 0, 0, value, "bps")
         assert buf.getvalue() == ",".join(COLUMNS) + "\n"
+
+    def test_a_row_costs_at_most_32_bytes(self):
+        # two float arrays and a list of references to one shared label
+        ts = TimeSeries()
+        label = ts.label("throughput_bps", 3, 1, "bps")
+        rows = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in repeat(None, rows):
+                ts.append(0.001, label, 1.0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown / rows <= 32
 
     def test_select_matches_a_full_scan(self):
         ts = TimeSeries(random_rows(500))
@@ -188,14 +210,14 @@ class TestCsvSink:
         buf = io.StringIO()
         sink = CsvSink(buf)
         for row in rows:
-            sink.append(*row)
+            put(sink, *row)
         assert buf.getvalue() == TimeSeries(rows).to_csv()
 
     def test_writes_each_row_as_it_arrives(self):
         buf = io.StringIO()
         sink = CsvSink(buf)
         for n, row in enumerate(random_rows(5), start=1):
-            sink.append(*row)
+            put(sink, *row)
             assert buf.getvalue().count("\n") == 1 + n
 
 
@@ -212,7 +234,7 @@ def sink_csv(rows) -> str:
     buf = io.StringIO()
     sink = CsvSink(buf)
     for row in rows:
-        sink.append(*row)
+        put(sink, *row)
     return buf.getvalue()
 
 
