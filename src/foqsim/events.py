@@ -13,9 +13,12 @@ few fixed delays (a serialisation time, the fabric drain, a TCP round
 trip), so the loop keeps one FIFO lane per delay registered with `lane`:
 such an event is appended to its lane instead of being pushed onto the
 heap. Timers are lazy: a TCP source keeps one live retransmission event
-and a deadline, so an ack that only moves the deadline later pushes nothing;
-an event superseded by an earlier deadline stays queued and fires as a no-op
-(see `TcpSource._arm_timer`).
+and a deadline, so an ack that only moves the deadline later pushes nothing.
+A backed-off deadline's event is pushed one un-backed-off RTO out and
+re-arms at the deadline from there, so an ack that resets the backoff
+within that RTO pushes nothing either. An event superseded by an earlier
+deadline (mostly an RTO that shrank after an RTT sample) stays queued and
+fires as a no-op (see `TcpSource._arm_timer`).
 
 Event keys and handler names are fixed: the benchmark's tracer
 (`bench/tracer.py`) classifies each event by its handler's `__qualname__`

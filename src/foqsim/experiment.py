@@ -1,9 +1,10 @@
 """Assemble a configured experiment: one switch plus its traffic sources.
 
 `Experiment(config).run()` builds everything at construction and runs once.
-Each TCP source keeps its group's start window in one schedule, in build
-order; `run` draws every start time uniformly inside its window from the
-seed's "starts" stream, so the schedule depends only on the seed and the
+The start schedule holds one entry per TCP group, its sources and start
+window, in build order; `run` draws every source's start time uniformly
+inside its group's window from the seed's "starts" stream, one draw per
+source in build order, so the schedule depends only on the seed and the
 config's groups.
 """
 
@@ -30,8 +31,8 @@ class Experiment:
         self.cbr_sources: list[CbrSource] = []
         self.tcp_sources: dict[int, TcpSource] = {}
         self.links: list[AccessLink] = []
-        # (source, window start, window end) seconds, in build order
-        self._starts: list[tuple[TcpSource, float, float]] = []
+        # (group's sources, window start, window end) seconds, in build order
+        self._starts: list[tuple[list[TcpSource], float, float]] = []
         self._build()
 
     def _build(self) -> None:
@@ -46,15 +47,17 @@ class Experiment:
                 link = AccessLink(self.loop, spec.link_rate, spec.link_buffer,
                                   self.switch.ingress_arrival)
                 self.links.append(link)
+                group = []
                 for _ in range(spec.count):
                     src = TcpSource(self.loop, link, spec.flow,
                                     spec.ingress, spec.egress,
                                     packet_size=spec.packet_size,
                                     one_way=spec.one_way)
                     self.tcp_sources[next_tcp_id] = src
-                    self._starts.append((src, spec.window_start,
-                                         spec.window_end))
+                    group.append(src)
                     next_tcp_id += 1
+                self._starts.append((group, spec.window_start,
+                                     spec.window_end))
 
     def run(self) -> TimeSeries | CsvSink:
         """Start the sources, run the switch for the configured duration
@@ -62,6 +65,7 @@ class Experiment:
         for src in self.cbr_sources:
             src.start()
         rng = stream(self.seed, "starts")
-        for src, t0, t1 in self._starts:
-            src.start_at(ns(t0 + rng.random() * (t1 - t0)))
+        for group, t0, t1 in self._starts:
+            for src in group:
+                src.start_at(ns(t0 + rng.random() * (t1 - t0)))
         return self.switch.run(self.config.duration)

@@ -114,8 +114,18 @@ class TcpSource:
     expires and at most one timer event per source is live on the loop.
     Arming only moves the deadline unless it falls before the live event,
     which then stays queued and fires as a no-op; an event that fires early
-    re-arms itself at the deadline.
+    re-arms itself at the deadline. A backed-off deadline is reached in two
+    steps: its event goes one un-backed-off RTO out and from there re-arms
+    at the deadline, so an ack that resets the backoff inside that RTO only
+    moves the deadline instead of leaving a backed-off event behind. The receiver's reorder
+    set exists only while a gap is open.
     """
+
+    __slots__ = ("loop", "link", "flow_id", "ingress_port", "egress_port",
+                 "packet_size", "_receive", "_rtt_ns", "cwnd", "ssthresh",
+                 "snd_una", "dup_acks", "in_recovery", "recover_point",
+                 "backoff", "srtt", "rttvar", "rto", "_sent", "deadline",
+                 "_timer_at", "rcv_next", "_ooo", "retransmits", "timeouts")
 
     INIT_CWND = 2.0
     INIT_SSTHRESH = 64
@@ -155,7 +165,8 @@ class TcpSource:
         self._timer_at: int | None = None  # ns of the live timer event
 
         self.rcv_next = 0
-        self._ooo: set[int] = set()
+        # seqs received above a gap; None while there is no gap
+        self._ooo: set[int] | None = None
 
         self.retransmits = 0
         self.timeouts = 0
@@ -191,24 +202,38 @@ class TcpSource:
 
     def _arm_timer(self, when: int | None = None) -> None:
         """Set the deadline one backed-off RTO from now, or re-arm an early
-        event at `when`; push an event only if none is pending by then."""
+        event at `when`; push an event only if none is pending by then.
+
+        Arming from now puts the event one un-backed-off RTO out, at or
+        before the deadline; it re-arms at the deadline when it fires
+        early. Timeouts therefore still fire exactly at `deadline`.
+        """
         if when is None:
-            rto = self.rto * self.backoff
+            now = self.loop.now
+            rto = self.rto
             if 120.0 < rto:  # min(rto, 120.0) seconds
                 rto = 120.0
-            when = self.deadline = self.loop.now + int(round(rto * NS))
+            when = now + int(round(rto * NS))
+            if self.backoff > 1:
+                rto = self.rto * self.backoff
+                if 120.0 < rto:
+                    rto = 120.0
+                self.deadline = now + int(round(rto * NS))
+            else:
+                self.deadline = when
         if self._timer_at is not None and self._timer_at <= when:
             return
         self._timer_at = when
-        self.loop.at(when, lambda: self._timer_fire(when), RANK_DATA,
+        self.loop.at(when, lambda: self._timer_fire(), RANK_DATA,
                      self.ingress_port, self.flow_id)
 
-    def _timer_fire(self, when: int) -> None:
+    def _timer_fire(self) -> None:
+        when = self.loop.now  # an event fires at its own key time
         if when != self._timer_at:
             return  # superseded by an earlier event
         self._timer_at = None
         if self.deadline > when:
-            self._arm_timer(self.deadline)  # acks moved the deadline on
+            self._arm_timer(self.deadline)  # acks or the backoff put it later
             return
         self.timeouts += 1
         self.ssthresh = max(int(self.cwnd) // 2, 2)
@@ -284,12 +309,18 @@ class TcpSource:
         if seq == ackno:
             ackno += 1
             ooo = self._ooo
-            while ackno in ooo:
-                ooo.discard(ackno)
-                ackno += 1
+            if ooo is not None:
+                while ackno in ooo:
+                    ooo.discard(ackno)
+                    ackno += 1
+                if not ooo:
+                    self._ooo = None  # the gap is closed
             self.rcv_next = ackno
         elif seq > ackno:
-            self._ooo.add(seq)
+            if self._ooo is None:
+                self._ooo = {seq}
+            else:
+                self._ooo.add(seq)
         loop = self.loop
         loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
                 RANK_DATA, self.ingress_port, self.flow_id)

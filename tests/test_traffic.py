@@ -3,9 +3,10 @@ congestion control state machine and its send log, and the staged start
 schedule an Experiment draws for its TCP sources."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
-from foqsim.events import EventLoop, ns, stream, tx_ns
+from foqsim.events import NS, RANK_DATA, RANK_TICK, EventLoop, ns, stream
 from foqsim.experiment import Experiment
 from foqsim.switch import Packet
 from foqsim.traffic import AccessLink, CbrSource, TcpSource
@@ -267,14 +268,43 @@ class TestLazyTimer:
         loop.at(ns(1.1), lambda: src.on_data_arrival(mk_packet(0)))
         loop.run(ns(1.2))
         assert src.backoff == 1 and src.deadline == ns(2.14)
+        # the backed-off 3 s deadline was timed by an event one un-backed-off
+        # RTO out, at 2 s; the 2.14 s deadline is past it, so the ack pushed
+        # no second event
+        assert timer_events(loop) == 1
         loop.run(ns(2.14) - 1)
         assert src.timeouts == 1
         loop.run(ns(2.14))
         assert src.timeouts == 2
         assert link.sent[-1] == (ns(2.14), 1)
-        loop.run(ns(4.0))  # the superseded 3 s event fires as a no-op
+        # backoff 2 again: the 4.14 s deadline is timed by an event at
+        # 3.14 s, which re-arms at the deadline
+        loop.run(ns(4.0))
         assert src.timeouts == 2
         assert timer_events(loop) == 1  # the one for the 4.14 s deadline
+
+    def test_backed_off_timeouts_keep_one_pending_event(self, monkeypatch):
+        # nothing is ever delivered: timeouts at 1, 3, 7, ..., 191 s. Each
+        # backed-off deadline costs an early event one RTO out plus the one
+        # at the deadline, and one event waits at a time
+        fires, timeouts = [], []
+        original = TcpSource._timer_fire
+
+        def counted(src):
+            fires.append(src.loop.now)
+            before = src.timeouts
+            original(src)
+            if src.timeouts > before:
+                timeouts.append(src.loop.now)
+
+        monkeypatch.setattr(TcpSource, "_timer_fire", counted)
+        loop, src = tcp_pair(drop_all=True)
+        src.start_at(0)
+        for k in range(1, 2001):
+            loop.run(k * ns(0.1))
+            assert timer_events(loop) <= 1
+        assert timeouts == [ns(t) for t in (1, 3, 7, 15, 31, 63, 127, 191)]
+        assert len(fires) <= 2 * len(timeouts)
 
     def test_fully_acked_windows_fire_no_timeout(self):
         # lossless loop: every window is acked well inside its RTO, so the
@@ -299,15 +329,165 @@ class TestLazyTimer:
         assert 1 <= peak <= 2
 
 
+class EagerTimerSource(TcpSource):
+    """Reference timer: every arm cancels the pending event and schedules
+    one at the new deadline, so the only event that can fire is the one
+    for the current deadline, and it always times out."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.generation = 0
+        self.deadlines = set()  # every deadline ever set
+
+    def _arm_timer(self, when=None):
+        rto = min(self.rto * self.backoff, 120.0)
+        self.deadline = self.loop.now + int(round(rto * NS))
+        self.deadlines.add(self.deadline)
+        self.generation += 1  # cancels the pending event
+        generation = self.generation
+        self.loop.at(self.deadline, lambda: self._expire(generation),
+                     RANK_DATA, self.ingress_port, self.flow_id)
+
+    def _expire(self, generation):
+        if generation != self.generation:
+            return  # cancelled
+        self.timeouts += 1
+        self.ssthresh = max(int(self.cwnd) // 2, 2)
+        self.cwnd = 1.0
+        self.in_recovery = False
+        self.dup_acks = 0
+        self.backoff = min(self.backoff * 2, self.MAX_BACKOFF)
+        self._retransmit(self.snd_una)
+        self._arm_timer()
+
+
+class ScheduledLink(RecordingLink):
+    """Records every send and hands the k-th send to its receiver after
+    each delay in plan[k]: none loses it, two duplicate it. Sends past the
+    plan are lost, so the run ends in a silence that backs the timer off."""
+
+    def __init__(self, loop, plan):
+        super().__init__(loop)
+        self.plan = plan
+        self.arrivals = set()  # ns of every delivery
+
+    def send(self, packet):
+        k = len(self.sent)
+        super().send(packet)
+        for delay in self.plan[k] if k < len(self.plan) else ():
+            arrive = self.loop.now + delay
+            self.loop.at(arrive, lambda: packet.receiver(packet))
+            self.arrivals.add(arrive)
+        return True
+
+
+delays = st.integers(ns(1e-3), ns(0.5))
+deliveries = st.one_of(
+    st.lists(delays, min_size=1, max_size=2).map(lambda d: [d]),  # 2: a dup
+    st.integers(1, 8).map(lambda n: [[]] * n),  # a silence of n losses
+)
+plans = st.lists(deliveries, max_size=40).map(
+    lambda runs: [entry for run in runs for entry in run])
+
+
+class TestTimerMatchesEagerReference:
+    def run(self, cls, plan):
+        loop = EventLoop()
+        link = ScheduledLink(loop, plan)
+        src = cls(loop, link, flow_id=1, ingress_port=0, egress_port=1)
+        src.start_at(0)
+        states = []
+        for k in range(1, 121):
+            loop.run(k * ns(0.5))
+            states.append((src.timeouts, src.backoff, src.rto, src.deadline))
+        return link, src, states
+
+    @settings(max_examples=150, deadline=None)
+    @given(plans)
+    def test_same_sends_and_timer_state(self, plan):
+        eager_link, eager, eager_states = self.run(EagerTimerSource, plan)
+        # an ack at the very ns of a deadline is ordered against the timer
+        # event by insertion sequence, which differs between the timers
+        acks_at = {t + eager._rtt_ns for t in eager_link.arrivals}
+        assume(not acks_at & eager.deadlines)
+        link, src, states = self.run(TcpSource, plan)
+        assert link.sent == eager_link.sent
+        assert states == eager_states
+        assert eager.timeouts > 0  # the closing silence always times out
+
+
+WIDTH = """\
+switch.num_ports = 2
+switch.line_rate = 2e6
+switch.speedup = 1.28
+switch.fabric_memory = 30000
+switch.out_queue_size = 10000
+flow.0.class = assured
+experiment.duration = 4.0
+source.0.kind = tcp_group
+source.0.flow = 0
+source.0.ingress = 0
+source.0.egress = 1
+source.0.packet_size = 1000
+source.0.count = 40
+source.0.link_rate = 1e6
+source.0.link_buffer = 8000
+source.0.window_start = 0
+source.0.window_end = 0.5
+"""
+
+
+def test_pending_timer_entries_stay_bounded_at_width():
+    """40 sources share a 1 Mb/s access link with an 8 kB buffer into a
+    2 Mb/s output for 4 s, so the link drops and timeouts back off.
+
+    Pending timer entries, sampled every 100 ms, stay within one per
+    source plus a slack of one more per source: the entries an RTT sample
+    leaves behind when it shrinks the RTO (the first sample cuts it from
+    the 1 s initial RTO), which a new arm cannot move earlier. With a
+    backed-off deadline's event pushed at the deadline itself, the
+    maximum was 95 at 3.4 s; pushed one RTO out, it is 74 at 0.7 s.
+    """
+    experiment = Experiment(build_experiment(parse_pairs(WIDTH)), seed=1)
+    loop = experiment.loop
+    sources = len(experiment.tcp_sources)
+    pending = []
+
+    def sample():
+        pending.append(timer_events(loop))
+        loop.at(loop.now + ns(0.1), sample, RANK_TICK)
+
+    loop.at(ns(0.1), sample, RANK_TICK)
+    experiment.run()
+    assert len(pending) == 40
+    assert sum(src.timeouts for src in experiment.tcp_sources.values()) > 100
+    assert sum(link.dropped_bytes for link in experiment.links) > 0
+    slack = sources
+    assert max(pending) <= sources + slack
+
+
 class TestReceiver:
     def test_out_of_order_buffering(self):
         loop, src = tcp_pair()
         src.on_data_arrival(mk_packet(0))
         assert src.rcv_next == 1
+        assert src._ooo is None  # no gap, no reorder set
         src.on_data_arrival(mk_packet(2))
         assert src.rcv_next == 1  # gap at 1 holds the cumulative ack
+        assert src._ooo == {2}  # built at the first gap
+        src.on_data_arrival(mk_packet(4))
         src.on_data_arrival(mk_packet(1))
         assert src.rcv_next == 3  # buffered seq 2 drains with the gap fill
+        assert src._ooo == {4}  # a gap at 3 is still open
+        src.on_data_arrival(mk_packet(3))
+        assert src.rcv_next == 5
+        assert src._ooo is None  # dropped once the gap closes
+
+    def test_source_has_no_instance_dict(self):
+        loop, src = tcp_pair()
+        assert not hasattr(src, "__dict__")
+        with pytest.raises(AttributeError):
+            src.no_such_field = 1
 
     def test_duplicate_data_does_not_regress(self):
         loop, src = tcp_pair()
@@ -346,18 +526,20 @@ source.1.window_end = 3
 
 
 class TestStagedStart:
-    def starts(self, seed):
+    def starts(self, monkeypatch, seed):
         """Source id -> the ns each TCP source was armed at by run()."""
         experiment = Experiment(build_experiment(parse_pairs(STAGED)),
                                 seed=seed)
+        sid_of = {src: sid for sid, src in experiment.tcp_sources.items()}
         armed = {}
-        for sid, src in experiment.tcp_sources.items():
-            src.start_at = lambda when, sid=sid: armed.__setitem__(sid, when)
+        # TcpSource has __slots__, so start_at is patched on the class
+        monkeypatch.setattr(TcpSource, "start_at", lambda src, when:
+                            armed.__setitem__(sid_of[src], when))
         experiment.run()
         return armed
 
-    def test_starts_inside_windows(self):
-        starts = self.starts(1)
+    def test_starts_inside_windows(self, monkeypatch):
+        starts = self.starts(monkeypatch, 1)
         assert set(starts) == {0, 1, 2}
         assert 0 <= starts[0] <= ns(1.0) and 0 <= starts[1] <= ns(1.0)
         assert ns(2.0) <= starts[2] <= ns(3.0)
@@ -367,6 +549,6 @@ class TestStagedStart:
             ns(t0 + rng.random() * (t1 - t0))
             for t0, t1 in ((0.0, 1.0), (0.0, 1.0), (2.0, 3.0))]
 
-    def test_deterministic_per_seed(self):
-        assert self.starts(5) == self.starts(5)
-        assert self.starts(5) != self.starts(6)
+    def test_deterministic_per_seed(self, monkeypatch):
+        assert self.starts(monkeypatch, 5) == self.starts(monkeypatch, 5)
+        assert self.starts(monkeypatch, 5) != self.starts(monkeypatch, 6)
