@@ -19,15 +19,13 @@ unit holds a bare carriage return, which csv.writer leaves unquoted (no
 label the switch writes does). Its bytes are `csv.writer`'s with
 `lineterminator="\n"`: floats as repr, None as an empty field, other
 fields quoted where csv.writer quotes them, so equal seeds give
-bit-identical files. csv.writer itself encodes each distinct metric, unit,
-port and flow once per writer (`_Fields`); every later occurrence is a
+bit-identical files. One encoder writes them, `CsvSink`: its label is the
+label's CSV text, and its `append` writes each row to a stream as it
+arrives, holding none of them, so a run streamed to a file keeps bounded
+memory however long it is. csv.writer itself encodes each distinct metric,
+unit, port and flow once per sink (`_Fields`); every later occurrence is a
 dict hit, so the caches grow with the distinct labels and ids, never with
-the rows. `to_csv` formats its columns a block of rows at a time and
-encodes each label object once, keyed by identity: labels that compare
-equal can print apart, as an id of True or 1.0 equals 1. A `CsvSink`'s
-label is the label's CSV text; it writes the same bytes to a stream row by
-row as they arrive, holding none of them, so a run streamed to a file
-keeps bounded memory however long it is.
+the rows. `TimeSeries.to_csv` is that sink over a `StringIO`.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ def _refuse(t, value):
 
 
 _HEADER = ",".join(COLUMNS) + "\n"
-_BLOCK = 4096  # rows to_csv joins at a time: it never lists every line
 # the id types _Fields stores: True and 1.0 equal 1 as dict keys, but
 # csv.writer writes them as "True" and "1.0"
 _STORED_IDS = frozenset((int, type(None)))
@@ -94,23 +91,6 @@ class _Fields(dict):
 
     def id_text(self, value) -> str:
         return self[value] if type(value) in _STORED_IDS else _encode(value)
-
-    def label(self, label) -> tuple[str, str]:
-        """A label's CSV text, in two parts: before and after the value."""
-        metric, port, flow, unit = label
-        return (f"{self[metric]},{self.id_text(port)},{self.id_text(flow)}",
-                self[unit])
-
-
-def _time_texts(times):
-    """repr of each time in a block, each distinct time rendered once.
-
-    The memo is keyed by the float's bits, since as floats 0.0 == -0.0
-    and a nan equals nothing, not even itself.
-    """
-    keys = memoryview(times).cast("B").cast("Q")
-    memo = {key: repr(t) for key, t in dict(zip(keys, times)).items()}
-    return map(memo.__getitem__, keys)
 
 
 class TimeSeries:
@@ -158,25 +138,18 @@ class TimeSeries:
         return len(self._t)
 
     def to_csv(self) -> str:
-        fields = _Fields()
-        # each label object's texts before and after the value, keyed by
-        # identity as _time_texts keys by bits: equal labels can print
-        # apart (True and 1.0 equal 1); the series keeps every id in use
-        heads, tails = {}, {}
-        t, labels, values = self._t, self._label, self._value
-        blocks = [_HEADER]
-        for i in range(0, len(t), _BLOCK):
-            j = i + _BLOCK
-            block = labels[i:j]
-            keys = list(map(id, block))
-            for key, label in dict(zip(keys, block)).items():
-                if key not in heads:
-                    heads[key], tails[key] = fields.label(label)
-            lines = map(",".join, zip(
-                _time_texts(t[i:j]), map(heads.__getitem__, keys),
-                map(repr, values[i:j]), map(tails.__getitem__, keys)))
-            blocks.append("\n".join(lines) + "\n")
-        return "".join(blocks)
+        buf = io.StringIO()
+        sink = CsvSink(buf)
+        append, label_of = sink.append, sink.label
+        # each label object's text, keyed by identity: equal labels can
+        # print apart (True and 1.0 equal 1); the series keeps every id in use
+        texts = {}
+        for t, label, value in zip(self._t, self._label, self._value):
+            text = texts.get(id(label))
+            if text is None:
+                text = texts[id(label)] = label_of(*label)
+            append(t, text, value)
+        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
@@ -228,27 +201,33 @@ class Rows(Sequence):
 class CsvSink:
     """Takes rows like a TimeSeries and writes their CSV to a text stream.
 
-    The header is written at once and each row as it arrives, in one
-    write; the stream's own buffer and the field cache are all the sink
-    holds. The stream then holds exactly what TimeSeries.to_csv would
-    return for the same rows. The caller owns the stream and closes it.
+    The one CSV encoder: `TimeSeries.to_csv` runs its rows through a sink
+    over a StringIO. The header is written at once and each row as it
+    arrives, in one write; the stream's own buffer, the field cache and the
+    last time's text are all the sink holds. The caller owns the stream and
+    closes it.
     """
 
     def __init__(self, stream):
         self._write = stream.write
         self._fields = _Fields()
-        # the rows of one report window share one time object
         self._t = self._t_text = None
         self._write(_HEADER)
 
     def label(self, metric, port, flow, unit) -> tuple[str, str]:
-        """The label rows are appended under: its CSV text, encoded once."""
-        return self._fields.label((metric, port, flow, unit))
+        """The label rows are appended under: its CSV text, encoded once,
+        in two parts, before and after the value."""
+        fields = self._fields
+        return (f"{fields[metric]},{fields.id_text(port)},"
+                f"{fields.id_text(flow)}", fields[unit])
 
     def append(self, t, label, value):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
-        if t is not self._t:
+        # the rows of one time share its text, whether they share one float
+        # (a report window) or read equal ones out of an array (to_csv);
+        # 0.0 equals -0.0 but prints apart, and a nan never equals itself
+        if t != self._t or not t:
             self._t, self._t_text = t, repr(t)
         head, tail = label
         self._write(f"{self._t_text},{head},{value!r},{tail}\n")

@@ -924,3 +924,49 @@ class TestLifecycle:
         sw = Switch(base_config(), seed=1)
         with pytest.raises(ValueError, match="no queue registered"):
             sw.ingress_arrival(packet())
+
+
+class TestScaling:
+    def opcodes_per_injected_kb(self, ports):
+        """Opcodes run in foqsim's run-path modules per KB injected, in a
+        5 ms run of the benchmark's wide PI config at `ports` ports."""
+        from foqsim import control, events, switch, timeseries, traffic
+        from workloads import wide_cbr_pi_text
+        files = {m.__file__ for m in (control, events, switch, timeseries,
+                                      traffic)}
+        config = build_experiment(parse_pairs(
+            wide_cbr_pi_text(1, ports=ports, duration=0.005)))
+        experiment = Experiment(config)
+        opcodes = 0
+
+        def local(frame, event, arg):
+            nonlocal opcodes
+            if event == "opcode":
+                opcodes += 1
+            return local
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename not in files:
+                return None
+            frame.f_trace_opcodes = True
+            return local
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            experiment.run()
+        finally:
+            sys.settrace(previous)
+        injected = sum(oq.injected for oq in experiment.switch._queues.values())
+        assert injected > 90_000
+        return opcodes / (injected / 1000)
+
+    def test_cost_per_kb_does_not_grow_with_the_port_count(self, monkeypatch):
+        # the paper's complexity claim in P: at 2, 8 and 32 ports (8 flows
+        # each, so the offered bytes grow with P) the run costs 2,418.8,
+        # 2,382.0 and 2,368.4 opcodes per injected KB, a spread of 2%. A
+        # per-packet step that walks the ports or the queues grows 16-fold
+        # from 2 to 32 ports: an empty loop over the ports at each ingress
+        # arrival alone spreads the costs by 7%, so the bound is 5%
+        monkeypatch.syspath_prepend(str(BENCH))
+        costs = [self.opcodes_per_injected_kb(p) for p in (2, 8, 32)]
+        assert max(costs) <= 1.05 * min(costs), costs
