@@ -195,6 +195,11 @@ class _Reader:
                 self.bad.append(f"{key}: must be one of {', '.join(value_type)}")
                 return default
             return value_type[raw]
+        if value_type is int:
+            try:
+                return int(raw)  # exact, where float would round past 2**53
+            except ValueError:
+                pass  # 1e3 or 2.0 may still name an integer
         try:
             value = float(raw)
         except ValueError:

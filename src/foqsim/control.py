@@ -2,24 +2,15 @@
 
 Rates are bits/second throughout, probabilities plain fractions in [0, 1].
 Every controller step is a pure function on scalars: the caller passes in
-the loop's state (a PI accumulator and last drop probability, or a gear-box
-drop level) and the loop's constants (the PI gains, or the gear-box band
-and table size) and stores what comes back. Each output queue owns its own
-state, so distinct (output, flow) loops never share it.
+the loop's state and constants (a PI accumulator, last drop probability and
+gains, or a gear-box measurement and band) and stores what comes back; the
+gear-box's is its drop level's step. Each output queue owns its own state,
+so distinct (output, flow) loops never share it.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
-
-
-class FeedbackAction(Enum):
-    """Three-level feedback signal (encodable in two bits on the wire)."""
-
-    INCREASE = "increase"
-    DECREASE = "decrease"
-    HOLD = "hold"
 
 
 def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
@@ -63,13 +54,14 @@ def drop_prob_from_rate(drop_rate: float, fabric_out_rate: float,
 # --- gear-box variant -------------------------------------------------------
 
 def gb_signal_from_congestion(congestion: float, d_min: float,
-                              d_max: float) -> FeedbackAction:
-    """Map a relative-congestion measurement onto the two-bit signal."""
+                              d_max: float) -> int:
+    """Map a relative-congestion measurement onto the drop level's step:
+    +1 above d_max, -1 below d_min, 0 inside the band (a two-bit signal)."""
     if congestion > d_max:
-        return FeedbackAction.INCREASE
+        return 1
     if congestion < d_min:
-        return FeedbackAction.DECREASE
-    return FeedbackAction.HOLD
+        return -1
+    return 0
 
 
 def admit_level_table(beta: float, table_size: int) -> list[float]:
@@ -86,15 +78,6 @@ def drop_level_table(beta: float, table_size: int) -> list[float]:
     complement at every level.
     """
     return [1.0 - a for a in admit_level_table(beta, table_size)]
-
-
-def apply_gb_signal(level: int, signal: FeedbackAction, table_size: int) -> int:
-    """Move the drop-level pointer one step, saturating at both table ends."""
-    if signal is FeedbackAction.INCREASE:
-        return min(level + 1, table_size - 1)
-    if signal is FeedbackAction.DECREASE:
-        return max(level - 1, 0)
-    return level
 
 
 # --- derived constants ------------------------------------------------------

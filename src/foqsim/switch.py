@@ -41,8 +41,6 @@ from heapq import heappop, heappush, heapreplace
 from typing import Callable, Literal, get_args
 
 from .control import (
-    FeedbackAction,
-    apply_gb_signal,
     derive_beta,
     drop_level_table,
     drop_prob_from_rate,
@@ -279,7 +277,7 @@ class _OutQueue:
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, egress, flow_id, labels, tier, weight, red_rng, red_p):
+    def __init__(self, egress, flow_id, labels, tier, weight, red_rng):
         self.egress = egress
         self.flow_id = flow_id
         self.labels = labels    # its sink's label of each of _QUEUE_ROWS
@@ -289,7 +287,7 @@ class _OutQueue:
         self.backlog = 0        # bytes
         self.last_tag = 0.0
         self.red_avg = 0.0
-        self.red_p = red_p      # RED drop probability at red_avg; 0 without RED
+        self.red_p = 0.0        # RED drop probability at red_avg
         self.red_rng = red_rng  # None without RED
         self.drop_prob = 0.0    # applied at every ingress dropper
         self.level = 0          # gear-box drop level
@@ -332,7 +330,6 @@ class Switch:
         # built in key order, the order the sampler and the report walk
         self._queues: dict[tuple[int, int], _OutQueue] = {}
         red = config.red
-        red_p = 0.0 if red is None else red_drop_probability(0.0, red)
         for egress, flow_id in sorted(set(queues)):
             spec = config.flows.get(flow_id)
             if spec is None:
@@ -344,7 +341,7 @@ class Switch:
                            for metric, unit in _QUEUE_ROWS)
             rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")
             self._queues[egress, flow_id] = _OutQueue(
-                egress, flow_id, labels, tier, spec.weight, rng, red_p)
+                egress, flow_id, labels, tier, spec.weight, rng)
         # each port with a queue, in port order, and the label of its
         # fabric row in the report
         self._queued_ports = [
@@ -539,23 +536,25 @@ class Switch:
         arrived0, delivered0, dropped0 = oq.sampled
         oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
         in_b = oq.arrived - arrived0
+        if in_b == 0:
+            # an empty interval records nothing and holds everything as-is
+            return
         out_b = oq.delivered - delivered0
-        congestion = None
-        if in_b > 0:
-            congestion = 1.0 - out_b / in_b
-            self._series.append(self.loop.now / NS, oq.labels[0], congestion)
+        congestion = 1.0 - out_b / in_b
+        self._series.append(self.loop.now / NS, oq.labels[0], congestion)
         fb = self.config.feedback
-        if fb.mode == "off" or in_b == 0 or oq.tier == 0:
-            # an empty interval holds everything as-is, and a premium queue
-            # runs no controller, so its drop_prob stays 0.0
+        if fb.mode == "off" or oq.tier == 0:
+            # a premium queue runs no controller, so its drop_prob stays 0.0
             return
         if fb.mode == "gearbox":
             measured = (congestion if fb.measure == "relcong"
                         else (oq.egress_dropped - dropped0) / in_b)
-            signal = gb_signal_from_congestion(measured, fb.d_min, fb.d_max)
-            if signal is FeedbackAction.HOLD:
+            step = gb_signal_from_congestion(measured, fb.d_min, fb.d_max)
+            if step == 0:
                 return
-            oq.level = apply_gb_signal(oq.level, signal, fb.table_size)
+            # a step past a table end holds the level and re-applies it
+            if 0 <= oq.level + step < fb.table_size:
+                oq.level += step
             prob = self._drop_table[oq.level]
         else:
             rate_in = in_b * 8.0 / fb.interval

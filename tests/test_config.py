@@ -378,6 +378,16 @@ class TestBuildExperiment:
                            "experiment.duration": "1e299"})
         assert build_experiment(pairs).duration == 1e299
 
+    def test_integers_keep_their_exact_value(self):
+        # 2**53 + 1 has no float: read through float it was 2**53
+        exp = build_experiment(minimal(**{
+            "experiment.seed": "9007199254740993",
+            "switch.fabric_memory": "1e5", "switch.num_ports": "2.0"}))
+        assert exp.seed == 9007199254740993
+        # the float forms of an integer still parse, to an int
+        assert exp.switch.fabric_memory == 100_000
+        assert type(exp.switch.num_ports) is int and exp.switch.num_ports == 2
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_numbers_must_be_finite(self, value):
         with pytest.raises(ConfigError) as exc:

@@ -4,6 +4,7 @@ feedback loops, byte conservation, determinism."""
 import dataclasses
 import random
 import sys
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
@@ -67,6 +68,47 @@ def feed_cbr(sw, flow, ingress, egress, size, rate_bps, duration,
         sw.loop.at(t, arrive, port=ingress, flow=flow)
         t += period
         seq += 1
+
+
+def opcodes_in(run, traced):
+    """Call run() under `sys.settrace` and return the opcodes it ran in
+    frames whose code object traced(code) accepts, and how many such frames
+    each function name started."""
+    opcodes = 0
+    calls = Counter()
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return local
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if not traced(code):
+            return None
+        # co_name, since co_qualname is new in Python 3.11
+        calls[code.co_name] += 1
+        frame.f_trace_opcodes = True
+        return local
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return opcodes, calls
+
+
+def busy_output(flows):
+    """A switch with `flows` assured CBR flows into one output at 1.5x its
+    line for 40 ms, ready to run."""
+    cfg = base_config(line_rate=1e7, speedup=4.0,
+                      flows={k: FlowSpec() for k in range(flows)})
+    sw = Switch(cfg, [(1, k) for k in range(flows)], seed=1)
+    for k in range(flows):
+        feed_cbr(sw, k, 0, 1, 125, 1.5e7 / flows, 0.04, k * 1e-6)
+    return sw
 
 
 class HeapLoop:
@@ -508,38 +550,15 @@ class TestScheduling:
         assert [p for p in picks if p[2] != p[3]] == []
 
     def opcodes_per_pick(self, flows):
-        """Opcodes run in `out_scheduler_select` and `_start_out` per pick,
-        with `flows` assured CBR flows into one output at 1.5x its line."""
-        cfg = base_config(line_rate=1e7, speedup=4.0,
-                          flows={k: FlowSpec() for k in range(flows)})
-        sw = Switch(cfg, [(1, k) for k in range(flows)], seed=1)
-        for k in range(flows):
-            feed_cbr(sw, k, 0, 1, 125, 1.5e7 / flows, 0.04, k * 1e-6)
+        """Opcodes run in `out_scheduler_select` and `_start_out` per pick
+        on `busy_output(flows)`."""
+        sw = busy_output(flows)
         names = {"out_scheduler_select", "_start_out"}
-        counts = {"opcode": 0, "picks": 0}
-
-        def local(frame, event, arg):
-            if event == "opcode":
-                counts["opcode"] += 1
-            return local
-
-        def trace(frame, event, arg):
-            # co_name, since co_qualname is new in Python 3.11
-            name = frame.f_code.co_name
-            if name not in names:
-                return None
-            if name == "out_scheduler_select":
-                counts["picks"] += 1
-            frame.f_trace_opcodes = True
-            return local
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            sw.run(0.04)
-        finally:
-            sys.settrace(previous)
-        assert counts["picks"] > 300
-        return counts["opcode"] / counts["picks"]
+        opcodes, calls = opcodes_in(lambda: sw.run(0.04),
+                                    lambda code: code.co_name in names)
+        picks = calls["out_scheduler_select"]
+        assert picks > 300
+        return opcodes / picks
 
     def test_pick_cost_does_not_grow_with_the_flow_count(self):
         # a scan of every queue of the tier costs 15.4x as much per pick at
@@ -663,6 +682,38 @@ class TestFeedbackLoops:
         sw.loop.run(ns(0.2))
         assert sw._queues[1, 1].level > 0
         assert sw._queues[1, 1].drop_prob == table[sw._queues[1, 1].level]
+
+    def test_gearbox_saturates_at_both_table_ends(self):
+        # a two-level table: 2 Mb/s against the 1 Mb/s line stays above
+        # d_max at level 1 (drop beta = 0.08), so each interval steps up
+        # past the table's end, which leaves the level at 1 and applies its
+        # probability again. A 0.5 Mb/s stream then fits the line: once the
+        # backlogs have drained, the level steps down to 0 and, at a
+        # congestion below d_min, past that end too
+        sw = Switch(self.overload_config("gearbox", table_size=2), [(1, 1)],
+                    seed=1)
+        applied = []
+        apply = sw._apply_prob
+
+        def record(oq, prob):
+            applied.append((sw.loop.now / NS, oq.level, prob))
+            apply(oq, prob)
+        sw._apply_prob = record
+        feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0)
+        feed_cbr(sw, 1, 0, 1, 100, 0.5e6, 3.0, start=1.0)
+        ts = sw.run(3.0)
+        cong = [(r.t, r.value) for r in ts.select("rel_cong", 1, 1)]
+        # an application follows every interval outside the band, at once
+        assert [t for t, _, _ in applied] == [
+            t for t, c in cong if not 0.02 <= c <= 0.17]
+        levels = [level for _, level, _ in applied]
+        up = levels.count(1)
+        assert levels == [1] * up + [0] * (len(levels) - up)
+        assert up >= 20 and len(levels) - up >= 20, levels
+        beta = derive_beta(0.17, 0.02)
+        assert {(level, prob) for _, level, prob in applied} == {
+            (0, 0.0), (1, drop_level_table(beta, 2)[1])}
+        assert (sw._queues[1, 1].level, sw._queues[1, 1].drop_prob) == (0, 0.0)
 
     def test_pi_regulates_toward_rate_match(self):
         # fluid equilibrium thins 2 Mb/s to alpha * s * 1 Mb/s, i.e. drop
@@ -937,28 +988,30 @@ class TestScaling:
         config = build_experiment(parse_pairs(
             wide_cbr_pi_text(1, ports=ports, duration=0.005)))
         experiment = Experiment(config)
-        opcodes = 0
-
-        def local(frame, event, arg):
-            nonlocal opcodes
-            if event == "opcode":
-                opcodes += 1
-            return local
-
-        def trace(frame, event, arg):
-            if frame.f_code.co_filename not in files:
-                return None
-            frame.f_trace_opcodes = True
-            return local
-        previous = sys.gettrace()
-        sys.settrace(trace)
-        try:
-            experiment.run()
-        finally:
-            sys.settrace(previous)
+        opcodes, _ = opcodes_in(experiment.run,
+                                lambda code: code.co_filename in files)
         injected = sum(oq.injected for oq in experiment.switch._queues.values())
         assert injected > 90_000
         return opcodes / (injected / 1000)
+
+    def test_cost_per_kb_does_not_grow_with_the_flow_count(self):
+        # the paper's complexity claim in F: the per-packet switch methods,
+        # ingress_arrival through _out_done in source order, cost 3,302.4,
+        # 3,265.9 and 3,132.3 opcodes per injected KB on busy_output at 8,
+        # 64 and 256 busy flows, a spread of 5.4%. An empty loop over the
+        # switch's queues in _enqueue_out alone reads 3,526.0 and 9,131.4
+        # at 8 and 256 flows, so the bound is 10%
+        methods = list(vars(Switch).values())
+        first = methods.index(Switch.ingress_arrival)
+        last = methods.index(Switch._out_done)
+        codes = {f.__code__ for f in methods[first:last + 1]}
+        costs = []
+        for flows in (8, 64, 256):
+            sw = busy_output(flows)
+            opcodes, _ = opcodes_in(lambda: sw.run(0.04), codes.__contains__)
+            injected = sum(oq.injected for oq in sw._queues.values())
+            costs.append(opcodes / (injected / 1000))
+        assert max(costs) <= 1.10 * min(costs), costs
 
     def test_cost_per_kb_does_not_grow_with_the_port_count(self, monkeypatch):
         # the paper's complexity claim in P: at 2, 8 and 32 ports (8 flows
