@@ -24,7 +24,13 @@ Event keys and handler names are fixed: the benchmark's tracer
 (`bench/tracer.py`) classifies each event by its handler's `__qualname__`
 and its port, and counts every `at` call. A handler that runs once per
 packet reads only state resolved at setup or computed by the tick that
-changes it; it re-derives nothing per event.
+changes it; it re-derives nothing per event. It is also built once per
+object that schedules it (a port, an access link, a source) and kept
+there, reading the packet it acts on from its owner, so an event
+allocates no closure; it stays the lambda or nested function it was,
+where it was, so its `__qualname__` stays the name the tracer knows. Only
+the TCP ack (which carries its ack number) and the control application
+(its probability) are built per event.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import hashlib
 import random
 from collections import deque
 from heapq import heappop, heappush, heapreplace
+from itertools import count
 from typing import Annotated
 
 RANK_CONTROL = 0  # feedback applications
@@ -101,26 +108,27 @@ class EventLoop:
         self._heap: list = []   # (when, rank, port, flow, seq, fn[, lane])
         self._heads: list = []  # the first entry of each non-empty lane
         self._lanes: dict[int, deque] = {}  # delay (ns) -> lane
-        self._seq = 0
+        self._seq = count()
         self.now = 0  # ns
 
     def lane(self, delay: int) -> None:
         """Give events scheduled `delay` ns after now a FIFO lane."""
+        if delay < 0:
+            raise ValueError(f"a lane's delay must be non-negative, got {delay}")
         if delay not in self._lanes:
             self._lanes[delay] = deque()
 
     def at(self, when: int, fn, rank: int = RANK_DATA, port: int = -1,
            flow: int = -1) -> None:
-        now = self.now
-        if when < now:
-            raise ValueError("cannot schedule into the past")
-        seq = self._seq
-        self._seq = seq + 1
-        lane = self._lanes.get(when - now)
+        # every lane's delay is non-negative, so only the heap path can be
+        # handed a time in the past
+        lane = self._lanes.get(when - self.now)
         if lane is None:
-            heappush(self._heap, (when, rank, port, flow, seq, fn))
+            if when < self.now:
+                raise ValueError("cannot schedule into the past")
+            heappush(self._heap, (when, rank, port, flow, next(self._seq), fn))
             return
-        entry = (when, rank, port, flow, seq, fn, lane)
+        entry = (when, rank, port, flow, next(self._seq), fn, lane)
         if not lane:
             lane.append(entry)
             heappush(self._heads, entry)

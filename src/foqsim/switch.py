@@ -28,7 +28,11 @@ heap entry. These steps read only state resolved at setup or computed by
 the tick that changes it, such as a queue's RED drop probability, which the
 RED tick refreshes right after the average it follows from. Event keys and
 handler names stay fixed, because the benchmark's tracer (`bench/tracer.py`)
-classifies events by them.
+classifies events by them. Each port's drain and line handlers are built
+by its first drain and first line start and kept on the port: they read
+the packet from `in_drain` and `in_tx`, so no event allocates a closure,
+and they stay the lambdas in `_start_drain` and `_start_out` whose
+`__qualname__` the tracer knows.
 """
 
 from __future__ import annotations
@@ -231,7 +235,7 @@ class _Port:
     Its output queues are reached through the heap and the packets."""
 
     __slots__ = ("index", "fifos", "fifo_bytes", "in_drain", "in_tx",
-                 "ready", "vt")
+                 "ready", "vt", "drain_done", "out_done")
 
     def __init__(self, index):
         self.index = index
@@ -243,6 +247,10 @@ class _Port:
         # queue, and each tier's virtual time: the finish tag it served last
         self.ready = []
         self.vt = [0.0, 0.0, 0.0]
+        # the handlers that end in_drain's drain and in_tx's line time,
+        # built by the first of each and scheduled by every later one
+        self.drain_done = None
+        self.out_done = None
 
 
 # the rows each output queue writes: its sampler's, then its report's
@@ -441,10 +449,12 @@ class Switch:
         port.fifo_bytes[prio] -= packet.size
         self._occupancy -= packet.size
         port.in_drain = packet
+        done = port.drain_done
+        if done is None:
+            done = port.drain_done = lambda: self._drain_done(port)
         loop = self.loop
-        loop.at(loop.now + self._drain_ns[packet.size],
-                lambda: self._drain_done(port), RANK_DATA, port.index,
-                packet.flow_id)
+        loop.at(loop.now + self._drain_ns[packet.size], done, RANK_DATA,
+                port.index, packet.flow_id)
 
     def _drain_done(self, port: _Port) -> None:
         packet = port.in_drain
@@ -511,11 +521,15 @@ class Switch:
         oq.backlog -= packet.size
         port.vt[oq.tier] = tag
         port.in_tx = packet
+        done = port.out_done
+        if done is None:
+            done = port.out_done = lambda: self._out_done(port)
         loop = self.loop
-        loop.at(loop.now + self._line_ns[packet.size],
-                lambda: self._out_done(port, oq, packet), RANK_DATA, j, fid)
+        loop.at(loop.now + self._line_ns[packet.size], done, RANK_DATA, j, fid)
 
-    def _out_done(self, port: _Port, oq: _OutQueue, packet: Packet) -> None:
+    def _out_done(self, port: _Port) -> None:
+        packet = port.in_tx
+        oq = packet.queue
         oq.delivered += packet.size
         oq.delays.append(self.loop.now - packet.arrived_at)
         port.in_tx = None

@@ -25,7 +25,10 @@ arrives, holding none of them, so a run streamed to a file keeps bounded
 memory however long it is. csv.writer itself encodes each distinct metric,
 unit, port and flow once per sink (`_Fields`); every later occurrence is a
 dict hit, so the caches grow with the distinct labels and ids, never with
-the rows. `TimeSeries.to_csv` is that sink over a `StringIO`.
+the rows. `TimeSeries.to_csv` is that sink over a list of strings, joined
+every 4,096 rows into one chunk: a `StringIO` on Python 3.11 keeps every
+written string alive until 100,000 are pending, so it would hold up to
+100k row strings at once.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from array import array
 from collections.abc import Sequence
 from itertools import compress, repeat
 from operator import eq, itemgetter
+from types import SimpleNamespace
 from typing import NamedTuple
 
 COLUMNS = ("t_sec", "metric", "port", "flow", "value", "unit")
@@ -61,6 +65,8 @@ def _refuse(t, value):
 
 
 _HEADER = ",".join(COLUMNS) + "\n"
+# rows TimeSeries.to_csv encodes before it joins their strings into one
+_CHUNK_ROWS = 4096
 # the id types _Fields stores: True and 1.0 equal 1 as dict keys, but
 # csv.writer writes them as "True" and "1.0"
 _STORED_IDS = frozenset((int, type(None)))
@@ -138,18 +144,27 @@ class TimeSeries:
         return len(self._t)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        sink = CsvSink(buf)
+        # the sink's writes, joined into a chunk every _CHUNK_ROWS rows
+        rows: list[str] = []
+        sink = CsvSink(SimpleNamespace(write=rows.append))
         append, label_of = sink.append, sink.label
         # each label object's text, keyed by identity: equal labels can
         # print apart (True and 1.0 equal 1); the series keeps every id in use
         texts = {}
-        for t, label, value in zip(self._t, self._label, self._value):
-            text = texts.get(id(label))
-            if text is None:
-                text = texts[id(label)] = label_of(*label)
-            append(t, text, value)
-        return buf.getvalue()
+        chunks = []
+        for start in range(0, len(self._t), _CHUNK_ROWS):
+            end = start + _CHUNK_ROWS
+            for t, label, value in zip(self._t[start:end],
+                                       self._label[start:end],
+                                       self._value[start:end]):
+                text = texts.get(id(label))
+                if text is None:
+                    text = texts[id(label)] = label_of(*label)
+                append(t, text, value)
+            chunks.append("".join(rows))
+            rows.clear()
+        chunks.append("".join(rows))  # the header of a series with no rows
+        return "".join(chunks)
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
@@ -202,7 +217,7 @@ class CsvSink:
     """Takes rows like a TimeSeries and writes their CSV to a text stream.
 
     The one CSV encoder: `TimeSeries.to_csv` runs its rows through a sink
-    over a StringIO. The header is written at once and each row as it
+    over a list of strings. The header is written at once and each row as it
     arrives, in one write; the stream's own buffer, the field cache and the
     last time's text are all the sink holds. The caller owns the stream and
     closes it.

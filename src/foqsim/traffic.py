@@ -8,6 +8,14 @@ retransmission timeouts, and keeps its receiver state in the same object:
 each packet it sends carries the source's own receive method, which the
 switch calls when the packet leaves the output line. A TCP source starts
 when `start_at` arms it; `foqsim.experiment` draws each start time.
+
+Handlers that fire once per packet or timer are built once per object and
+reused: a CBR source binds `_emit` once, an access link builds its
+completion handler on its first send and reads the packet on the wire from
+`_in_tx`, and a TCP source builds its timer handler on its first arm. Each
+keeps the `__qualname__` by which the benchmark's tracer (`bench/tracer.py`)
+classifies it. The ack handler is built per ack, as it carries the ack
+number.
 """
 
 from __future__ import annotations
@@ -39,10 +47,12 @@ class CbrSource:
         self._start_ns = ns(start)
         self._stop_ns = None if stop is None else ns(stop)
         self.seq = 0
+        # bound once: every emission schedules the next through it
+        self._fire = self._emit
 
     def start(self) -> None:
         if self._stop_ns is None or self._start_ns < self._stop_ns:
-            self.loop.at(self._start_ns, self._emit, rank=RANK_DATA,
+            self.loop.at(self._start_ns, self._fire, rank=RANK_DATA,
                          port=self.ingress_port, flow=self.flow_id)
 
     def _emit(self) -> None:
@@ -52,7 +62,7 @@ class CbrSource:
         self.seq += 1
         nxt = now + self.period_ns
         if self._stop_ns is None or nxt < self._stop_ns:
-            self.loop.at(nxt, self._emit, rank=RANK_DATA,
+            self.loop.at(nxt, self._fire, rank=RANK_DATA,
                          port=self.ingress_port, flow=self.flow_id)
 
 
@@ -66,7 +76,8 @@ class AccessLink:
         self._tx_ns = TxTimes(rate_bps, loop)
         self._queue = deque()
         self._qbytes = 0
-        self._busy = False
+        self._in_tx = None  # the packet on the wire; None while it is idle
+        self._done = None   # its completion handler, built by the first send
         self.dropped_bytes = 0
 
     def send(self, packet: Packet) -> bool:
@@ -76,22 +87,22 @@ class AccessLink:
             return False
         self._queue.append(packet)
         self._qbytes += size
-        if not self._busy:
+        if self._in_tx is None:
             self._next()
         return True
 
     def _next(self) -> None:
         if not self._queue:
-            self._busy = False
+            self._in_tx = None
             return
-        packet = self._queue.popleft()
+        packet = self._in_tx = self._queue.popleft()
         self._qbytes -= packet.size
-        self._busy = True
-
-        def done():
-            self.sink(packet)
-            self._next()
-
+        done = self._done
+        if done is None:
+            def done():
+                self.sink(self._in_tx)
+                self._next()
+            self._done = done
         loop = self.loop
         loop.at(loop.now + self._tx_ns[packet.size], done, RANK_DATA,
                 packet.ingress_port, packet.flow_id)
@@ -125,7 +136,8 @@ class TcpSource:
                  "packet_size", "_receive", "_rtt_ns", "cwnd", "ssthresh",
                  "snd_una", "dup_acks", "in_recovery", "recover_point",
                  "backoff", "srtt", "rttvar", "rto", "_sent", "deadline",
-                 "_timer_at", "rcv_next", "_ooo", "retransmits", "timeouts")
+                 "_timer_at", "_timer", "rcv_next", "_ooo", "retransmits",
+                 "timeouts")
 
     INIT_CWND = 2.0
     INIT_SSTHRESH = 64
@@ -163,6 +175,7 @@ class TcpSource:
         self._sent: list[int | None] = []
         self.deadline: int | None = None  # ns; None only before the first send
         self._timer_at: int | None = None  # ns of the live timer event
+        self._timer = None  # its handler, built by the first arm
 
         self.rcv_next = 0
         # seqs received above a gap; None while there is no gap
@@ -224,8 +237,10 @@ class TcpSource:
         if self._timer_at is not None and self._timer_at <= when:
             return
         self._timer_at = when
-        self.loop.at(when, lambda: self._timer_fire(), RANK_DATA,
-                     self.ingress_port, self.flow_id)
+        timer = self._timer
+        if timer is None:
+            timer = self._timer = lambda: self._timer_fire()
+        self.loop.at(when, timer, RANK_DATA, self.ingress_port, self.flow_id)
 
     def _timer_fire(self) -> None:
         when = self.loop.now  # an event fires at its own key time

@@ -307,6 +307,23 @@ class TestEventKernel:
         with pytest.raises(ValueError, match="past"):
             loop.run(10)
 
+    def test_no_scheduling_into_past_with_lanes(self):
+        # `at` looks a delay's lane up before it checks the time: every
+        # lane's delay is non-negative, so the past still reaches the check
+        loop = EventLoop()
+        for delay in (0, 1, 5):
+            loop.lane(delay)
+        loop.run(10)
+        with pytest.raises(ValueError, match="past"):
+            loop.at(loop.now - 1, lambda: None)
+        assert not loop._heap and not loop._heads
+
+    def test_negative_lane_refused(self):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="non-negative"):
+            loop.lane(-1)
+        assert loop._lanes == {}
+
     def test_run_advances_to_until(self):
         loop = EventLoop()
         loop.run(123)

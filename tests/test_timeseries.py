@@ -10,7 +10,7 @@ from itertools import repeat
 import pytest
 from hypothesis import given, strategies as st
 
-from foqsim.timeseries import COLUMNS, CsvSink, Record, TimeSeries
+from foqsim.timeseries import _CHUNK_ROWS, COLUMNS, CsvSink, Record, TimeSeries
 
 
 def put(sink, t, metric, port, flow, value, unit):
@@ -251,12 +251,22 @@ class TestCsvBytes:
     def test_both_writers_match_csv_writer(self, rows):
         assert TimeSeries(rows).to_csv() == reference_csv(rows)
 
-    def test_awkward_rows(self):
-        count = 10_007
+    @staticmethod
+    def check_awkward_rows(count):
         rows = awkward_rows(count)
         expected = reference_csv(rows)
         assert expected.count("\n") > count + 1  # some fields hold newlines
         assert TimeSeries(rows).to_csv() == expected
+
+    def test_awkward_rows(self):
+        self.check_awkward_rows(10_007)
+
+    # to_csv joins its rows every _CHUNK_ROWS: one row short of a chunk,
+    # exactly one, and one row into the next
+    @pytest.mark.parametrize("count", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                       _CHUNK_ROWS + 1])
+    def test_awkward_rows_at_chunk_edges(self, count):
+        self.check_awkward_rows(count)
 
     def test_negative_zero_time_after_zero(self):
         # equal as floats, and so as memo keys, yet printed differently

@@ -2,6 +2,8 @@
 congestion control state machine and its send log, and the staged start
 schedule an Experiment draws for its TCP sources."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from foqsim.events import NS, RANK_DATA, RANK_TICK, EventLoop, ns, stream
 from foqsim.experiment import Experiment
 from foqsim.switch import Packet
 from foqsim.traffic import AccessLink, CbrSource, TcpSource
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestCbr:
@@ -552,3 +556,93 @@ class TestStagedStart:
     def test_deterministic_per_seed(self, monkeypatch):
         assert self.starts(monkeypatch, 5) == self.starts(monkeypatch, 5)
         assert self.starts(monkeypatch, 5) != self.starts(monkeypatch, 6)
+
+
+MIXED = """\
+switch.num_ports = 3
+switch.line_rate = 4e6
+switch.speedup = 1.28
+switch.fabric_memory = 20000
+switch.out_queue_size = 40000
+switch.queue_mgmt = red
+switch.red.min_th = 10000
+switch.red.max_th = 30000
+flow.0.class = assured
+flow.1.class = assured
+experiment.duration = 1.0
+source.0.kind = cbr
+source.0.flow = 0
+source.0.ingress = 0
+source.0.egress = 1
+source.0.packet_size = 500
+source.0.rate = 1e6
+source.1.kind = cbr
+source.1.flow = 0
+source.1.ingress = 1
+source.1.egress = 2
+source.1.packet_size = 200
+source.1.rate = 1.5e6
+source.2.kind = tcp_group
+source.2.flow = 1
+source.2.ingress = 0
+source.2.egress = 2
+source.2.packet_size = 500
+source.2.count = 4
+source.2.link_rate = 1e6
+source.2.link_buffer = 4000
+source.2.one_way = 5e-3
+source.2.window_start = 0
+source.2.window_end = 0.01
+source.3.kind = tcp_group
+source.3.flow = 1
+source.3.ingress = 2
+source.3.egress = 1
+source.3.packet_size = 500
+source.3.count = 3
+source.3.link_rate = 1e6
+source.3.link_buffer = 4000
+source.3.one_way = 5e-3
+source.3.window_start = 0
+source.3.window_end = 0.01
+"""
+
+
+def test_per_packet_handlers_are_built_once_per_owner(monkeypatch):
+    """A run schedules the same handler object again and again: one drain
+    and one line handler per port with a queue, one completion per access
+    link, one timer per TCP source, one bound emission per CBR source.
+
+    Every handler scheduled is kept, so no freed object's id is reused,
+    and counted by its `__qualname__`, which must be one the benchmark's
+    tracer classifies. The loop's `at` is wrapped on the instance after
+    build, as the corpus probe does.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import HANDLERS, TICK
+    experiment = Experiment(build_experiment(parse_pairs(MIXED)), seed=1)
+    loop = experiment.loop
+    scheduled = {}  # qualname -> every handler object scheduled under it
+    at = loop.at
+
+    def schedule(when, fn, rank=RANK_DATA, port=-1, flow=-1):
+        scheduled.setdefault(fn.__qualname__, []).append(fn)
+        at(when, fn, rank, port, flow)
+
+    loop.at = schedule
+    experiment.run()
+    assert set(scheduled) <= set(HANDLERS) | {TICK}
+    queued_ports = len({j for j, _ in experiment.switch._queues})
+    most = {
+        "Switch._start_drain.<locals>.<lambda>": queued_ports,
+        "Switch._start_out.<locals>.<lambda>": queued_ports,
+        "AccessLink._next.<locals>.done": len(experiment.links),
+        "TcpSource._arm_timer.<locals>.<lambda>": len(experiment.tcp_sources),
+        "CbrSource._emit": len(experiment.cbr_sources),
+    }
+    assert (queued_ports, len(experiment.links), len(experiment.tcp_sources),
+            len(experiment.cbr_sources)) == (2, 2, 7, 2)
+    for name, bound in most.items():
+        handlers = scheduled[name]
+        # several events per owner, so a handler built per event shows
+        assert len(handlers) > 5 * bound, name
+        assert len(set(map(id, handlers))) <= bound, name
