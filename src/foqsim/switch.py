@@ -33,6 +33,14 @@ by its first drain and first line start and kept on the port: they read
 the packet from `in_drain` and `in_tx`, so no event allocates a closure,
 and they stay the lambdas in `_start_drain` and `_start_out` whose
 `__qualname__` the tracer knows.
+
+The drain and the line are work-conserving FIFO servers: the handler that
+ends one service starts the next before it returns, so an idle drain has
+empty FIFOs and an idle line an empty ready heap. A packet that finds its
+drain or line idle is therefore handed to `_start_drain` or `_start_out`
+at once, without a round trip through the FIFO and the pool occupancy or
+through its output queue and the ready heap; `out_scheduler_select` runs
+only when a line completion has to pick. Every event stays as it was.
 """
 
 from __future__ import annotations
@@ -192,15 +200,6 @@ class SwitchConfig:
         return bad
 
 
-def ingress_admit(drop_prob: float, rng) -> bool:
-    """Bernoulli admission at an ingress dropper; no draw at 0 or 1."""
-    if drop_prob <= 0.0:
-        return True
-    if drop_prob >= 1.0:
-        return False
-    return rng.random() >= drop_prob
-
-
 def red_drop_probability(avg: float, params: RedParams) -> float:
     """Linear ramp from min_th to max_th, certain drop above max_th."""
     if avg < params.min_th:
@@ -324,6 +323,8 @@ class Switch:
         if bad:
             raise ValueError("invalid switch config: " + "; ".join(bad))
         self.config = config
+        self._fabric_memory = config.fabric_memory
+        self._out_queue_size = config.out_queue_size
         self.loop = loop if loop is not None else EventLoop()
         self._drain_ns = TxTimes(config.speedup * config.line_rate, self.loop)
         self._line_ns = TxTimes(config.line_rate, self.loop)
@@ -395,8 +396,10 @@ class Switch:
             if bucket is not None and not bucket.admit(size, now):
                 oq.ingress_dropped += size
                 return
-        # a premium queue's drop_prob stays 0.0: it runs no controller
-        if not ingress_admit(oq.drop_prob, self._ingress_rng[ingress]):
+        # Bernoulli dropping, drawn only strictly between 0 and 1; a premium
+        # queue's drop_prob stays 0.0, as it runs no controller
+        p = oq.drop_prob
+        if p > 0.0 and (p >= 1.0 or self._ingress_rng[ingress].random() < p):
             oq.ingress_dropped += size
             return
         self.fabric_enqueue(packet, 1 if oq.tier else 0)
@@ -413,19 +416,21 @@ class Switch:
         be squeezed out by a pool pinned full of assured backlog.
         """
         size = packet.size
-        port = self._ports[packet.egress_port]
-        if self._occupancy + size > self.config.fabric_memory:
+        memory = self._fabric_memory
+        if self._occupancy + size > memory:
             if prio == 0:
-                self._evict_low_priority(
-                    self._occupancy + size - self.config.fabric_memory)
-            if self._occupancy + size > self.config.fabric_memory:
+                self._evict_low_priority(self._occupancy + size - memory)
+            if self._occupancy + size > memory:
                 packet.queue.fabric_dropped += size
                 return
+        port = self._ports[packet.egress_port]
+        if port.in_drain is None:
+            # an idle drain's FIFOs are empty: serve the packet at once
+            self._start_drain(port, packet)
+            return
         self._occupancy += size
         port.fifos[prio].append(packet)
         port.fifo_bytes[prio] += size
-        if port.in_drain is None:
-            self._start_drain(port)
 
     def _evict_low_priority(self, needed: int) -> None:
         while needed > 0:
@@ -442,12 +447,7 @@ class Switch:
             needed -= packet.size
             packet.queue.fabric_dropped += packet.size
 
-    def _start_drain(self, port: _Port) -> None:
-        hi, lo = port.fifos
-        queue, prio = (hi, 0) if hi else (lo, 1)
-        packet = queue.popleft()
-        port.fifo_bytes[prio] -= packet.size
-        self._occupancy -= packet.size
+    def _start_drain(self, port: _Port, packet: Packet) -> None:
         port.in_drain = packet
         done = port.drain_done
         if done is None:
@@ -462,7 +462,11 @@ class Switch:
         self._enqueue_out(port, packet)
         hi, lo = port.fifos
         if hi or lo:
-            self._start_drain(port)
+            queue, prio = (hi, 0) if hi else (lo, 1)
+            packet = queue.popleft()
+            port.fifo_bytes[prio] -= packet.size
+            self._occupancy -= packet.size
+            self._start_drain(port, packet)
 
     # --- output queues and scheduler --------------------------------------
 
@@ -472,7 +476,7 @@ class Switch:
         oq.arrived += size
         p = oq.red_p  # from the last RED tick; stays 0.0 without RED
         # the hard buffer bound applies under RED too, and drops undrawn
-        if (oq.backlog + size > self.config.out_queue_size
+        if (oq.backlog + size > self._out_queue_size
                 or p >= 1.0 or (p > 0.0 and oq.red_rng.random() < p)):
             oq.egress_dropped += size
             return
@@ -484,13 +488,16 @@ class Switch:
             # max(last, vt): the first operand unless the second is larger
             tag = (vt if vt > last else last) + size * 8.0 / oq.weight
             oq.last_tag = tag
+        if port.in_tx is None:
+            # an idle line's ready heap is empty: serve the packet at once
+            port.vt[tier] = tag
+            self._start_out(port, packet)
+            return
         packets = oq.packets
         if not packets:
             heappush(port.ready, (tier, tag, oq.flow_id, oq))
         packets.append((packet, tag))
         oq.backlog += size
-        if port.in_tx is None:
-            self._start_out(port)
 
     def out_scheduler_select(self, j: int) -> int | None:
         """Flow the output scheduler would serve next, None when idle.
@@ -505,27 +512,29 @@ class Switch:
         ready = self._ports[j].ready
         return ready[0][2] if ready else None
 
-    def _start_out(self, port: _Port) -> None:
-        j = port.index
-        fid = self.out_scheduler_select(j)
-        if fid is None:
-            return
-        ready = port.ready
-        oq = ready[0][3]  # the queue of the entry just picked
-        packets = oq.packets
-        packet, tag = packets.popleft()
-        if packets:
-            heapreplace(ready, (oq.tier, packets[0][1], fid, oq))
-        else:
-            heappop(ready)
-        oq.backlog -= packet.size
-        port.vt[oq.tier] = tag
+    def _start_out(self, port: _Port, packet: Packet | None = None) -> None:
+        """Put packet on the idle line, or else the scheduler's pick."""
+        if packet is None:
+            fid = self.out_scheduler_select(port.index)
+            if fid is None:
+                return
+            ready = port.ready
+            oq = ready[0][3]  # the queue of the entry just picked
+            packets = oq.packets
+            packet, tag = packets.popleft()
+            if packets:
+                heapreplace(ready, (oq.tier, packets[0][1], fid, oq))
+            else:
+                heappop(ready)
+            oq.backlog -= packet.size
+            port.vt[oq.tier] = tag
         port.in_tx = packet
         done = port.out_done
         if done is None:
             done = port.out_done = lambda: self._out_done(port)
         loop = self.loop
-        loop.at(loop.now + self._line_ns[packet.size], done, RANK_DATA, j, fid)
+        loop.at(loop.now + self._line_ns[packet.size], done, RANK_DATA,
+                port.index, packet.flow_id)
 
     def _out_done(self, port: _Port) -> None:
         packet = port.in_tx

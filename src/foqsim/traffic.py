@@ -9,6 +9,11 @@ each packet it sends carries the source's own receive method, which the
 switch calls when the packet leaves the output line. A TCP source starts
 when `start_at` arms it; `foqsim.experiment` draws each start time.
 
+An access link is a work-conserving FIFO server: its completion handler
+starts the next queued packet before it returns, so an idle link's queue
+is empty, and a packet sent to an idle link goes onto the wire at once
+without entering the queue.
+
 Handlers that fire once per packet or timer are built once per object and
 reused: a CBR source binds `_emit` once, an access link builds its
 completion handler on its first send and reads the packet on the wire from
@@ -85,23 +90,28 @@ class AccessLink:
         if self._qbytes + size > self.buffer_bytes:
             self.dropped_bytes += size
             return False
-        self._queue.append(packet)
-        self._qbytes += size
         if self._in_tx is None:
-            self._next()
+            self._next(packet)  # an idle link's queue is empty
+        else:
+            self._queue.append(packet)
+            self._qbytes += size
         return True
 
-    def _next(self) -> None:
-        if not self._queue:
-            self._in_tx = None
-            return
-        packet = self._in_tx = self._queue.popleft()
-        self._qbytes -= packet.size
+    def _next(self, packet: Packet) -> None:
+        """Put packet on the wire; its completion hands it to the sink and
+        starts the next queued packet, if any."""
+        self._in_tx = packet
         done = self._done
         if done is None:
             def done():
                 self.sink(self._in_tx)
-                self._next()
+                queue = self._queue
+                if queue:
+                    packet = queue.popleft()
+                    self._qbytes -= packet.size
+                    self._next(packet)
+                else:
+                    self._in_tx = None
             self._done = done
         loop = self.loop
         loop.at(loop.now + self._tx_ns[packet.size], done, RANK_DATA,

@@ -13,6 +13,9 @@ bound was frozen.
    regulated ingress dropping with it.
 6. Core invariants hold standalone: conservation, WFQ shares, gear-box
    band containment, admit-table composition, pole identities, determinism.
+9. Every premium packet is delivered within the non-preemptive-priority
+   delay bound of its output, on both shipped CBR configs and on a wide
+   config in every feedback mode.
 
 The golden digests pin the CSV bytes of the four shipped configs across
 commits, both as the in-memory series writes them and as the streaming sink
@@ -44,7 +47,7 @@ from foqsim.control import (
     derive_beta,
     drop_level_table,
 )
-from foqsim.events import ns, tx_ns
+from foqsim.events import NS, ns, tx_ns
 from foqsim.experiment import Experiment
 from foqsim.switch import (
     FeedbackConfig,
@@ -57,7 +60,9 @@ from foqsim.switch import (
 )
 from foqsim.timeseries import CsvSink, TimeSeries
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+BENCH = ROOT / "bench"
 
 # SHA-256 of `run` CSV output for each shipped config at its shipped seed
 # and for each inline config (INLINE below): the cross-commit behavioural
@@ -463,3 +468,106 @@ def test_criterion_6_property_suite():
     print("criterion 6: PASS (conservation exact, WFQ 6:1 within 2%, "
           f"GB tail mean {tail_mean:.4f} in band, admit table exact, "
           "Vieta 1e-12, determinism bit-identical)")
+
+
+def premium_delay_bound(config, egress):
+    """Worst delay, in seconds, of a premium packet at output `egress`, from
+    its ingress dropper to the end of its line time, for CBR sources.
+
+    Premium is served first, without preemption, at the fabric drain (rate
+    S*C) and at the line (rate C): a premium packet waits at each for at
+    most one lower-priority packet already in service (L_lo, the largest
+    non-premium packet bound for the output) and for the premium bytes
+    ahead of it, and then for itself. So a delay bound D satisfies
+    D >= (L_lo + B)/(S*C) + (L_lo + B)/C, where B counts the packet and
+    every premium byte that can be ahead of it at either server. Those
+    bytes arrived within D before it (each earlier packet is itself within
+    D) or, at a line with several premium queues, after it and within D of
+    it, so B is at most what reaches the output in a window of 2D. Per
+    (ingress, premium flow) that is what its CBR sources emit in the
+    window, L*(1 + floor(window/T)) each, capped by its token bucket's
+    burst plus its rate times the window (Cruz, "A calculus for network
+    delay", 1991; Le Boudec and Thiran, "Network Calculus", 2001). The
+    bound is iterated from B = one packet per source to its fixed point.
+    With one sparse premium source per output, B is its one packet L_p and
+    D = (L_lo + L_p)/(S*C) + (L_lo + L_p)/C.
+    """
+    sw = config.switch
+    premium = {fid for fid, spec in sw.flows.items()
+               if spec.svc_class is ServiceClass.PREMIUM}
+    sources = [s for s in config.sources if s.egress == egress]
+    assert all(s.kind == "cbr" for s in sources if s.flow in premium)
+    low = max(s.packet_size for s in sources if s.flow not in premium)
+    feeds = {}
+    for s in sources:
+        if s.flow in premium:
+            feeds.setdefault((s.ingress, s.flow), []).append(s)
+
+    def burst(window):
+        total = 0.0
+        for (_, fid), group in feeds.items():
+            sent = sum(s.packet_size * (1 + int(window * s.rate / (8 * s.packet_size)))
+                       for s in group)
+            spec = sw.flows[fid]
+            if spec.police_rate is not None:
+                sent = min(sent, spec.police_burst + spec.police_rate * window / 8)
+            total += sent
+        return total
+
+    per_byte = 8 / (sw.speedup * sw.line_rate) + 8 / sw.line_rate
+    bound = 0.0
+    for _ in range(20):
+        bound, last = (low + burst(2 * bound)) * per_byte, bound
+        if bound == last:
+            return bound
+    raise AssertionError(f"no premium delay bound at output {egress}")
+
+
+def worst_premium_delays(config):
+    """Run config; return {egress: worst now - arrived_at, in seconds, of a
+    premium packet at the end of its line time}. The line handler reaches
+    `_out_done` by attribute lookup, so an instance override sees every
+    delivery."""
+    experiment = Experiment(config)
+    sw = experiment.switch
+    out_done = sw._out_done
+    worst = {}
+
+    def timed(port):
+        packet = port.in_tx
+        if packet.queue.tier == 0:
+            delay = (sw.loop.now - packet.arrived_at) / NS
+            worst[port.index] = max(worst.get(port.index, 0.0), delay)
+        out_done(port)
+    sw._out_done = timed
+    experiment.run()
+    return worst
+
+
+def test_criterion_9_premium_delay_bound(monkeypatch):
+    # worst delay measured at the parent of this test: cbr_scaled 279.652 us
+    # against 285.0, cbr_scaled_nofoq 278.324 us, and 552.3 us (PI) and
+    # 587.8 us (off, gear-box) on the wide config against 591.7
+    t0 = time.perf_counter()
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import wide_cbr_pi_text
+    wide = wide_cbr_pi_text(1)
+    configs = {name: load_config(CONFIGS / f"{name}.cfg")
+               for name in ("cbr_scaled", "cbr_scaled_nofoq")}
+    for mode in ("off", "pi", "gearbox"):
+        configs[f"wide_{mode}"] = build_experiment(parse_pairs(wide.replace(
+            "switch.feedback.mode = pi", f"switch.feedback.mode = {mode}")))
+    margins = {}
+    for name, config in configs.items():
+        worst = worst_premium_delays(config)
+        assert worst, name
+        for egress, delay in worst.items():
+            bound = premium_delay_bound(config, egress)
+            assert delay <= bound, (name, egress, delay, bound)
+        egress = max(worst, key=worst.get)
+        margins[name] = (worst[egress] * 1e6,
+                         premium_delay_bound(config, egress) * 1e6)
+    elapsed = time.perf_counter() - t0
+    print("criterion 9: PASS (" + ", ".join(
+        f"{name} {w:.1f}/{b:.1f} us" for name, (w, b) in margins.items())
+        + f", {elapsed:.1f}s)")

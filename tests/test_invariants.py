@@ -5,7 +5,8 @@ best-effort flows; RED on and off; every feedback mode and measure; a
 nonzero feedback delay; CBR sources and, outside the drained variant, small
 TCP groups) that goes through `build_experiment`, and every generated run
 must keep exact byte conservation, repeat its CSV for its seed, keep the
-controller inside its range and the buffers inside their bounds.
+controller inside its range and the buffers inside their bounds, and leave
+no packet waiting at an idle access link, fabric drain or output line.
 """
 
 import math
@@ -14,7 +15,7 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
-from foqsim.events import EventLoop, ns
+from foqsim.events import RANK_DATA, EventLoop, ns
 from foqsim.experiment import Experiment
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -186,6 +187,38 @@ def test_window_rates_sum_to_run_totals(text):
         assert {f: windowed.get(f, 0) for f in totals} == totals, rate
     assert all(acct["resident"] == 0
                for acct in experiment.switch.conservation().values())
+
+
+@SETTINGS
+@given(config_texts())
+def test_an_idle_server_holds_no_queue(text):
+    # the handler that ends a service starts the next one before it
+    # returns, so after every event an idle access link, fabric drain or
+    # output line has nothing waiting for it
+    experiment = Experiment(build_experiment(parse_pairs(text)))
+    loop = experiment.loop
+    links = experiment.links
+    ports = experiment.switch._ports
+    at = loop.at
+    fired = 0
+
+    def schedule(when, fn, rank=RANK_DATA, port=-1, flow=-1):
+        def checked():
+            nonlocal fired
+            fn()
+            fired += 1
+            for link in links:
+                if link._in_tx is None:
+                    assert not link._queue and link._qbytes == 0
+            for p in ports:
+                if p.in_drain is None:
+                    assert not any(p.fifos), p.index
+                if p.in_tx is None:
+                    assert not p.ready, p.index
+        at(when, checked, rank, port, flow)
+    loop.at = schedule
+    experiment.run()
+    assert fired
 
 
 LONG_RUN = """\

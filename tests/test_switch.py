@@ -33,7 +33,6 @@ from foqsim.switch import (
     ServiceClass,
     Switch,
     SwitchConfig,
-    ingress_admit,
     red_drop_probability,
 )
 
@@ -405,17 +404,41 @@ class TestConfigValidation:
 
 
 class TestIngressAdmit:
+    """The ingress dropper on one queue whose drop probability is set by
+    hand: no draw at 0 or 1, and a drop when the draw is below it."""
+
+    N = 40_000
+
+    def arrivals(self, prob):
+        """Drive N packets through `ingress_arrival`; return the queue and
+        whether its ingress port's generator kept its state."""
+        sw = Switch(base_config(), [(1, 1)], seed=1)
+        oq = sw._queues[1, 1]
+        oq.drop_prob = prob
+        rng = sw._ingress_rng[0]
+        state = rng.getstate()
+        for seq in range(self.N):
+            sw.ingress_arrival(packet(seq=seq))
+        assert oq.injected == self.N * 500
+        return oq, rng.getstate() == state
+
     def test_zero_prob_admits(self):
-        assert ingress_admit(0.0, stream(1, "x"))
+        oq, undrawn = self.arrivals(0.0)
+        assert oq.ingress_dropped == 0
+        assert undrawn
 
     def test_certain_drop(self):
-        assert not ingress_admit(1.0, stream(1, "x"))
+        oq, undrawn = self.arrivals(1.0)
+        assert oq.ingress_dropped == oq.injected
+        assert undrawn
 
     def test_admit_fraction_half(self):
-        # law of large numbers at a fixed stream: 0.5 +- 0.002 over 1e6
-        rng = stream(1, "admit-test")
-        admitted = sum(ingress_admit(0.5, rng) for _ in range(1_000_000))
-        assert abs(admitted / 1e6 - 0.5) < 0.002
+        # the admitted fraction of N Bernoulli(0.5) trials has standard
+        # deviation 0.5 / sqrt(N) = 0.0025; allow four of them
+        oq, undrawn = self.arrivals(0.5)
+        admitted = 1 - oq.ingress_dropped / oq.injected
+        assert abs(admitted - 0.5) < 4 * 0.5 / self.N ** 0.5
+        assert not undrawn
 
 
 class TestRedCurve:
@@ -796,8 +819,8 @@ class TestFeedbackLoops:
 
     @pytest.mark.parametrize("mode", ["pi", "gearbox"])
     def test_premium_queue_runs_no_controller(self, mode):
-        # an unpoliced premium flow at twice the line rate: ingress_admit
-        # never thins premium traffic, so its queue's congestion is
+        # an unpoliced premium flow at twice the line rate: the ingress
+        # dropper never thins premium traffic, so its queue's congestion is
         # recorded but drives no drop probability and no gear level
         cfg = dataclasses.replace(
             self.overload_config(mode),

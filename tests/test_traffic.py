@@ -646,3 +646,23 @@ def test_per_packet_handlers_are_built_once_per_owner(monkeypatch):
         # several events per owner, so a handler built per event shows
         assert len(handlers) > 5 * bound, name
         assert len(set(map(id, handlers))) <= bound, name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the gear-box sampler returns before recording an interval with "
+    "deliveries but no arrivals, so a packet that arrives in one interval "
+    "and leaves in a later one reads congestion 1.0; at light load with "
+    "sparse packets the level only climbs (CHANGES.md, FOUND on "
+    "Switch.sample_and_feedback)"))
+def test_gearbox_does_not_throttle_a_light_sparse_flow():
+    # flow 0 offers 1 Mb/s of 500 B packets to a 4 Mb/s line at port 1, one
+    # packet per 4 ms that takes 1.8 ms to drain and serialise; with a 1 ms
+    # interval queue (1, 0)'s level reaches 35 and flow 0 loses 109,800 of
+    # its 313,100 B at the ingress (35%); with a 10 ms interval it loses
+    # 3,800 B (1.2%)
+    text = MIXED + ("switch.feedback.mode = gearbox\n"
+                    "switch.feedback.interval = 1e-3\n")
+    experiment = Experiment(build_experiment(parse_pairs(text)), seed=1)
+    experiment.run()
+    flow = experiment.switch.conservation()[0]
+    assert flow["ingress_dropped"] < 0.05 * flow["injected"], flow
