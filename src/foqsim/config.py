@@ -6,8 +6,8 @@ experiment.*. Validation is collecting, not fail-fast: every violation in
 the file is reported, each prefixed by the offending key.
 
 A section's keys are its dataclass's scalar fields, read once at import:
-the annotation gives the type (int, float, or a Literal's or an Enum's
-choices) and the default the default; a field without one is required.
+the annotation gives the type (int, float, or a Literal's choices) and
+the default the default; a field without one is required.
 `metadata={"key": ...}` renames a field's key, and None there means none.
 A field annotated `Seconds` is a time, which must also fit the event
 loop's integer nanoseconds.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import MISSING, dataclass, field, fields
-from enum import EnumMeta
 from pathlib import Path
 from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
 
@@ -130,8 +129,6 @@ def _value_type(hint):
         return hint
     if get_origin(hint) is Literal:
         return {choice: choice for choice in get_args(hint)}
-    if isinstance(hint, EnumMeta):
-        return {member.value: member for member in hint}
     return None
 
 

@@ -27,10 +27,8 @@ packet reads only state resolved at setup or computed by the tick that
 changes it; it re-derives nothing per event. It is also built once per
 object that schedules it (a port, an access link, a source) and kept
 there, reading the packet it acts on from its owner, so an event
-allocates no closure; it stays the lambda or nested function it was,
-where it was, so its `__qualname__` stays the name the tracer knows. Only
-the TCP ack (which carries its ack number) and the control application
-(its probability) are built per event.
+allocates no closure. Only the TCP ack (which carries its ack number) and
+the control application (its probability) are built per event.
 """
 
 from __future__ import annotations

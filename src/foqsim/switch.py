@@ -40,7 +40,7 @@ empty FIFOs and an idle line an empty ready heap. A packet that finds its
 drain or line idle is therefore handed to `_start_drain` or `_start_out`
 at once, without a round trip through the FIFO and the pool occupancy or
 through its output queue and the ready heap; `out_scheduler_select` runs
-only when a line completion has to pick. Every event stays as it was.
+only when a line completion has to pick.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Literal, get_args
 
@@ -64,12 +63,8 @@ from .events import (NS, RANK_CONTROL, RANK_DATA, RANK_TICK, EventLoop, Seconds,
 from .timeseries import CsvSink, TimeSeries
 
 
-class ServiceClass(Enum):
-    """Service classes in tier order: a queue's tier is its class's index."""
-
-    PREMIUM = "premium"
-    ASSURED = "assured"
-    BEST_EFFORT = "besteffort"
+# service classes in tier order: a queue's tier is its class's index
+ServiceClass = Literal["premium", "assured", "besteffort"]
 
 
 @dataclass(slots=True)
@@ -98,7 +93,7 @@ class RedParams:
 
 @dataclass(frozen=True)
 class FlowSpec:
-    svc_class: ServiceClass = field(default=ServiceClass.ASSURED,
+    svc_class: ServiceClass = field(default="assured",
                                     metadata={"key": "class"})  # flow.<id>.class
     weight: float = 1.0
     police_rate: float | None = None  # bits/s token bucket, premium only
@@ -151,12 +146,15 @@ class SwitchConfig:
         if not self.flows:
             bad.append("flow: at least one flow must be defined")
         for fid, spec in self.flows.items():
+            if spec.svc_class not in get_args(ServiceClass):
+                bad.append(f"flow.{fid}.class: "
+                           "must be premium, assured or besteffort")
             if spec.weight <= 0:
                 bad.append(f"flow.{fid}.weight: must be positive")
             if spec.police_rate is not None:
                 if spec.police_rate <= 0:
                     bad.append(f"flow.{fid}.police_rate: must be positive")
-                if spec.svc_class is not ServiceClass.PREMIUM:
+                if spec.svc_class != "premium":
                     bad.append(f"flow.{fid}.police_rate: "
                                "only premium flows are policed")
             if spec.police_burst <= 0:
@@ -345,7 +343,7 @@ class Switch:
                 raise ValueError(f"flow {flow_id} not defined in the switch config")
             if not 0 <= egress < config.num_ports:
                 raise ValueError(f"egress port {egress} out of range")
-            tier = list(ServiceClass).index(spec.svc_class)
+            tier = get_args(ServiceClass).index(spec.svc_class)
             labels = tuple(label(metric, egress, flow_id, unit)
                            for metric, unit in _QUEUE_ROWS)
             rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")

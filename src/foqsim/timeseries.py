@@ -12,7 +12,7 @@ prints differently, so `append` refuses anything else with TypeError.
 
 `records` reads the rows as `Record`s, built on access: immutable named
 tuples in column order that compare equal to the plain 6-tuple of their
-fields. `select` matches on the labels' metrics before it builds any.
+fields. `select` builds a `Record` only for a row it keeps.
 
 CSV is UTF-8 with LF newlines and round-trips exactly, unless a metric or
 unit holds a bare carriage return, which csv.writer leaves unquoted (no
@@ -37,8 +37,7 @@ import csv
 import io
 from array import array
 from collections.abc import Sequence
-from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import eq
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -128,12 +127,10 @@ class TimeSeries:
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
         """Records for one metric, optionally narrowed to a port and flow."""
-        t, labels, values = self._t, self._label, self._value
-        hits = compress(range(len(t)),
-                        map(eq, map(itemgetter(0), labels), repeat(metric)))
-        return [_record_of(t[i], labels[i], values[i]) for i in hits
-                if (port is None or labels[i][1] == port)
-                and (flow is None or labels[i][2] == flow)]
+        return [_record_of(t, label, value)
+                for t, label, value in zip(self._t, self._label, self._value)
+                if label[0] == metric and (port is None or label[1] == port)
+                and (flow is None or label[2] == flow)]
 
     def __eq__(self, other):
         return isinstance(other, TimeSeries) and (

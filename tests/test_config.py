@@ -14,7 +14,7 @@ from foqsim.config import (
     parse_pairs,
 )
 from foqsim.config import CbrSpec, TcpGroupSpec
-from foqsim.switch import RedParams, ServiceClass
+from foqsim.switch import RedParams
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -77,7 +77,7 @@ EVERY_KEY = {
     "switch.feedback.d_min": ("0.05", 0.05),
     "switch.feedback.table_size": ("32", 32),
     "switch.feedback.measure": ("dropprob", "dropprob"),
-    "flow.0.class": ("premium", ServiceClass.PREMIUM),
+    "flow.0.class": ("premium", "premium"),
     "flow.0.weight": ("2", 2.0),
     "flow.0.police_rate": ("5e5", 5e5),
     "flow.0.police_burst": ("3000", 3000),
@@ -154,7 +154,7 @@ class TestBuildExperiment:
         assert exp.duration == 1.0
         assert exp.switch.red is None  # droptail by default
         assert exp.switch.feedback.mode == "off"
-        assert exp.switch.flows[1].svc_class == ServiceClass.ASSURED
+        assert exp.switch.flows[1].svc_class == "assured"
         assert exp.switch.flows[1].weight == 1.0
         assert exp.sources == []
 
@@ -402,7 +402,7 @@ class TestBuildExperiment:
         exp = build_experiment(pairs)
         sw = exp.switch
         assert sw.red is not None
-        assert sw.flows[1].svc_class == ServiceClass.BEST_EFFORT
+        assert sw.flows[1].svc_class == "besteffort"
         cbr, tcp = exp.sources
         assert type(cbr) is CbrSpec and type(tcp) is TcpGroupSpec
         # longest prefix first, so switch.red. wins over switch.
@@ -447,7 +447,7 @@ class TestShippedConfigs:
         assert sw.line_rate == 100e6
         assert sw.red is None
         assert sw.feedback.mode == "gearbox"
-        assert sw.flows[0].svc_class == ServiceClass.PREMIUM
+        assert sw.flows[0].svc_class == "premium"
         assert sw.flows[0].police_rate == 9.52e6
         assert sw.flows[1].weight == 6.0
         assert sw.flows[2].weight == 1.0

@@ -8,6 +8,7 @@ from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,7 +48,7 @@ def base_config(**over):
     defaults = dict(
         num_ports=2, line_rate=1e6, speedup=1.28, fabric_memory=1_000_000,
         out_queue_size=1_000_000,
-        flows={1: FlowSpec(svc_class=ServiceClass.ASSURED)},
+        flows={1: FlowSpec(svc_class="assured")},
     )
     defaults.update(over)
     return SwitchConfig(**defaults)
@@ -210,8 +211,8 @@ def wide_outputs(draw):
     ports = draw(st.integers(1, 4))
     weights = (st.just(1.0) if draw(st.booleans())
                else st.sampled_from((1.0, 2.0, 4.0)))
-    flows = {k: FlowSpec(svc_class=draw(st.sampled_from(ServiceClass)),
-                         weight=draw(weights))
+    classes = st.sampled_from(get_args(ServiceClass))
+    flows = {k: FlowSpec(svc_class=draw(classes), weight=draw(weights))
              for k in range(draw(st.integers(2, 32)))}
     sizes = st.sampled_from(draw(st.lists(
         st.sampled_from((64, 200, 576, 1500)), min_size=1, max_size=2)))
@@ -389,6 +390,15 @@ class TestConfigValidation:
     def test_each_feedback_violation_alone(self, feedback, message):
         assert base_config(feedback=feedback).validate() == [message]
 
+    def test_unknown_class_refused_with_its_key(self):
+        bad = base_config(flows={4: FlowSpec(svc_class="gold")}).validate()
+        assert bad == ["flow.4.class: must be premium, assured or besteffort"]
+
+    def test_policed_premium_class_is_clean(self):
+        cfg = base_config(flows={0: FlowSpec(svc_class="premium",
+                                             police_rate=1e5)})
+        assert cfg.validate() == []
+
     def test_red_violations(self):
         cfg = base_config(red=RedParams(max_p=0.0, min_th=5, max_th=5,
                                         weight=0.0, sample_interval=0.0))
@@ -461,8 +471,8 @@ class TestFabric:
     def small_switch(self):
         cfg = base_config(
             fabric_memory=3000, out_queue_size=100_000,
-            flows={0: FlowSpec(svc_class=ServiceClass.PREMIUM),
-                   1: FlowSpec(svc_class=ServiceClass.ASSURED)})
+            flows={0: FlowSpec(svc_class="premium"),
+                   1: FlowSpec(svc_class="assured")})
         sw = Switch(cfg, [(1, 0), (1, 1)], seed=1)
         return sw
 
@@ -495,9 +505,9 @@ class TestFabric:
         # premium arrival must evict from the lowest port's queue
         cfg = base_config(
             num_ports=3, fabric_memory=3000, out_queue_size=100_000,
-            flows={0: FlowSpec(svc_class=ServiceClass.PREMIUM),
-                   1: FlowSpec(svc_class=ServiceClass.ASSURED),
-                   2: FlowSpec(svc_class=ServiceClass.ASSURED)})
+            flows={0: FlowSpec(svc_class="premium"),
+                   1: FlowSpec(svc_class="assured"),
+                   2: FlowSpec(svc_class="assured")})
         sw = Switch(cfg, [(1, 0), (1, 1), (2, 2)], seed=1)
         for flow in (1, 2):
             for seq in range(4):
@@ -521,8 +531,8 @@ class TestScheduling:
         # speedup 4 keeps the fabric out of the way: the output scheduler
         # is the only bottleneck
         cfg = base_config(speedup=4.0, flows={
-            1: FlowSpec(svc_class=ServiceClass.ASSURED, weight=w1),
-            2: FlowSpec(svc_class=ServiceClass.ASSURED, weight=w2)})
+            1: FlowSpec(svc_class="assured", weight=w1),
+            2: FlowSpec(svc_class="assured", weight=w2)})
         sw = Switch(cfg, [(1, 1), (1, 2)], seed=1)
         feed_cbr(sw, 1, 0, 1, 125, rate1, duration)
         feed_cbr(sw, 2, 0, 1, 125, rate2, duration)
@@ -550,8 +560,8 @@ class TestScheduling:
 
     def test_premium_strict_priority(self):
         cfg = base_config(flows={
-            0: FlowSpec(svc_class=ServiceClass.PREMIUM),
-            1: FlowSpec(svc_class=ServiceClass.ASSURED)})
+            0: FlowSpec(svc_class="premium"),
+            1: FlowSpec(svc_class="assured")})
         sw = Switch(cfg, [(1, 0), (1, 1)], seed=1)
         order = []
 
@@ -609,10 +619,10 @@ class TestScheduling:
 
     def test_scheduler_select_order(self):
         cfg = base_config(flows={
-            0: FlowSpec(svc_class=ServiceClass.PREMIUM),
-            1: FlowSpec(svc_class=ServiceClass.ASSURED),
-            2: FlowSpec(svc_class=ServiceClass.BEST_EFFORT),
-            3: FlowSpec(svc_class=ServiceClass.PREMIUM)})
+            0: FlowSpec(svc_class="premium"),
+            1: FlowSpec(svc_class="assured"),
+            2: FlowSpec(svc_class="besteffort"),
+            3: FlowSpec(svc_class="premium")})
         sw = Switch(cfg, [(1, fid) for fid in (0, 1, 2, 3)], seed=1)
         assert sw.out_scheduler_select(1) is None
         assert sw.out_scheduler_select(0) is None
@@ -637,7 +647,7 @@ class TestScheduling:
 class TestPolicer:
     def test_premium_policed_to_contract(self):
         cfg = base_config(flows={
-            0: FlowSpec(svc_class=ServiceClass.PREMIUM, police_rate=0.5e6,
+            0: FlowSpec(svc_class="premium", police_rate=0.5e6,
                         police_burst=1000)})
         sw = Switch(cfg, [(1, 0)], seed=1)
         feed_cbr(sw, 0, 0, 1, 500, 1e6, 1.0)
@@ -657,7 +667,7 @@ class TestPolicer:
         # flow), so each ingress keeps its own contract and the flow gets
         # two, not one shared between them
         cfg = base_config(num_ports=3, flows={
-            0: FlowSpec(svc_class=ServiceClass.PREMIUM, police_rate=0.25e6,
+            0: FlowSpec(svc_class="premium", police_rate=0.25e6,
                         police_burst=1000)})
         sw = Switch(cfg, [(1, 0)], seed=1)
         feed_cbr(sw, 0, 0, 1, 500, 0.3e6, 1.0)
@@ -786,7 +796,7 @@ class TestFeedbackLoops:
         # alone fits the line, so the queue must deliver again
         cfg = base_config(
             line_rate=1e7, fabric_memory=50_000, out_queue_size=20_000,
-            flows={1: FlowSpec(svc_class=ServiceClass.BEST_EFFORT)},
+            flows={1: FlowSpec(svc_class="besteffort")},
             feedback=FeedbackConfig(mode="pi", interval=1e-3, gain_p=gain_p,
                                     gain_i=gain_i))
         sw = Switch(cfg, [(1, 1)], seed=1)
@@ -824,7 +834,7 @@ class TestFeedbackLoops:
         # recorded but drives no drop probability and no gear level
         cfg = dataclasses.replace(
             self.overload_config(mode),
-            flows={1: FlowSpec(svc_class=ServiceClass.PREMIUM)})
+            flows={1: FlowSpec(svc_class="premium")})
         sw = Switch(cfg, [(1, 1)], seed=1)
         probes = []
         for k in range(1, 20):
@@ -904,7 +914,7 @@ class TestTicks:
         cfg = base_config(
             num_ports=ports, red=RedParams(sample_interval=0.5e-3),
             report_interval=2e-3,
-            flows={k: FlowSpec(svc_class=ServiceClass.ASSURED)
+            flows={k: FlowSpec(svc_class="assured")
                    for k in range(flows)},
             feedback=FeedbackConfig(mode="gearbox", interval=1e-3))
         loop = self.CountingLoop()
@@ -983,7 +993,7 @@ class TestLifecycle:
         # a policed premium flow, so a wrapped index would also skip the
         # policer: no counter may move before the refusal
         cfg = base_config(flows={0: FlowSpec(
-            svc_class=ServiceClass.PREMIUM, police_rate=1e3,
+            svc_class="premium", police_rate=1e3,
             police_burst=500)})
         sw = Switch(cfg, [(1, 0)], seed=1)
         for ingress in (-1, cfg.num_ports):
