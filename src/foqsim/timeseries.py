@@ -26,9 +26,16 @@ memory however long it is. csv.writer itself encodes each distinct metric,
 unit, port and flow once per sink (`_Fields`); every later occurrence is a
 dict hit, so the caches grow with the distinct labels and ids, never with
 the rows. `TimeSeries.to_csv` is that sink over a list of strings, joined
-every 4,096 rows into one chunk: a `StringIO` on Python 3.11 keeps every
+every 4,096 rows into one chunk (a `StringIO` on Python 3.11 keeps every
 written string alive until 100,000 are pending, so it would hold up to
-100k row strings at once.
+100k row strings at once), and each chunk is added to one string that
+CPython grows in place, so the text is held once.
+
+`TimeSeries.from_csv` reads the text in slices of about 64K characters,
+each cut just after a line feed and read through its own `StringIO`. One
+`StringIO` over the whole text would hold it again at 4 bytes a
+character; one slice and its `StringIO` are all the reader holds beside
+the text and the series it builds.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import csv
 import io
 from array import array
 from collections.abc import Sequence
+from itertools import chain
 from operator import eq
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -66,6 +74,8 @@ def _refuse(t, value):
 _HEADER = ",".join(COLUMNS) + "\n"
 # rows TimeSeries.to_csv encodes before it joins their strings into one
 _CHUNK_ROWS = 4096
+# characters of text TimeSeries.from_csv reads through one StringIO
+_SLICE_CHARS = 1 << 16
 # the id types _Fields stores: True and 1.0 equal 1 as dict keys, but
 # csv.writer writes them as "True" and "1.0"
 _STORED_IDS = frozenset((int, type(None)))
@@ -96,6 +106,22 @@ class _Fields(dict):
 
     def id_text(self, value) -> str:
         return self[value] if type(value) in _STORED_IDS else _encode(value)
+
+
+def _slices(text: str):
+    """`text` in slices of about _SLICE_CHARS characters, each cut just
+    after a line feed.
+
+    A slice runs on to the first line feed at or past _SLICE_CHARS, so it
+    holds whole lines, split as one StringIO over all of the text splits
+    them, at line feeds alone; csv.reader joins the lines of a quoted
+    newline across slices as it does within one.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or size
+        yield text[start:end]
+        start = end
 
 
 class TimeSeries:
@@ -148,7 +174,12 @@ class TimeSeries:
         # each label object's text, keyed by identity: equal labels can
         # print apart (True and 1.0 equal 1); the series keeps every id in use
         texts = {}
-        chunks = []
+        # `out += chunk` resizes `out` in place while this local holds its
+        # only reference, so the text is held once, where a list of chunks
+        # joined at the end, or a StringIO, holds it twice; this is CPython's
+        # doing, as the language promises a new object for each
+        # concatenation ("Common Sequence Operations", note 6)
+        out = ""
         for start in range(0, len(self._t), _CHUNK_ROWS):
             end = start + _CHUNK_ROWS
             for t, label, value in zip(self._t[start:end],
@@ -158,15 +189,20 @@ class TimeSeries:
                 if text is None:
                     text = texts[id(label)] = label_of(*label)
                 append(t, text, value)
-            chunks.append("".join(rows))
+            out += "".join(rows)
             rows.clear()
-        chunks.append("".join(rows))  # the header of a series with no rows
-        return "".join(chunks)
+        out += "".join(rows)  # the header of a series with no rows
+        return out
 
     @classmethod
     def from_csv(cls, text: str) -> "TimeSeries":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        # each slice through its own StringIO, which stores it at 4 bytes
+        # a character: one over the whole text would hold it four times
+        lines = chain.from_iterable(map(io.StringIO, _slices(text)))
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"missing header {','.join(COLUMNS)!r}")
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         series = cls()

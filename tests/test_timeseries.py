@@ -10,7 +10,8 @@ from itertools import repeat
 import pytest
 from hypothesis import given, strategies as st
 
-from foqsim.timeseries import _CHUNK_ROWS, COLUMNS, CsvSink, Record, TimeSeries
+from foqsim.timeseries import (_CHUNK_ROWS, _SLICE_CHARS, COLUMNS, CsvSink,
+                               Record, TimeSeries)
 
 
 def put(sink, t, metric, port, flow, value, unit):
@@ -86,6 +87,11 @@ class TestCsv:
     def test_unexpected_header_refused(self):
         with pytest.raises(ValueError, match="unexpected header"):
             TimeSeries.from_csv("t,metric,value\n0.1,x,1.0\n")
+
+    def test_empty_text_refused(self):
+        # a bare StopIteration would end a map or generator over texts
+        with pytest.raises(ValueError, match="missing header 't_sec,metric"):
+            TimeSeries.from_csv("")
 
     def test_lf_newlines(self):
         assert "\r" not in sample_series().to_csv()
@@ -201,6 +207,83 @@ class TestColumnarStore:
                                 and (port is None or r.port == port)
                                 and (flow is None or r.flow == flow)]
                     assert ts.select(metric, port, flow) == expected
+
+
+def shared_label_series(count, seed=5) -> TimeSeries:
+    """random_rows under one label per distinct label, as a run writes them."""
+    ts = TimeSeries()
+    labels = {}
+    for t, metric, port, flow, value, unit in random_rows(count, seed):
+        key = (metric, port, flow, unit)
+        ts.append(t, labels.setdefault(key, ts.label(*key)), value)
+    return ts
+
+
+def traced(call):
+    """call()'s result, and the traced peak and net growth it caused."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, current - before
+
+
+FILLER = (0.5, "x", 1, 2, 0.25, "s")
+FILLER_CHARS = len("0.5,x,1,2,0.25,s\n")
+
+
+def rows_with_quoted_newline_at(index, newline):
+    """Filler rows around one whose quoted metric `a{newline}b` puts its
+    "\\n" at character `index` of the CSV text."""
+    quoted = (0.5, f"a{newline}b", 1, 2, 0.25, "s")
+    # the header and a first filler row, padded to take what whole filler
+    # rows leave before the quoted row
+    before = (index - len(",".join(COLUMNS) + "\n") - FILLER_CHARS
+              - len('0.5,"a' + newline) + 1)
+    count, pad = divmod(before, FILLER_CHARS)
+    first = (0.5, "x" * (1 + pad), 1, 2, 0.25, "s")
+    return [first] + [FILLER] * count + [quoted] + [FILLER] * 3
+
+
+class TestCsvHeldOnce:
+    """to_csv and from_csv hold at most one copy of the text."""
+
+    def test_to_csv_peak_is_near_one_text(self):
+        ts = shared_label_series(40_000)
+        text, peak, _ = traced(ts.to_csv)
+        assert len(text) >= 2_000_000 and text.isascii()
+        assert text == reference_csv(ts.records)
+        # the text, one chunk and its rows: a list of chunks joined at
+        # the end would hold the text twice
+        assert peak <= 1.5 * len(text)
+
+    def test_from_csv_peak_above_the_series_is_under_one_text(self):
+        ts = shared_label_series(40_000)
+        text = ts.to_csv()
+        assert len(text) >= 8 * _SLICE_CHARS and text.isascii()
+        again, peak, grown = traced(lambda: TimeSeries.from_csv(text))
+        assert again == ts
+        # one StringIO over the whole text would hold it at 4 bytes a
+        # character
+        assert peak - grown <= len(text)
+
+    # from_csv cuts its first slice after the first "\n" at or past
+    # _SLICE_CHARS: a quoted row one line short of that edge, a quoted
+    # newline at it, and a quoted row one line past it
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("lines", [-1, 0, 1])
+    def test_quoted_newlines_at_slice_edges(self, newline, lines):
+        index = _SLICE_CHARS + FILLER_CHARS * lines
+        ts = TimeSeries(rows_with_quoted_newline_at(index, newline))
+        text = ts.to_csv()
+        assert text[index - len(newline):index + 2] == f"a{newline}b"
+        assert (text.find("\n", _SLICE_CHARS) == index) == (lines == 0)
+        again = TimeSeries.from_csv(text)
+        assert again == ts
+        assert again.to_csv() == text
 
 
 class TestCsvSink:
