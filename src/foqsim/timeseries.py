@@ -4,15 +4,21 @@ One row per (time, metric, port, flow); aggregates leave port/flow blank.
 A sink takes rows in two steps: `label(metric, port, flow, unit)` returns
 a handle, built once by whoever writes that series, and
 `append(t, label, value)` adds one row under it. A `TimeSeries` keeps its
-rows as three columns: times and values in `array('d')`, and a list of
-references to the shared `(metric, port, flow, unit)` tuples its `label`
-returns, so a row costs about 24 bytes whatever its label. Times and
+rows by column: each row's value in an `array('d')` and its label as a
+4-byte handle in an `array('I')`, indexing the series' own table of
+`(metric, port, flow, unit)` tuples; and one time per run of rows at one
+time, in an `array('d')`, with the run's first row in an `array('I')`.
+A row costs 12 bytes plus 8 bytes a run (a report window writes its rows
+at one time), and at most the 24 bytes it costs when each row starts a
+run. A handle belongs to its series, and `label` makes a new one on every
+call, with no lookup, so a writer builds each label once. Times and
 values must be floats: the arrays would turn an int into a float that
 prints differently, so `append` refuses anything else with TypeError.
 
 `records` reads the rows as `Record`s, built on access: immutable named
 tuples in column order that compare equal to the plain 6-tuple of their
-fields. `select` builds a `Record` only for a row it keeps.
+fields. `select` decides once per label which it keeps and builds a
+`Record` only for a row under one of those.
 
 CSV is UTF-8 with LF newlines and round-trips exactly, unless a metric or
 unit holds a bare carriage return, which csv.writer leaves unquoted (no
@@ -29,13 +35,15 @@ the rows. `TimeSeries.to_csv` is that sink over a list of strings, joined
 every 4,096 rows into one chunk (a `StringIO` on Python 3.11 keeps every
 written string alive until 100,000 are pending, so it would hold up to
 100k row strings at once), and each chunk is added to one string that
-CPython grows in place, so the text is held once.
+CPython grows in place, so the text is held once. It encodes each
+handle's label on its first row, into a list indexed by handle.
 
 `TimeSeries.from_csv` reads the text in slices of about 64K characters,
 each cut just after a line feed and read through its own `StringIO`. One
 `StringIO` over the whole text would hold it again at 4 bytes a
 character; one slice and its `StringIO` are all the reader holds beside
-the text and the series it builds.
+the text and the series it builds. It keys its label table on the raw
+field text, so a port and flow are parsed once per distinct label.
 """
 
 from __future__ import annotations
@@ -43,9 +51,10 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain
-from operator import eq
+from itertools import chain, islice, repeat
+from operator import eq, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -61,10 +70,16 @@ class Record(NamedTuple):
     unit: str
 
 
-def _record_of(t, label, value) -> Record:
-    """A row's Record, skipping the named tuple's keyword binding."""
-    metric, port, flow, unit = label
-    return tuple.__new__(Record, (t, metric, port, flow, value, unit))
+def _record_builder(labels: list[tuple]):
+    """The function that makes a row's Record from its time, its handle
+    into `labels` and its value, skipping the named tuple's keyword binding.
+    """
+    # what it reads is bound as locals, since it runs once per row
+    def record(t, handle, value, labels=labels, new=tuple.__new__,
+               cls=Record) -> Record:
+        metric, port, flow, unit = labels[handle]
+        return new(cls, (t, metric, port, flow, value, unit))
+    return record
 
 
 def _refuse(t, value):
@@ -128,23 +143,52 @@ class TimeSeries:
     """Ordered rows, stored by column, with selection and CSV helpers."""
 
     def __init__(self, records=None):
-        self._t = array("d")
-        self._label: list[tuple] = []  # shared (metric, port, flow, unit)
+        # one entry per run of rows at one time: its time and its first row
+        self._times = array("d")
+        self._starts = array("I")
+        self._last = None  # the time of the last run
+        self._labels: list[tuple] = []  # (metric, port, flow, unit) by handle
+        self._label = array("I")  # each row's handle
         self._value = array("d")
+        # one handle per distinct label whose ids are int or None; an id of
+        # another type can equal one that prints apart (True and 1.0 equal
+        # 1, -0.0 equals 0.0), so its row gets a label of its own
+        handles = {}
         for t, metric, port, flow, value, unit in records or ():
-            self.append(t, self.label(metric, port, flow, unit), value)
+            if type(port) in _STORED_IDS and type(flow) in _STORED_IDS:
+                key = (metric, port, flow, unit)
+                handle = handles.get(key)
+                if handle is None:
+                    handle = handles[key] = self.label(*key)
+            else:
+                handle = self.label(metric, port, flow, unit)
+            self.append(t, handle, value)
 
-    @staticmethod
-    def label(metric, port, flow, unit) -> tuple:
-        """The label rows are appended under; every row holds a reference."""
-        return (metric, port, flow, unit)
+    def label(self, metric, port, flow, unit) -> int:
+        """A new handle rows are appended under, valid in this series only."""
+        labels = self._labels
+        labels.append((metric, port, flow, unit))
+        return len(labels) - 1
 
     def append(self, t, label, value):
         if type(t) is not float or type(value) is not float:
             _refuse(t, value)
-        self._t.append(t)
         self._label.append(label)
+        # 0.0 equals -0.0 but prints apart, and a nan never equals itself
+        if t != self._last or not t:
+            self._last = t
+            self._times.append(t)
+            self._starts.append(len(self._value))
         self._value.append(value)
+
+    def _ends(self):
+        """The row after each run's last."""
+        return chain(islice(self._starts, 1, None), (len(self._value),))
+
+    def _row_times(self):
+        """Each row's time, expanded from the runs at C level."""
+        counts = map(sub, self._ends(), self._starts)
+        return chain.from_iterable(map(repeat, self._times, counts))
 
     @property
     def records(self) -> "Rows":
@@ -153,41 +197,53 @@ class TimeSeries:
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
         """Records for one metric, optionally narrowed to a port and flow."""
-        return [_record_of(t, label, value)
-                for t, label, value in zip(self._t, self._label, self._value)
-                if label[0] == metric and (port is None or label[1] == port)
-                and (flow is None or label[2] == flow)]
+        # whether each handle's label is kept, so a row costs one lookup
+        hit = [label[0] == metric and (port is None or label[1] == port)
+               and (flow is None or label[2] == flow)
+               for label in self._labels]
+        if not any(hit):
+            return []
+        record = _record_builder(self._labels)
+        handles, values = self._label, self._value
+        out: list[Record] = []
+        for t, start, end in zip(self._times, self._starts, self._ends()):
+            out += [record(t, h, value) for h, value
+                    in zip(handles[start:end], values[start:end]) if hit[h]]
+        return out
 
     def __eq__(self, other):
+        # equal times start runs at the same rows; handles are each series'
+        # own, so the labels compare once per pair of handles rows share
         return isinstance(other, TimeSeries) and (
-            (self._t, self._value, self._label)
-            == (other._t, other._value, other._label))
+            (self._times, self._starts, self._value)
+            == (other._times, other._starts, other._value)) and all(
+                self._labels[mine] == other._labels[theirs]
+                for mine, theirs in set(zip(self._label, other._label)))
 
     def __len__(self):
-        return len(self._t)
+        return len(self._value)
 
     def to_csv(self) -> str:
         # the sink's writes, joined into a chunk every _CHUNK_ROWS rows
         rows: list[str] = []
         sink = CsvSink(SimpleNamespace(write=rows.append))
         append, label_of = sink.append, sink.label
-        # each label object's text, keyed by identity: equal labels can
-        # print apart (True and 1.0 equal 1); the series keeps every id in use
-        texts = {}
+        labels, handles, values = self._labels, self._label, self._value
+        texts = [None] * len(labels)  # each handle's text, on first use
+        times = self._row_times()
         # `out += chunk` resizes `out` in place while this local holds its
         # only reference, so the text is held once, where a list of chunks
         # joined at the end, or a StringIO, holds it twice; this is CPython's
         # doing, as the language promises a new object for each
         # concatenation ("Common Sequence Operations", note 6)
         out = ""
-        for start in range(0, len(self._t), _CHUNK_ROWS):
+        for start in range(0, len(values), _CHUNK_ROWS):
             end = start + _CHUNK_ROWS
-            for t, label, value in zip(self._t[start:end],
-                                       self._label[start:end],
-                                       self._value[start:end]):
-                text = texts.get(id(label))
+            for t, h, value in zip(islice(times, _CHUNK_ROWS),
+                                   handles[start:end], values[start:end]):
+                text = texts[h]
                 if text is None:
-                    text = texts[id(label)] = label_of(*label)
+                    text = texts[h] = label_of(*labels[h])
                 append(t, text, value)
             out += "".join(rows)
             rows.clear()
@@ -206,16 +262,28 @@ class TimeSeries:
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         series = cls()
-        ts, labels, values = series._t, series._label, series._value
-        # equal rows share one label: ids read back are int or None, so
-        # labels that compare equal print the same
-        shared = {}
+        label = series.label
+        times, starts, handles, values = (series._times, series._starts,
+                                          series._label, series._value)
+        # one handle per distinct label text: the ids are parsed once each
+        known = {}
+        last = None
         for t, metric, port, flow, value, unit in filter(None, reader):
-            ts.append(float(t))
-            label = (metric, None if port == "" else int(port),
-                     None if flow == "" else int(flow), unit)
-            labels.append(shared.setdefault(label, label))
+            t = float(t)
+            key = (metric, port, flow, unit)
+            handle = known.get(key)
+            if handle is None:
+                handle = known[key] = label(
+                    metric, None if port == "" else int(port),
+                    None if flow == "" else int(flow), unit)
+            handles.append(handle)
+            # append's run rule, inline, since a call per row costs more
+            if t != last or not t:
+                last = t
+                times.append(t)
+                starts.append(len(values))
             values.append(float(value))
+        series._last = last
         return series
 
 
@@ -234,11 +302,16 @@ class Rows(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         s = self._series
-        return _record_of(s._t[i], s._label[i], s._value[i])
+        value = s._value[i]
+        if i < 0:
+            i += len(s._value)
+        t = s._times[bisect_right(s._starts, i) - 1]
+        return _record_builder(s._labels)(t, s._label[i], value)
 
     def __iter__(self):
         s = self._series
-        return map(_record_of, s._t, s._label, s._value)
+        return map(_record_builder(s._labels), s._row_times(), s._label,
+                   s._value)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):

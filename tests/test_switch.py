@@ -980,14 +980,16 @@ class TestLifecycle:
         assert rngs[0] is not rngs[1]
 
     def test_each_label_built_once(self, monkeypatch):
-        # every row of a series shares the one label object built for it
+        # label() makes a new handle on every call, so a label built per
+        # row would grow the series' label table with the rows
         monkeypatch.syspath_prepend(str(BENCH))
         from workloads import wide_cbr_pi_text
         config = build_experiment(parse_pairs(wide_cbr_pi_text(1, ports=2)))
-        labels = Experiment(config).run()._label
-        assert len(set(map(id, labels))) == len(set(labels))
+        series = Experiment(config).run()
         # 2 x 8 queues of 8 rows, 2 fabric rows, occupancy, 8 flows' 6 totals
-        assert len(set(labels)) == 16 * 8 + 2 + 1 + 8 * 6
+        assert len(series._labels) == len(set(series._labels)) == (
+            16 * 8 + 2 + 1 + 8 * 6)
+        assert set(series._label) <= set(range(len(series._labels)))
 
     def test_out_of_range_ingress_refused(self):
         # a policed premium flow, so a wrapped index would also skip the

@@ -5,10 +5,11 @@ import io
 import math
 import random
 import tracemalloc
+from array import array
 from itertools import repeat
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foqsim.timeseries import (_CHUNK_ROWS, _SLICE_CHARS, COLUMNS, CsvSink,
                                Record, TimeSeries)
@@ -182,20 +183,40 @@ class TestColumnarStore:
             put(sink, t, "x", 0, 0, value, "bps")
         assert buf.getvalue() == ",".join(COLUMNS) + "\n"
 
-    def test_a_row_costs_at_most_32_bytes(self):
-        # two float arrays and a list of references to one shared label
+    @staticmethod
+    def bytes_per_row(times) -> float:
+        """The traced growth per row of appending a row at each time."""
         ts = TimeSeries()
         label = ts.label("throughput_bps", 3, 1, "bps")
-        rows = 100_000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in repeat(None, rows):
-                ts.append(0.001, label, 1.0)
-            grown = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert grown / rows <= 32
+
+        def fill():
+            for t in times:
+                ts.append(t, label, 1.0)
+        _, _, grown = traced(fill)
+        return grown / len(times)
+
+    def test_a_row_costs_at_most_16_bytes(self):
+        # a 4-byte handle and an 8-byte value; the time is held once per
+        # run, and an array grows by up to 1/16 past what it holds
+        assert self.bytes_per_row(list(repeat(0.001, 100_000))) <= 16
+
+    def test_a_row_at_its_own_time_costs_at_most_26_bytes(self):
+        # the worst case: a run per row adds its 8-byte time and 4-byte
+        # start to the 12 bytes, 24 in all, plus the arrays' growth
+        times = array("d", range(100_000))
+        assert self.bytes_per_row(times) <= 26
+
+    def test_plain_rows_share_one_label_per_distinct_label(self):
+        rows = random_rows(40_000)
+        ts = TimeSeries(rows)
+        labels = {(metric, port, flow, unit)
+                  for _, metric, port, flow, _, unit in rows}
+        assert len(ts._labels) == len(labels)
+        assert set(ts._labels) == labels
+        # a label per row would encode a label text per row
+        text, peak, _ = traced(ts.to_csv)
+        assert text == reference_csv(rows)
+        assert peak <= 1.5 * len(text)
 
     def test_select_matches_a_full_scan(self):
         ts = TimeSeries(random_rows(500))
@@ -215,7 +236,9 @@ def shared_label_series(count, seed=5) -> TimeSeries:
     labels = {}
     for t, metric, port, flow, value, unit in random_rows(count, seed):
         key = (metric, port, flow, unit)
-        ts.append(t, labels.setdefault(key, ts.label(*key)), value)
+        if key not in labels:  # label() makes a new handle on every call
+            labels[key] = ts.label(*key)
+        ts.append(t, labels[key], value)
     return ts
 
 
@@ -367,3 +390,54 @@ class TestCsvBytes:
         expected = reference_csv(rows)
         assert "True,0.0" in expected and "1.0,False" in expected
         assert TimeSeries(rows).to_csv() == expected
+
+
+# rows in runs of one time, a zero time right after a negative zero, nan
+# times, and ids that compare equal but print apart
+RUN_TIMES = st.sampled_from((0.0, -0.0, math.nan, 0.5, 2.0)) | st.floats()
+EQUAL_IDS = st.sampled_from((None, 1, 1.0, True, 0, 0.0, -0.0))
+RUN_ROW = st.tuples(st.sampled_from(("a", "b")), EQUAL_IDS, EQUAL_IDS,
+                    FLOATS, st.sampled_from(("s", "bps")))
+RUNS = st.lists(
+    st.tuples(RUN_TIMES, st.lists(RUN_ROW, min_size=1, max_size=4)),
+    max_size=10)
+
+
+def printed(rows) -> list[tuple]:
+    """Each row's fields by repr, so nan matches nan and 0.0 not -0.0."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+class TestRunsAndHandles:
+    """The runs of one time and the label handles read back every row."""
+
+    @given(RUNS)
+    @example([(-0.0, [("a", 1, None, 1.0, "s")]),
+              (0.0, [("a", 1, None, 1.0, "s")]),
+              (math.nan, [("a", True, 1.0, 1.0, "s")] * 2)])
+    def test_rows_read_back_as_appended(self, runs):
+        rows = [(t, metric, port, flow, value, unit)
+                for t, run in runs for metric, port, flow, value, unit in run]
+        ts = TimeSeries(rows)
+        records = ts.records
+        assert len(ts) == len(records) == len(rows)
+        assert printed(records) == printed(rows)
+        assert printed(records[i] for i in range(-len(rows), len(rows))) == (
+            printed(rows + rows))
+        assert printed(records[1:-1:2]) == printed(rows[1:-1:2])
+        for metric in ("a", "b", "absent"):
+            for port in (None, 0, 1):
+                for flow in (None, 0, 1, 2):
+                    expected = [row for row in rows if row[1] == metric
+                                and (port is None or row[2] == port)
+                                and (flow is None or row[3] == flow)]
+                    assert printed(ts.select(metric, port, flow)) == (
+                        printed(expected))
+        one_by_one = TimeSeries()
+        for row in rows:
+            put(one_by_one, *row)
+        assert printed(one_by_one.records) == printed(rows)
+        # nan never equals itself, so a series holding one equals no series
+        if not any(math.isnan(row[0]) or math.isnan(row[4]) for row in rows):
+            assert ts == one_by_one
+        assert ts.to_csv() == one_by_one.to_csv() == reference_csv(rows)
