@@ -3,9 +3,10 @@
 Rates are bits/second throughout, probabilities plain fractions in [0, 1].
 Every controller step is a pure function on scalars: the caller passes in
 the loop's state and constants (a PI accumulator, last drop probability and
-gains, or a gear-box measurement and band) and stores what comes back; the
-gear-box's is its drop level's step. Each output queue owns its own state,
-so distinct (output, flow) loops never share it.
+gains, or a gear-box measurement and band) and stores what comes back. The
+PI step returns the drop probability itself and its new accumulator; the
+gear-box's returns its drop level's step. Each output queue owns its own
+state, so distinct (output, flow) loops never share it.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ import math
 def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
               desired_rate: float, gain_p: float,
               gain_i: float) -> tuple[float, float]:
-    """Advance the PI law one interval and return (drop_rate, accumulator).
+    """Advance the PI law one interval and return (drop_prob, accumulator).
 
-    accumulator holds the integral term already scaled by gain_i, so the
-    emitted drop rate is gain_p * e[n] + accumulator. The emitted value is
-    clamped to [0, measured/(1 - last_drop_prob)]: a drop rate can be
-    neither negative nor larger than the estimated arrival rate. While the
-    output is pinned at a limit the accumulator is frozen so it cannot wind
-    up.
+    measured_rate is the interval's arrival rate at the output and must be
+    positive. accumulator holds the integral term already scaled by gain_i,
+    so the demanded drop rate is gain_p * e[n] + accumulator, clamped to
+    [0, measured/(1 - last_drop_prob)]: a drop rate can be neither negative
+    nor larger than the estimated arrival rate. While the demand is pinned
+    at a limit the accumulator is frozen so it cannot wind up. The dropper
+    already thins arrivals by last_drop_prob, so the demand becomes the
+    probability (1 - last_drop_prob) * rate / measured_rate, clamped to
+    [0, 1].
     """
     error = measured_rate - desired_rate
     grown = accumulator + gain_i * error
@@ -33,22 +37,8 @@ def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
     else:
         ceiling = math.inf
     value = min(max(raw, 0.0), ceiling)
-    return value, grown if value == raw else accumulator
-
-
-def drop_prob_from_rate(drop_rate: float, fabric_out_rate: float,
-                        prev_prob: float) -> float:
-    """Convert a demanded drop rate into a drop probability.
-
-    The dropper already thins arrivals by prev_prob, so the incremental
-    probability is (1 - prev_prob) * drop_rate / fabric_out_rate, clamped to
-    [0, 1]. A zero measured rate carries no information and leaves the
-    probability unchanged.
-    """
-    if fabric_out_rate <= 0.0:
-        return prev_prob
-    p = (1.0 - prev_prob) * drop_rate / fabric_out_rate
-    return min(max(p, 0.0), 1.0)
+    p = (1.0 - last_drop_prob) * value / measured_rate
+    return min(max(p, 0.0), 1.0), grown if value == raw else accumulator
 
 
 # --- gear-box variant -------------------------------------------------------

@@ -7,15 +7,16 @@ into per-flow output queues, which a strict-priority plus weighted-fair
 scheduler empties onto the line, picking from one heap of backlogged queues
 per output at O(log F) cost for F flows; a delivered packet is handed to its
 receiver, if it has one. Each (output, flow) queue is built with the switch,
-with its sink's label for each row it writes, and is sampled every
-interval: the sampler steps the feedback controller at once, and the drop
-probability decided reaches the ingress droppers one feedback delay later.
+with its sink's label for each row it writes and its controller step, and
+is sampled every interval: the sampler measures the interval once and runs
+the queue's step at once, and the drop probability decided reaches the
+ingress droppers one feedback delay later.
 The report's fabric and occupancy labels are built with it too, so a row
 is appended as (time, label, value) and no label is made per row.
 
 A flow's service class is read once, into its output queue's tier; every
-branch on the class (policer, fabric priority, WFQ tag and virtual time,
-sampler skip) reads the tier.
+branch on the class (policer, fabric priority, WFQ tag and virtual time)
+reads the tier, and a premium queue is built with no controller step.
 
 Byte counters are integers, timestamps integer nanoseconds, and every
 stochastic decision draws from its own named generator, so equal seeds give
@@ -54,7 +55,6 @@ from typing import Callable, Literal, get_args
 from .control import (
     derive_beta,
     drop_level_table,
-    drop_prob_from_rate,
     gb_signal_from_congestion,
     pi_update,
 )
@@ -277,12 +277,12 @@ class _OutQueue:
     """
 
     __slots__ = ("egress", "flow_id", "labels", "tier", "weight", "packets",
-                 "backlog", "last_tag", "red_avg", "red_p", "red_rng",
+                 "backlog", "last_tag", "red_avg", "red_p", "red_rng", "step",
                  "drop_prob", "level", "accumulator", "last_drop_prob", "delays",
                  "injected", "ingress_dropped", "fabric_dropped", "arrived",
                  "egress_dropped", "delivered", "sampled", "reported")
 
-    def __init__(self, egress, flow_id, labels, tier, weight, red_rng):
+    def __init__(self, egress, flow_id, labels, tier, weight, red_rng, step):
         self.egress = egress
         self.flow_id = flow_id
         self.labels = labels    # its sink's label of each of _QUEUE_ROWS
@@ -307,6 +307,8 @@ class _OutQueue:
         self.delivered = 0
         self.sampled = (0, 0, 0)     # arrived, delivered, egress_dropped
         self.reported = (0, 0, 0, 0)  # delivered and the three drop stages
+        # the controller step the sampler runs; a premium queue runs none
+        self.step = step if tier else None
 
 
 class Switch:
@@ -337,6 +339,9 @@ class Switch:
         # built in key order, the order the sampler and the report walk
         self._queues: dict[tuple[int, int], _OutQueue] = {}
         red = config.red
+        # the feedback mode's controller step, or None under off
+        step = {"off": None, "pi": self._pi_step,
+                "gearbox": self._gearbox_step}[config.feedback.mode]
         for egress, flow_id in sorted(set(queues)):
             spec = config.flows.get(flow_id)
             if spec is None:
@@ -348,7 +353,7 @@ class Switch:
                            for metric, unit in _QUEUE_ROWS)
             rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")
             self._queues[egress, flow_id] = _OutQueue(
-                egress, flow_id, labels, tier, spec.weight, rng)
+                egress, flow_id, labels, tier, spec.weight, rng, step)
         # each port with a queue, in port order, and the label of its
         # fabric row in the report
         self._queued_ports = [
@@ -548,10 +553,11 @@ class Switch:
     # --- feedback ----------------------------------------------------------
 
     def sample_and_feedback(self, oq: _OutQueue) -> None:
-        """Harvest one interval's counters of queue oq and drive its controller.
+        """Harvest one interval's counters of queue oq and run its step.
 
-        Feedback off, an interval that carried nothing and a premium queue
-        (whose relative congestion is still recorded) schedule no control
+        An interval that carried nothing, a queue with no step (feedback
+        off, or a premium queue, whose relative congestion is still
+        recorded) and a step that decides nothing schedule no control
         application.
         """
         arrived0, delivered0, dropped0 = oq.sampled
@@ -563,33 +569,38 @@ class Switch:
         out_b = oq.delivered - delivered0
         congestion = 1.0 - out_b / in_b
         self._series.append(self.loop.now / NS, oq.labels[0], congestion)
+        if oq.step is not None:
+            prob = oq.step(oq, congestion, in_b, out_b, dropped0)
+            if prob is not None:
+                # the droppers see it one feedback delay later
+                self.loop.at(self.loop.now + self._delay_ns,
+                             lambda: self._apply_prob(oq, prob),
+                             rank=RANK_CONTROL, port=oq.egress,
+                             flow=oq.flow_id)
+
+    def _pi_step(self, oq, congestion, in_b, out_b, dropped0):
+        """The PI law's drop probability, from the interval's arrival rate
+        against alpha * S times its delivered rate."""
         fb = self.config.feedback
-        if fb.mode == "off" or oq.tier == 0:
-            # a premium queue runs no controller, so its drop_prob stays 0.0
-            return
-        if fb.mode == "gearbox":
-            measured = (congestion if fb.measure == "relcong"
-                        else (oq.egress_dropped - dropped0) / in_b)
-            step = gb_signal_from_congestion(measured, fb.d_min, fb.d_max)
-            if step == 0:
-                return
-            # a step past a table end holds the level and re-applies it
-            if 0 <= oq.level + step < fb.table_size:
-                oq.level += step
-            prob = self._drop_table[oq.level]
-        else:
-            rate_in = in_b * 8.0 / fb.interval
-            rate_out = out_b * 8.0 / fb.interval
-            desired = fb.alpha * self.config.speedup * rate_out
-            rho, oq.accumulator = pi_update(oq.accumulator, oq.last_drop_prob,
-                                            rate_in, desired, fb.gain_p,
-                                            fb.gain_i)
-            prob = oq.last_drop_prob = drop_prob_from_rate(rho, rate_in,
-                                                           oq.last_drop_prob)
-        # the droppers see the decided probability one feedback delay later
-        self.loop.at(self.loop.now + self._delay_ns,
-                     lambda: self._apply_prob(oq, prob),
-                     rank=RANK_CONTROL, port=oq.egress, flow=oq.flow_id)
+        oq.last_drop_prob, oq.accumulator = pi_update(
+            oq.accumulator, oq.last_drop_prob, in_b * 8.0 / fb.interval,
+            fb.alpha * self.config.speedup * (out_b * 8.0 / fb.interval),
+            fb.gain_p, fb.gain_i)
+        return oq.last_drop_prob
+
+    def _gearbox_step(self, oq, congestion, in_b, out_b, dropped0):
+        """The drop probability of the gear level stepped by the measure,
+        or None inside the band."""
+        fb = self.config.feedback
+        if fb.measure == "dropprob":
+            congestion = (oq.egress_dropped - dropped0) / in_b
+        step = gb_signal_from_congestion(congestion, fb.d_min, fb.d_max)
+        if step == 0:
+            return None
+        # a step past a table end holds the level and re-applies it
+        if 0 <= oq.level + step < fb.table_size:
+            oq.level += step
+        return self._drop_table[oq.level]
 
     def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
         oq.drop_prob = prob

@@ -123,6 +123,14 @@ class _Fields(dict):
         return self[value] if type(value) in _STORED_IDS else _encode(value)
 
 
+def _printed_alike(a: array, b: array) -> bool:
+    """Whether two float columns print alike, each float as its repr: equal
+    bits do, and so do any two nans, which all print `nan`; 0.0 and -0.0
+    do not."""
+    return a.tobytes() == b.tobytes() or len(a) == len(b) and all(
+        map(eq, map(repr, a), map(repr, b)))
+
+
 def _slices(text: str):
     """`text` in slices of about _SLICE_CHARS characters, each cut just
     after a line feed.
@@ -212,13 +220,14 @@ class TimeSeries:
         return out
 
     def __eq__(self, other):
-        # equal times start runs at the same rows; handles are each series'
-        # own, so the labels compare once per pair of handles rows share
-        return isinstance(other, TimeSeries) and (
-            (self._times, self._starts, self._value)
-            == (other._times, other._starts, other._value)) and all(
-                self._labels[mine] == other._labels[theirs]
-                for mine, theirs in set(zip(self._label, other._label)))
+        # equal when every row prints alike: times that print alike start
+        # runs at the same rows; handles are each series' own, so the labels
+        # compare once per pair of handles rows share
+        return (isinstance(other, TimeSeries) and self._starts == other._starts
+                and _printed_alike(self._times, other._times)
+                and _printed_alike(self._value, other._value) and all(
+                    self._labels[mine] == other._labels[theirs]
+                    for mine, theirs in set(zip(self._label, other._label))))
 
     def __len__(self):
         return len(self._value)

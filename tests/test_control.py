@@ -3,15 +3,16 @@
 Expected values are frozen from hand arithmetic noted beside each assert.
 """
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foqsim.control import (
     admit_level_table,
     d_mid,
     derive_beta,
     drop_level_table,
-    drop_prob_from_rate,
     gb_signal_from_congestion,
     pi_update,
 )
@@ -19,64 +20,115 @@ from foqsim.control import (
 GAINS = (0.0, 0.5)  # gain_p, gain_i
 
 
+def reference_pi_update(accumulator, last_drop_prob, measured_rate,
+                        desired_rate, gain_p, gain_i):
+    """The PI law as it stood before its conversion to a drop probability
+    was folded into pi_update, kept verbatim as the reference."""
+    error = measured_rate - desired_rate
+    grown = accumulator + gain_i * error
+    raw = gain_p * error + grown
+    if last_drop_prob < 1.0:
+        ceiling = measured_rate / (1.0 - last_drop_prob)
+    else:
+        ceiling = math.inf
+    value = min(max(raw, 0.0), ceiling)
+    return value, grown if value == raw else accumulator
+
+
+def reference_drop_prob_from_rate(drop_rate, fabric_out_rate, prev_prob):
+    if fabric_out_rate <= 0.0:
+        return prev_prob
+    p = (1.0 - prev_prob) * drop_rate / fabric_out_rate
+    return min(max(p, 0.0), 1.0)
+
+
 class TestPiUpdate:
     def test_single_step(self):
-        # e = 0.5, acc = 0 + 0.5 * 0.5 = 0.25, K = 0 -> rate 0.25
-        rate, acc = pi_update(0.0, 0.0, 1.5, 1.0, *GAINS)
-        assert rate == 0.25
+        # e = 0.5, acc = 0 + 0.5 * 0.5 = 0.25, K = 0 -> rate 0.25;
+        # p = (1 - 0) * 0.25 / 1.5 = 1/6
+        prob, acc = pi_update(0.0, 0.0, 1.5, 1.0, *GAINS)
+        assert prob == 1 / 6
         assert acc == 0.25
 
     def test_integral_accumulates(self):
-        # same error twice: acc 0.25 then 0.5
+        # same error twice: acc 0.25 then 0.5; p = 0.5 / 1.5 = 1/3
         _, acc = pi_update(0.0, 0.0, 1.5, 1.0, *GAINS)
-        rate, acc = pi_update(acc, 0.0, 1.5, 1.0, *GAINS)
-        assert rate == 0.5
+        prob, acc = pi_update(acc, 0.0, 1.5, 1.0, *GAINS)
+        assert prob == 1 / 3
         assert acc == 0.5
 
     def test_proportional_term(self):
-        # K = 0.4: rate = 0.4 * 0.5 + 0.25 = 0.45
-        rate, _ = pi_update(0.0, 0.0, 1.5, 1.0, 0.4, 0.5)
-        assert rate == pytest.approx(0.45, rel=1e-12)
+        # K = 0.4: rate = 0.4 * 0.5 + 0.25 = 0.45; p = 0.45 / 1.5 = 0.3
+        prob, _ = pi_update(0.0, 0.0, 1.5, 1.0, 0.4, 0.5)
+        assert prob == pytest.approx(0.3, rel=1e-12)
 
     def test_floor_clamp_freezes_accumulator(self):
-        # negative error pushes raw below zero; output clamps to 0 and the
-        # accumulator must not wind down while pinned
-        rate, acc = pi_update(0.0, 0.0, 0.5, 1.0, *GAINS)
-        assert rate == 0.0
+        # negative error pushes raw below zero; the rate clamps to 0, so
+        # p = 0, and the accumulator must not wind down while pinned
+        prob, acc = pi_update(0.0, 0.0, 0.5, 1.0, *GAINS)
+        assert prob == 0.0
         assert acc == 0.0
-        rate, acc = pi_update(acc, 0.0, 0.5, 1.0, *GAINS)
-        assert rate == 0.0
+        prob, acc = pi_update(acc, 0.0, 0.5, 1.0, *GAINS)
+        assert prob == 0.0
         assert acc == 0.0
 
     def test_ceiling_clamp_freezes_accumulator(self):
-        # ceiling = measured / (1 - last_drop_prob) = 1.5 / 0.5 = 3.0
-        rate, acc = pi_update(10.0, 0.5, 1.5, 1.0, *GAINS)
-        assert rate == 3.0
+        # raw = 10 + 0.5 * 0.5 = 10.25 above the ceiling
+        # measured / (1 - last_drop_prob) = 1.5 / 0.5 = 3.0, so the rate is
+        # 3.0 and p = (1 - 0.5) * 3.0 / 1.5 = 1.0
+        prob, acc = pi_update(10.0, 0.5, 1.5, 1.0, *GAINS)
+        assert prob == 1.0
         assert acc == 10.0
 
     def test_accumulator_resumes_after_clamp(self):
-        # once the raw value re-enters the band the integral moves again
+        # once the raw value re-enters the band the integral moves again:
+        # acc = 0 + 0.5 * 1.0 = 0.5, p = 0.5 / 2.0 = 0.25
         _, acc = pi_update(0.0, 0.0, 0.5, 1.0, *GAINS)
-        rate, acc = pi_update(acc, 0.0, 2.0, 1.0, *GAINS)
-        assert rate == 0.5  # acc = 0 + 0.5 * 1.0
+        prob, acc = pi_update(acc, 0.0, 2.0, 1.0, *GAINS)
+        assert prob == 0.25
         assert acc == 0.5
 
-
-class TestDropProbFromRate:
     def test_fresh_dropper(self):
-        assert drop_prob_from_rate(0.25, 1.0, 0.0) == 0.25
+        # e = 0.5, rate = 0.5 * 0.5 = 0.25 of a 1.0 arrival rate that
+        # nothing thins yet: p = (1 - 0) * 0.25 / 1.0 = 0.25
+        assert pi_update(0.0, 0.0, 1.0, 0.5, *GAINS) == (0.25, 0.25)
 
     def test_composes_with_previous_thinning(self):
-        # (1 - 0.5) * 0.2 / 0.8 = 0.125
-        assert drop_prob_from_rate(0.2, 0.8, 0.5) == 0.125
-
-    def test_zero_rate_keeps_previous(self):
-        assert drop_prob_from_rate(0.3, 0.0, 0.42) == 0.42
-        assert drop_prob_from_rate(0.3, -1.0, 0.42) == 0.42
+        # e = 0, so the rate is the accumulator, 0.2, under the ceiling
+        # 0.8 / 0.5 = 1.6; the dropper already thins by 0.5, so
+        # p = (1 - 0.5) * 0.2 / 0.8 = 0.125
+        assert pi_update(0.2, 0.5, 0.8, 0.8, *GAINS) == (0.125, 0.2)
 
     def test_clamped_to_unit_interval(self):
-        assert drop_prob_from_rate(5.0, 1.0, 0.0) == 1.0
-        assert drop_prob_from_rate(-1.0, 1.0, 0.3) == 0.0
+        # at the ceiling 1.9 / (1 - 0.06) = 2.021276595744681 the
+        # conversion (1 - 0.06) * 2.021276595744681 / 1.9 rounds to
+        # 1.0000000000000002, which the clamp brings back to 1.0
+        assert (1 - 0.06) * (1.9 / (1 - 0.06)) / 1.9 > 1.0
+        assert pi_update(5.0, 0.06, 1.9, 0.0, *GAINS) == (1.0, 5.0)
+        # a demand far below zero: rate 0, p = 0
+        assert pi_update(-5.0, 0.3, 1.0, 2.0, *GAINS) == (0.0, -5.0)
+
+    @given(accumulator=st.floats(-1e12, 1e12),
+           last_drop_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           measured_rate=st.floats(1e-6, 1e12),
+           desired_rate=st.floats(0.0, 1e12),
+           gain_p=st.floats(0.0, 10.0), gain_i=st.floats(1e-6, 10.0))
+    @example(0.0, 1.0, 1.5, 1.0, *GAINS)
+    @example(5.0, 0.06, 1.9, 0.0, *GAINS)
+    def test_equals_the_rate_law_then_its_conversion(
+            self, accumulator, last_drop_prob, measured_rate, desired_rate,
+            gain_p, gain_i):
+        # bit for bit (repr tells -0.0 from 0.0) the sampler's old pair of
+        # calls: the rate law, then the rate's conversion at the same
+        # measured rate and last probability
+        rate, acc = reference_pi_update(accumulator, last_drop_prob,
+                                        measured_rate, desired_rate, gain_p,
+                                        gain_i)
+        expected = (reference_drop_prob_from_rate(rate, measured_rate,
+                                                  last_drop_prob), acc)
+        got = pi_update(accumulator, last_drop_prob, measured_rate,
+                        desired_rate, gain_p, gain_i)
+        assert repr(got) == repr(expected)
 
 
 class TestGearBox:

@@ -28,6 +28,7 @@ from foqsim.events import (
 from foqsim.experiment import Experiment
 from foqsim.switch import (
     FeedbackConfig,
+    FeedbackMode,
     FlowSpec,
     Packet,
     RedParams,
@@ -836,6 +837,7 @@ class TestFeedbackLoops:
             self.overload_config(mode),
             flows={1: FlowSpec(svc_class="premium")})
         sw = Switch(cfg, [(1, 1)], seed=1)
+        assert sw._queues[1, 1].step is None
         probes = []
         for k in range(1, 20):
             sw.loop.at(ns(k * 0.05) + 1, lambda: probes.append(
@@ -851,6 +853,24 @@ class TestFeedbackLoops:
         # would have stepped up each time
         assert min(cong[1:]) > 0.17
         assert sw.conservation()[1]["ingress_dropped"] == 0
+
+    @pytest.mark.parametrize("mode", get_args(FeedbackMode))
+    def test_step_chosen_at_setup(self, mode):
+        # one queue per service class: each non-premium queue holds the
+        # mode's step, bound to its switch; premium queues and every queue
+        # under off hold none, so their sampler only records rel_cong
+        classes = get_args(ServiceClass)
+        cfg = dataclasses.replace(
+            self.overload_config(mode),
+            flows={k: FlowSpec(svc_class=c) for k, c in enumerate(classes)})
+        sw = Switch(cfg, [(1, k) for k in range(len(classes))], seed=1)
+        steps = {"pi": sw._pi_step, "gearbox": sw._gearbox_step}
+        for k, svc_class in enumerate(classes):
+            step = sw._queues[1, k].step
+            if mode == "off" or svc_class == "premium":
+                assert step is None
+            else:
+                assert step == steps[mode]  # same function, bound to sw
 
 
 class TestConservation:
