@@ -11,8 +11,10 @@ with its sink's label for each row it writes and its controller step, and
 is sampled every interval: the sampler measures the interval once and runs
 the queue's step at once, and the drop probability decided reaches the
 ingress droppers one feedback delay later.
-The report's fabric and occupancy labels are built with it too, so a row
-is appended as (time, label, value) and no label is made per row.
+The report's fabric and occupancy labels are built with it too, so no
+label is made per row: a report window is handed to the sink as one block,
+its time and each row's label and value, and a sampler row as one
+(time, label, value).
 
 A flow's service class is read once, into its output queue's tier; every
 branch on the class (policer, fabric priority, WFQ tag and virtual time)
@@ -608,28 +610,35 @@ class Switch:
     # --- measurement -------------------------------------------------------
 
     def _report(self) -> None:
-        t = self.loop.now / NS
+        """Write the window's rows as one block, in queue order and then
+        port order, the occupancy last."""
         span = self._report_ns / NS
-        append = self._series.append
+        labels: list[int] = []
+        values: list[float] = []
         for oq in self._queues.values():
             _, thr, ingress, fabric, egress, backlog, mean, p99 = oq.labels
             delivered0, ingress0, fabric0, egress0 = oq.reported
             oq.reported = (oq.delivered, oq.ingress_dropped, oq.fabric_dropped,
                            oq.egress_dropped)
-            append(t, thr, (oq.delivered - delivered0) * 8 / span)
-            append(t, ingress, (oq.ingress_dropped - ingress0) * 8 / span)
-            append(t, fabric, (oq.fabric_dropped - fabric0) * 8 / span)
-            append(t, egress, (oq.egress_dropped - egress0) * 8 / span)
-            append(t, backlog, float(oq.backlog))
+            labels += thr, ingress, fabric, egress, backlog
+            values += ((oq.delivered - delivered0) * 8 / span,
+                       (oq.ingress_dropped - ingress0) * 8 / span,
+                       (oq.fabric_dropped - fabric0) * 8 / span,
+                       (oq.egress_dropped - egress0) * 8 / span,
+                       float(oq.backlog))
             delays = oq.delays
             if delays:
                 delays.sort()
-                append(t, mean, sum(delays) / len(delays) / NS)
-                append(t, p99, delays[int(round(0.99 * (len(delays) - 1)))] / NS)
+                labels += mean, p99
+                values += (sum(delays) / len(delays) / NS,
+                           delays[int(round(0.99 * (len(delays) - 1)))] / NS)
                 oq.delays = []
         for port, label in self._queued_ports:
-            append(t, label, float(sum(port.fifo_bytes)))
-        append(t, self._occupancy_label, float(self._occupancy))
+            labels.append(label)
+            values.append(float(sum(port.fifo_bytes)))
+        labels.append(self._occupancy_label)
+        values.append(float(self._occupancy))
+        self._series.extend(self.loop.now / NS, labels, values)
 
     # --- run -----------------------------------------------------------
 

@@ -1,19 +1,25 @@
 """Measurement rows, held as columns, and their CSV form.
 
 One row per (time, metric, port, flow); aggregates leave port/flow blank.
-A sink takes rows in two steps: `label(metric, port, flow, unit)` returns
-a handle, built once by whoever writes that series, and
-`append(t, label, value)` adds one row under it. A `TimeSeries` keeps its
-rows by column: each row's value in an `array('d')` and its label as a
-4-byte handle in an `array('I')`, indexing the series' own table of
-`(metric, port, flow, unit)` tuples; and one time per run of rows at one
-time, in an `array('d')`, with the run's first row in an `array('I')`.
+A sink takes rows through three calls: `label(metric, port, flow, unit)`
+returns a handle, built once by whoever writes that series;
+`append(t, label, value)` adds one row under it; and
+`extend(t, labels, values)` adds the rows of one time as one block, a
+handle and a value per row, in order (the switch writes each report
+window so). A `TimeSeries` keeps its rows by column: each row's value in
+an `array('d')` and its label as a 4-byte handle in an `array('I')`,
+indexing the series' own table of `(metric, port, flow, unit)` tuples;
+and one time per run of rows at one time, in an `array('d')`, with the
+run's first row in an `array('I')`.
 A row costs 12 bytes plus 8 bytes a run (a report window writes its rows
 at one time), and at most the 24 bytes it costs when each row starts a
 run. A handle belongs to its series, and `label` makes a new one on every
 call, with no lookup, so a writer builds each label once. Times and
 values must be floats: the arrays would turn an int into a float that
-prints differently, so `append` refuses anything else with TypeError.
+prints differently, so `append` and `extend` refuse anything else with
+TypeError, and a handle outside the series' table with IndexError, before
+they store anything. A handle made by another series that happens to be
+in range cannot be told apart, and writes the label it indexes here.
 
 `records` reads the rows as `Record`s, built on access: immutable named
 tuples in column order that compare equal to the plain 6-tuple of their
@@ -26,17 +32,19 @@ label the switch writes does). Its bytes are `csv.writer`'s with
 `lineterminator="\n"`: floats as repr, None as an empty field, other
 fields quoted where csv.writer quotes them, so equal seeds give
 bit-identical files. One encoder writes them, `CsvSink`: its label is the
-label's CSV text, and its `append` writes each row to a stream as it
-arrives, holding none of them, so a run streamed to a file keeps bounded
-memory however long it is. csv.writer itself encodes each distinct metric,
-unit, port and flow once per sink (`_Fields`); every later occurrence is a
-dict hit, so the caches grow with the distinct labels and ids, never with
-the rows. `TimeSeries.to_csv` is that sink over a list of strings, joined
-every 4,096 rows into one chunk (a `StringIO` on Python 3.11 keeps every
-written string alive until 100,000 are pending, so it would hold up to
-100k row strings at once), and each chunk is added to one string that
-CPython grows in place, so the text is held once. It encodes each
-handle's label on its first row, into a list indexed by handle.
+label's CSV text, and its `extend` writes a block of rows at one time to a
+stream in one write, with the time printed once (`append` is a one-row
+block), holding none of them after, so a run streamed to a file keeps
+bounded memory however long it is. csv.writer itself encodes each distinct
+metric, unit, port and flow once per sink (`_Fields`); every later
+occurrence is a dict hit, so the caches grow with the distinct labels and
+ids, never with the rows. `TimeSeries.to_csv` encodes every handle's label
+once, then hands the sink one block per run of rows at one time, cut where
+every 4,096 rows its list of written strings is joined into one chunk (a
+`StringIO` on Python 3.11 keeps every written string alive until 100,000
+are pending, so it would hold up to 100k row strings at once); each chunk
+is added to one string that CPython grows in place, so the text is held
+once.
 
 `TimeSeries.from_csv` reads the text in slices of about 64K characters,
 each cut just after a line feed and read through its own `StringIO`. One
@@ -82,8 +90,14 @@ def _record_builder(labels: list[tuple]):
     return record
 
 
-def _refuse(t, value):
-    raise TypeError(f"t and value must be floats, got {t!r} and {value!r}")
+def _floats(t, values) -> bool:
+    """Whether t and every one of values is a float."""
+    return type(t) is float and set(map(type, values)) <= {float}
+
+
+def _refuse(t, values):
+    bad = next(x for x in chain((t,), values) if type(x) is not float)
+    raise TypeError(f"t and values must be floats, got {bad!r}")
 
 
 _HEADER = ",".join(COLUMNS) + "\n"
@@ -178,16 +192,49 @@ class TimeSeries:
         labels.append((metric, port, flow, unit))
         return len(labels) - 1
 
+    def _refuse_handle(self, labels):
+        size = len(self._labels)
+        bad = next(h for h in labels if not 0 <= h < size)
+        raise IndexError(f"label handle {bad!r} is outside this series' "
+                         f"table of {size} labels")
+
     def append(self, t, label, value):
         if type(t) is not float or type(value) is not float:
-            _refuse(t, value)
-        self._label.append(label)
+            _refuse(t, (value,))
+        if not 0 <= label < len(self._labels):
+            self._refuse_handle((label,))
+        self._label.append(label)  # a non-int is refused before a store
         # 0.0 equals -0.0 but prints apart, and a nan never equals itself
         if t != self._last or not t:
             self._last = t
             self._times.append(t)
             self._starts.append(len(self._value))
         self._value.append(value)
+
+    def extend(self, t, labels, values):
+        """Append one row at time t per handle in labels, with its value in
+        values, as appending them one by one would, refusing the whole
+        block before it stores any of it."""
+        if not _floats(t, values):
+            _refuse(t, values)
+        if len(labels) != len(values):
+            raise ValueError(f"{len(labels)} labels for {len(values)} values")
+        if not labels:
+            return
+        if not (0 <= min(labels) and max(labels) < len(self._labels)):
+            self._refuse_handle(labels)
+        # fromlist stores all of a list or, refusing a non-int, none of it
+        self._label.fromlist(list(labels))
+        start = len(self._value)
+        # append's run rule: a zero or nan time starts a run at every row
+        if t != t or not t:
+            self._times.fromlist([t] * len(labels))
+            self._starts.fromlist(list(range(start, start + len(labels))))
+        elif t != self._last:
+            self._times.append(t)
+            self._starts.append(start)
+        self._last = t
+        self._value.fromlist(list(values))
 
     def _ends(self):
         """The row after each run's last."""
@@ -236,27 +283,26 @@ class TimeSeries:
         # the sink's writes, joined into a chunk every _CHUNK_ROWS rows
         rows: list[str] = []
         sink = CsvSink(SimpleNamespace(write=rows.append))
-        append, label_of = sink.append, sink.label
-        labels, handles, values = self._labels, self._label, self._value
-        texts = [None] * len(labels)  # each handle's text, on first use
-        times = self._row_times()
+        extend = sink.extend
+        text_of = [sink.label(*label) for label in self._labels].__getitem__
+        handles, values = self._label, self._value
         # `out += chunk` resizes `out` in place while this local holds its
         # only reference, so the text is held once, where a list of chunks
         # joined at the end, or a StringIO, holds it twice; this is CPython's
         # doing, as the language promises a new object for each
         # concatenation ("Common Sequence Operations", note 6)
         out = ""
-        for start in range(0, len(values), _CHUNK_ROWS):
-            end = start + _CHUNK_ROWS
-            for t, h, value in zip(islice(times, _CHUNK_ROWS),
-                                   handles[start:end], values[start:end]):
-                text = texts[h]
-                if text is None:
-                    text = texts[h] = label_of(*labels[h])
-                append(t, text, value)
-            out += "".join(rows)
-            rows.clear()
-        out += "".join(rows)  # the header of a series with no rows
+        for t, start, end in zip(self._times, self._starts, self._ends()):
+            # one block per run, cut where a chunk ends
+            while start < end:
+                cut = min(end, start - start % _CHUNK_ROWS + _CHUNK_ROWS)
+                extend(t, list(map(text_of, handles[start:cut])),
+                       values[start:cut])
+                if not cut % _CHUNK_ROWS:
+                    out += "".join(rows)
+                    rows.clear()
+                start = cut
+        out += "".join(rows)  # the header, and the rows after the last chunk
         return out
 
     @classmethod
@@ -332,32 +378,33 @@ class CsvSink:
     """Takes rows like a TimeSeries and writes their CSV to a text stream.
 
     The one CSV encoder: `TimeSeries.to_csv` runs its rows through a sink
-    over a list of strings. The header is written at once and each row as it
-    arrives, in one write; the stream's own buffer, the field cache and the
-    last time's text are all the sink holds. The caller owns the stream and
-    closes it.
+    over a list of strings. The header is written at once and each block of
+    rows as it arrives, in one write; the stream's own buffer and the field
+    cache are all the sink holds. The caller owns the stream and closes it.
     """
 
     def __init__(self, stream):
         self._write = stream.write
         self._fields = _Fields()
-        self._t = self._t_text = None
         self._write(_HEADER)
 
     def label(self, metric, port, flow, unit) -> tuple[str, str]:
         """The label rows are appended under: its CSV text, encoded once,
-        in two parts, before and after the value."""
+        in two parts, between the time and the value and after the value,
+        with the separators and the line end they take."""
         fields = self._fields
-        return (f"{fields[metric]},{fields.id_text(port)},"
-                f"{fields.id_text(flow)}", fields[unit])
+        return (f",{fields[metric]},{fields.id_text(port)},"
+                f"{fields.id_text(flow)},", f",{fields[unit]}\n")
 
     def append(self, t, label, value):
-        if type(t) is not float or type(value) is not float:
-            _refuse(t, value)
-        # the rows of one time share its text, whether they share one float
-        # (a report window) or read equal ones out of an array (to_csv);
-        # 0.0 equals -0.0 but prints apart, and a nan never equals itself
-        if t != self._t or not t:
-            self._t, self._t_text = t, repr(t)
-        head, tail = label
-        self._write(f"{self._t_text},{head},{value!r},{tail}\n")
+        self.extend(t, (label,), (value,))
+
+    def extend(self, t, labels, values):
+        """Write one row at time t per label in labels, with its value in
+        values, in one write, or refuse the block and write nothing."""
+        if not _floats(t, values):
+            _refuse(t, values)
+        t = repr(t)
+        self._write("".join([f"{t}{head}{value!r}{tail}"
+                             for (head, tail), value
+                             in zip(labels, values, strict=True)]))

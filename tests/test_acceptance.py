@@ -171,6 +171,10 @@ class Tee:
         for sink, label in zip(self.sinks, labels):
             sink.append(t, label, value)
 
+    def extend(self, t, labels, values):
+        for n, sink in enumerate(self.sinks):
+            sink.extend(t, [label[n] for label in labels], values)
+
 
 @pytest.fixture(scope="module")
 def runs():

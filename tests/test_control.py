@@ -108,6 +108,16 @@ class TestPiUpdate:
         # a demand far below zero: rate 0, p = 0
         assert pi_update(-5.0, 0.3, 1.0, 2.0, *GAINS) == (0.0, -5.0)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: at last_drop_prob 1.0 the conversion multiplies "
+        "the demand by 1 - 1.0, so every demand reads probability 0.0"))
+    def test_positive_demand_at_full_drop_keeps_dropping(self):
+        # a queue sampled at p = 1 (packets already past the dropper still
+        # arrive) with e = 0.5 demands 10 + 0.5 * 0.5 = 10.25 > 0 under an
+        # infinite ceiling; the dropper must stay on, not fall to 0
+        prob, _ = pi_update(10.0, 1.0, 1.5, 1.0, *GAINS)
+        assert prob > 0.0
+
     @given(accumulator=st.floats(-1e12, 1e12),
            last_drop_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
            measured_rate=st.floats(1e-6, 1e12),

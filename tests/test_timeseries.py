@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from array import array
 from itertools import repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -185,17 +186,47 @@ class TestColumnarStore:
                                           (1.0, "1.0"), (1.0, None)])
     def test_refuses_non_float_time_and_value(self, t, value):
         # the float arrays would print 5 as 5.0, so nothing but a float is
-        # taken, in the store and in the sink alike
+        # taken, in the store and in the sink alike, row by row or in a
+        # block whose other rows are floats
+        ts, buf = TimeSeries(), io.StringIO()
+        for sink, written in ((ts, lambda: (len(ts), ts.to_csv())),
+                              (CsvSink(buf), buf.getvalue)):
+            put(sink, 0.5, "x", 0, 0, 1.0, "bps")
+            label = sink.label("x", 0, 0, "bps")
+            before = written()
+            with pytest.raises(TypeError):
+                sink.append(t, label, value)
+            with pytest.raises(TypeError):
+                sink.extend(t, [label] * 3, [1.0, value, 2.0])
+            assert written() == before
+
+    @pytest.mark.parametrize("labels, error", [
+        ([0, 2], IndexError), ([0, -1], IndexError), ([0, 2**40], IndexError),
+        ([0, 1.0], TypeError), ([0, "1"], TypeError), ([0, None], TypeError),
+        ([0, 1, 1], ValueError)])
+    def test_refuses_a_bad_handle_and_stores_nothing(self, labels, error):
+        # a handle must index the series' own table of 2 labels; the error
+        # comes at the call, before any row of the block is stored
         ts = TimeSeries()
-        with pytest.raises(TypeError):
-            put(ts, t, "x", 0, 0, value, "bps")
-        assert len(ts) == 0
-        assert ts.to_csv() == ",".join(COLUMNS) + "\n"
-        buf = io.StringIO()
-        sink = CsvSink(buf)
-        with pytest.raises(TypeError):
-            put(sink, t, "x", 0, 0, value, "bps")
-        assert buf.getvalue() == ",".join(COLUMNS) + "\n"
+        first = ts.label("x", 0, 0, "bps")
+        ts.label("y", None, 1, "s")
+        ts.append(0.5, first, 1.0)
+        before = ts.to_csv()
+        with pytest.raises(error):
+            ts.extend(0.5, labels, [1.0, 2.0])
+        if error is not ValueError:  # a length mismatch needs a block
+            with pytest.raises(error):
+                ts.append(0.5, labels[1], 1.0)
+        assert len(ts) == 1
+        assert ts.to_csv() == before
+
+    def test_a_handle_past_the_table_is_named(self):
+        ts = TimeSeries()
+        ts.label("x", 0, 0, "bps")
+        with pytest.raises(IndexError, match=r"handle 3 .* table of 1 label"):
+            ts.append(0.5, 3, 1.0)
+        with pytest.raises(IndexError, match=r"handle 5 .* table of 1 label"):
+            ts.extend(0.5, [0, 5, 0], [1.0, 1.0, 1.0])
 
     @staticmethod
     def bytes_per_row(times) -> float:
@@ -331,6 +362,14 @@ class TestCsvSink:
             put(sink, *row)
             assert buf.getvalue().count("\n") == 1 + n
 
+    def test_writes_a_block_in_one_write(self):
+        writes = []
+        sink = CsvSink(SimpleNamespace(write=writes.append))
+        labels = [sink.label("x", port, None, "bps") for port in range(5)]
+        sink.extend(0.25, labels, [float(v) for v in range(5)])
+        assert writes[1:] == ["".join(f"0.25,x,{v},,{v}.0,bps\n"
+                                      for v in range(5))]
+
 
 def reference_csv(rows) -> str:
     """The CSV form as csv.writer writes it, header first."""
@@ -453,3 +492,49 @@ class TestRunsAndHandles:
         assert printed(one_by_one.records) == printed(rows)
         assert ts == one_by_one
         assert ts.to_csv() == one_by_one.to_csv() == reference_csv(rows)
+
+
+# a time that starts a run at every row (zeros, nan), one that may continue
+# the last run, and any other float
+BLOCK_TIMES = (st.sampled_from((0.0, -0.0, math.nan, math.inf, 0.5))
+               | st.floats())
+BLOCKS = st.lists(st.tuples(
+    BLOCK_TIMES, st.lists(st.tuples(st.integers(0, 2), FLOATS), max_size=5),
+    st.booleans()), max_size=12)
+
+
+class TestExtend:
+    """A block is stored and written as its rows appended one by one."""
+
+    @given(BLOCKS)
+    @example([(0.5, [(0, 1.0)], True), (0.5, [], True),
+              (0.5, [(1, 1.0)], False), (-0.0, [(0, 1.0), (1, 2.0)], True),
+              (math.nan, [(2, math.nan)] * 3, True)])
+    def test_extend_is_row_by_row_append(self, blocks):
+        # each block goes in whole or row by row, so appends and blocks
+        # continue each other's runs as the reference's appends do; a
+        # series' handles are 0, 1 and 2, and a sink's labels their texts
+        ts, reference = TimeSeries(), TimeSeries()
+        streams = io.StringIO(), io.StringIO()
+        sink, reference_sink = map(CsvSink, streams)
+        for series in ts, reference:
+            for metric in "abc":
+                series.label(metric, 0, None, "s")
+        texts = [sink.label(metric, 0, None, "s") for metric in "abc"]
+        for t, rows, whole in blocks:
+            handles = [h for h, _ in rows]
+            values = [value for _, value in rows]
+            for store, label_of in ((ts, int), (sink, texts.__getitem__)):
+                if whole:
+                    store.extend(t, list(map(label_of, handles)), values)
+                else:
+                    for h, value in rows:
+                        store.append(t, label_of(h), value)
+            for h, value in rows:
+                reference.append(t, h, value)
+                reference_sink.append(t, texts[h], value)
+        for column in ("_times", "_starts", "_label", "_value"):
+            assert (getattr(ts, column).tobytes()
+                    == getattr(reference, column).tobytes()), column
+        assert streams[0].getvalue() == streams[1].getvalue()
+        assert ts.to_csv() == streams[0].getvalue()
