@@ -36,9 +36,17 @@ def pi_update(accumulator: float, last_drop_prob: float, measured_rate: float,
         ceiling = measured_rate / (1.0 - last_drop_prob)
     else:
         ceiling = math.inf
-    value = min(max(raw, 0.0), ceiling)
+    # min(max(raw, 0.0), ceiling) and min(max(p, 0.0), 1.0) as conditional
+    # expressions, which cost a third of the builtins' calls; each keeps
+    # their tie rule, the first operand unless the second is strictly
+    # larger (max) or smaller (min), so a -0.0 or nan passes as it would
+    value = 0.0 if 0.0 > raw else raw
+    if ceiling < value:
+        value = ceiling
     p = (1.0 - last_drop_prob) * value / measured_rate
-    return min(max(p, 0.0), 1.0), grown if value == raw else accumulator
+    if 0.0 > p:
+        p = 0.0
+    return 1.0 if 1.0 < p else p, grown if value == raw else accumulator
 
 
 # --- gear-box variant -------------------------------------------------------

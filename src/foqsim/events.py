@@ -26,9 +26,16 @@ and its port, and counts every `at` call. A handler that runs once per
 packet reads only state resolved at setup or computed by the tick that
 changes it; it re-derives nothing per event. It is also built once per
 object that schedules it (a port, an access link, a source) and kept
-there, reading the packet it acts on from its owner, so an event
-allocates no closure. Only the TCP ack (which carries its ack number) and
-the control application (its probability) are built per event.
+there, reading the packet it acts on from its owner. The method that
+builds it binds what it reads as default arguments, not through a
+closure, which would make that method create a cell per captured local
+on every call; so an event allocates no closure and no cell. A bound
+method or `functools.partial` would hold no cells either, but it would
+not keep the `__qualname__` the tracer classifies by. Only the TCP ack
+(which carries its ack number) and the control application (its
+probability) are built per event, with their values bound the same way.
+Every caller passes the key to `at` positionally, since CPython 3.11's
+interpreter does not specialise a call that passes keywords.
 """
 
 from __future__ import annotations

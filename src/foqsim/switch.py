@@ -33,9 +33,12 @@ RED tick refreshes right after the average it follows from. Event keys and
 handler names stay fixed, because the benchmark's tracer (`bench/tracer.py`)
 classifies events by them. Each port's drain and line handlers are built
 by its first drain and first line start and kept on the port: they read
-the packet from `in_drain` and `in_tx`, so no event allocates a closure,
-and they stay the lambdas in `_start_drain` and `_start_out` whose
-`__qualname__` the tracer knows.
+the packet from `in_drain` and `in_tx`, and they bind the switch and the
+port as default arguments, so no event allocates a closure and neither
+`_start_drain` nor `_start_out` makes a cell per call. They stay the
+lambdas in those methods, whose `__qualname__` the tracer knows; a bound
+method or `functools.partial` would not. The control application built
+per decision binds its queue and probability the same way.
 
 The drain and the line are work-conserving FIFO servers: the handler that
 ends one service starts the next before it returns, so an idle drain has
@@ -219,8 +222,10 @@ class _TokenBucket:
         self.last = 0  # ns; a full bucket's first admit ignores it
 
     def admit(self, size: int, now: int) -> bool:
-        self.tokens = min(self.burst,
-                          self.tokens + (now - self.last) * self.rate / (8 * NS))
+        tokens = self.tokens + (now - self.last) * self.rate / (8 * NS)
+        # min(burst, tokens): the first operand unless the second is smaller
+        burst = self.burst
+        self.tokens = tokens if tokens < burst else burst
         self.last = now
         if self.tokens >= size:
             self.tokens -= size
@@ -456,7 +461,8 @@ class Switch:
         port.in_drain = packet
         done = port.drain_done
         if done is None:
-            done = port.drain_done = lambda: self._drain_done(port)
+            done = port.drain_done = (
+                lambda self=self, port=port: self._drain_done(port))
         loop = self.loop
         loop.at(loop.now + self._drain_ns[packet.size], done, RANK_DATA,
                 port.index, packet.flow_id)
@@ -536,7 +542,8 @@ class Switch:
         port.in_tx = packet
         done = port.out_done
         if done is None:
-            done = port.out_done = lambda: self._out_done(port)
+            done = port.out_done = (
+                lambda self=self, port=port: self._out_done(port))
         loop = self.loop
         loop.at(loop.now + self._line_ns[packet.size], done, RANK_DATA,
                 port.index, packet.flow_id)
@@ -576,9 +583,9 @@ class Switch:
             if prob is not None:
                 # the droppers see it one feedback delay later
                 self.loop.at(self.loop.now + self._delay_ns,
-                             lambda: self._apply_prob(oq, prob),
-                             rank=RANK_CONTROL, port=oq.egress,
-                             flow=oq.flow_id)
+                             lambda self=self, oq=oq, prob=prob:
+                             self._apply_prob(oq, prob),
+                             RANK_CONTROL, oq.egress, oq.flow_id)
 
     def _pi_step(self, oq, congestion, in_b, out_b, dropped0):
         """The PI law's drop probability, from the interval's arrival rate
@@ -658,8 +665,8 @@ class Switch:
             def handler():
                 fn()
                 if loop.now + period <= until:
-                    loop.at(loop.now + period, handler, rank=RANK_TICK, port=port)
-            loop.at(period, handler, rank=RANK_TICK, port=port)
+                    loop.at(loop.now + period, handler, RANK_TICK, port)
+            loop.at(period, handler, RANK_TICK, port)
 
         # One tick per period serves every queue. At a shared instant the
         # report (port -1) fires first; samplers, RED averages and zero-delay

@@ -145,6 +145,15 @@ def _printed_alike(a: array, b: array) -> bool:
         map(eq, map(repr, a), map(repr, b)))
 
 
+def _text_ids(*tables: list[tuple]) -> list[list[int]]:
+    """Each table's labels as ids of their CSV text, as `CsvSink` prints
+    it, one id per distinct text across all the tables."""
+    sink = CsvSink(SimpleNamespace(write=len))  # its header is dropped
+    ids: dict[tuple[str, str], int] = {}
+    return [[ids.setdefault(sink.label(*label), len(ids)) for label in table]
+            for table in tables]
+
+
 def _slices(text: str):
     """`text` in slices of about _SLICE_CHARS characters, each cut just
     after a line feed.
@@ -268,13 +277,17 @@ class TimeSeries:
 
     def __eq__(self, other):
         # equal when every row prints alike: times that print alike start
-        # runs at the same rows; handles are each series' own, so the labels
-        # compare once per pair of handles rows share
-        return (isinstance(other, TimeSeries) and self._starts == other._starts
+        # runs at the same rows; handles are each series' own, so each is
+        # mapped to the id of its label's CSV text (True, 1 and 1.0 print
+        # apart though they compare equal), and the rows' ids compare at C
+        # level
+        if not (isinstance(other, TimeSeries) and self._starts == other._starts
                 and _printed_alike(self._times, other._times)
-                and _printed_alike(self._value, other._value) and all(
-                    self._labels[mine] == other._labels[theirs]
-                    for mine, theirs in set(zip(self._label, other._label))))
+                and _printed_alike(self._value, other._value)):
+            return False
+        mine, theirs = _text_ids(self._labels, other._labels)
+        return (array("I", map(mine.__getitem__, self._label))
+                == array("I", map(theirs.__getitem__, other._label)))
 
     def __len__(self):
         return len(self._value)

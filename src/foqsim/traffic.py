@@ -17,10 +17,12 @@ without entering the queue.
 Handlers that fire once per packet or timer are built once per object and
 reused: a CBR source binds `_emit` once, an access link builds its
 completion handler on its first send and reads the packet on the wire from
-`_in_tx`, and a TCP source builds its timer handler on its first arm. Each
-keeps the `__qualname__` by which the benchmark's tracer (`bench/tracer.py`)
-classifies it. The ack handler is built per ack, as it carries the ack
-number.
+`_in_tx`, and a TCP source builds its timer handler on its first arm. The
+ack handler is built per ack, as it carries the ack number. Each binds
+what it reads as default arguments, so the method that builds it makes
+no cell on any call, and each keeps the `__qualname__` by which the
+benchmark's tracer (`bench/tracer.py`) classifies it, which a bound method
+or `functools.partial` would not.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class CbrSource:
 
     def start(self) -> None:
         if self._stop_ns is None or self._start_ns < self._stop_ns:
-            self.loop.at(self._start_ns, self._fire, rank=RANK_DATA,
-                         port=self.ingress_port, flow=self.flow_id)
+            self.loop.at(self._start_ns, self._fire, RANK_DATA,
+                         self.ingress_port, self.flow_id)
 
     def _emit(self) -> None:
         now = self.loop.now
@@ -67,8 +69,8 @@ class CbrSource:
         self.seq += 1
         nxt = now + self.period_ns
         if self._stop_ns is None or nxt < self._stop_ns:
-            self.loop.at(nxt, self._fire, rank=RANK_DATA,
-                         port=self.ingress_port, flow=self.flow_id)
+            self.loop.at(nxt, self._fire, RANK_DATA, self.ingress_port,
+                         self.flow_id)
 
 
 class AccessLink:
@@ -103,7 +105,7 @@ class AccessLink:
         self._in_tx = packet
         done = self._done
         if done is None:
-            def done():
+            def done(self=self):
                 self.sink(self._in_tx)
                 queue = self._queue
                 if queue:
@@ -195,8 +197,8 @@ class TcpSource:
         self.timeouts = 0
 
     def start_at(self, start_ns: int) -> None:
-        self.loop.at(start_ns, self._try_send, rank=RANK_DATA,
-                     port=self.ingress_port, flow=self.flow_id)
+        self.loop.at(start_ns, self._try_send, RANK_DATA, self.ingress_port,
+                     self.flow_id)
 
     @property
     def packets_sent(self) -> int:
@@ -249,7 +251,7 @@ class TcpSource:
         self._timer_at = when
         timer = self._timer
         if timer is None:
-            timer = self._timer = lambda: self._timer_fire()
+            timer = self._timer = lambda self=self: self._timer_fire()
         self.loop.at(when, timer, RANK_DATA, self.ingress_port, self.flow_id)
 
     def _timer_fire(self) -> None:
@@ -261,11 +263,16 @@ class TcpSource:
             self._arm_timer(self.deadline)  # acks or the backoff put it later
             return
         self.timeouts += 1
-        self.ssthresh = max(int(self.cwnd) // 2, 2)
+        half = int(self.cwnd) // 2
+        self.ssthresh = 2 if 2 > half else half  # max(half, 2)
         self.cwnd = 1.0
         self.in_recovery = False
         self.dup_acks = 0
-        self.backoff = min(self.backoff * 2, self.MAX_BACKOFF)
+        backoff = self.backoff * 2
+        # min(backoff, MAX_BACKOFF): the first operand unless the second is
+        # smaller
+        self.backoff = (self.MAX_BACKOFF if self.MAX_BACKOFF < backoff
+                        else backoff)
         self._retransmit(self.snd_una)
         self._arm_timer()
 
@@ -305,7 +312,8 @@ class TcpSource:
         else:  # a duplicate; since the first send, _sent is not empty
             self.dup_acks += 1
             if self.dup_acks == 3 and not self.in_recovery:
-                self.ssthresh = max(int(self.cwnd) // 2, 2)
+                half = int(self.cwnd) // 2
+                self.ssthresh = 2 if 2 > half else half  # max(half, 2)
                 self.cwnd = float(self.ssthresh)
                 self.in_recovery = True
                 self.recover_point = self.snd_una + len(self._sent)
@@ -347,6 +355,7 @@ class TcpSource:
             else:
                 self._ooo.add(seq)
         loop = self.loop
-        loop.at(loop.now + self._rtt_ns, lambda: self._handle_ack(ackno),
+        loop.at(loop.now + self._rtt_ns,
+                lambda self=self, ackno=ackno: self._handle_ack(ackno),
                 RANK_DATA, self.ingress_port, self.flow_id)
 

@@ -65,6 +65,39 @@ class TestSelection:
         assert TimeSeries([(0.0, "x", 1, 2, 1.0, "s")]) != TimeSeries(
             [(-0.0, "x", 1, 2, 1.0, "s")])
 
+    def test_eq_compares_labels_as_printed(self):
+        # True, 1 and 1.0 equal one another, and 0.0 equals -0.0, but each
+        # id prints apart, so each makes a series of its own
+        ids = (True, 1, 1.0, 0.0, -0.0)
+        for field in (2, 3):  # the port, then the flow
+            series = []
+            for x in ids:
+                row = [0.5, "x", 1, 2, 1.0, "s"]
+                row[field] = x
+                series.append(TimeSeries([tuple(row)]))
+            assert len({ts.to_csv() for ts in series}) == len(ids)
+            for i, a in enumerate(series):
+                for j, b in enumerate(series):
+                    assert (a == b) is (i == j), (ids[i], ids[j])
+
+    def test_eq_holds_for_labels_built_in_another_order(self):
+        # the same rows under label tables of another order, one with a
+        # label no row uses and one with a label made twice
+        a, b = TimeSeries(), TimeSeries()
+        ax, ay = a.label("x", 1, 2, "s"), a.label("y", None, 2, "bps")
+        b.label("unused", 0, 0, "s")
+        by, bx = b.label("y", None, 2, "bps"), b.label("x", 1, 2, "s")
+        bx2 = b.label("x", 1, 2, "s")
+        a.extend(0.5, [ax, ay, ax], [1.0, 2.0, 3.0])
+        b.extend(0.5, [bx, by, bx2], [1.0, 2.0, 3.0])
+        a.append(1.0, ay, 4.0)
+        b.append(1.0, by, 4.0)
+        assert a == b and b == a
+        assert a.to_csv() == b.to_csv()
+        a.append(2.0, ax, 5.0)
+        b.append(2.0, by, 5.0)
+        assert a != b and b != a
+
     def test_records_equal_only_sequences(self):
         records = sample_series().records
         assert records.__eq__(4) is NotImplemented
@@ -448,12 +481,18 @@ class TestCsvBytes:
 # rows in runs of one time, a zero time right after a negative zero, nan
 # times, and ids that compare equal but print apart
 RUN_TIMES = st.sampled_from((0.0, -0.0, math.nan, 0.5, 2.0)) | st.floats()
-EQUAL_IDS = st.sampled_from((None, 1, 1.0, True, 0, 0.0, -0.0))
+IDS = (None, 1, 1.0, True, 0, 0.0, -0.0)
+EQUAL_IDS = st.sampled_from(IDS)
 RUN_ROW = st.tuples(st.sampled_from(("a", "b")), EQUAL_IDS, EQUAL_IDS,
                     FLOATS, st.sampled_from(("s", "bps")))
 RUNS = st.lists(
     st.tuples(RUN_TIMES, st.lists(RUN_ROW, min_size=1, max_size=4)),
     max_size=10)
+
+
+def alike(field) -> list:
+    """The ids of IDS that equal field, itself among them."""
+    return [x for x in IDS if x == field]
 
 
 def printed(rows) -> list[tuple]:
@@ -492,6 +531,29 @@ class TestRunsAndHandles:
         assert printed(one_by_one.records) == printed(rows)
         assert ts == one_by_one
         assert ts.to_csv() == one_by_one.to_csv() == reference_csv(rows)
+
+    @given(RUNS, st.data())
+    def test_equal_exactly_when_printed_alike(self, runs, data):
+        # the same rows with some ids swapped for equal ones that may print
+        # apart (1 for True, -0.0 for 0.0), under a label table built in
+        # reverse order
+        rows = [(t, metric, port, flow, value, unit)
+                for t, run in runs for metric, port, flow, value, unit in run]
+        swapped = [(t, metric, data.draw(st.sampled_from(alike(port))),
+                    data.draw(st.sampled_from(alike(flow))), value, unit)
+                   for t, metric, port, flow, value, unit in rows]
+        labels = {}  # each label by its fields' reprs, first seen first
+        for t, metric, port, flow, value, unit in swapped:
+            label = (metric, port, flow, unit)
+            labels.setdefault(tuple(map(repr, label)), label)
+        other = TimeSeries()
+        handles = {key: other.label(*label)
+                   for key, label in reversed(labels.items())}
+        for t, metric, port, flow, value, unit in swapped:
+            key = tuple(map(repr, (metric, port, flow, unit)))
+            other.append(t, handles[key], value)
+        ts = TimeSeries(rows)
+        assert (ts == other) is (other == ts) is (ts.to_csv() == other.to_csv())
 
 
 # a time that starts a run at every row (zeros, nan), one that may continue

@@ -2,18 +2,21 @@
 congestion control state machine and its send log, and the staged start
 schedule an Experiment draws for its TCP sources."""
 
+import ast
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
+from foqsim.control import pi_update
 from foqsim.events import NS, RANK_DATA, RANK_TICK, EventLoop, ns, stream
 from foqsim.experiment import Experiment
-from foqsim.switch import Packet
+from foqsim.switch import Packet, Switch, _TokenBucket
 from foqsim.traffic import AccessLink, CbrSource, TcpSource
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "foqsim"
 
 
 class TestCbr:
@@ -646,6 +649,41 @@ def test_per_packet_handlers_are_built_once_per_owner(monkeypatch):
         # several events per owner, so a handler built per event shows
         assert len(handlers) > 5 * bound, name
         assert len(set(map(id, handlers))) <= bound, name
+
+
+def test_per_packet_methods_hold_no_cells():
+    """A method that builds a scheduled handler binds the handler's state
+    as defaults. A closure over its locals would make a cell of each on
+    every call (once per packet, not once per handler), before its first
+    line runs, and read them back through the cells."""
+    for method in (Switch._start_drain, Switch._start_out,
+                   Switch.sample_and_feedback, AccessLink._next,
+                   TcpSource._arm_timer, TcpSource.on_data_arrival):
+        assert method.__code__.co_cellvars == (), method.__qualname__
+
+
+def test_at_takes_its_keys_positionally():
+    """No call to an `at` in the program passes a keyword: the interpreter
+    does not specialise a call with keywords, and `at` runs per event."""
+    calls, keyworded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "at"):
+                calls += 1
+                if node.keywords:
+                    keyworded.append(f"{path.name}:{node.lineno}")
+    assert calls >= 10  # the scan sees the call sites
+    assert keyworded == []
+
+
+def test_per_event_clamps_call_no_min_or_max():
+    """The clamps that run per event are conditional expressions, which
+    cost a third of a builtin `min` or `max` call."""
+    for fn in (pi_update, _TokenBucket.admit, TcpSource._timer_fire,
+               TcpSource._handle_ack, TcpSource._rtt_sample):
+        assert not {"min", "max"} & set(fn.__code__.co_names), fn.__qualname__
 
 
 @pytest.mark.xfail(strict=True, reason=(
