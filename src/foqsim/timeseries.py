@@ -61,8 +61,8 @@ import io
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
-from operator import eq, sub
+from itertools import chain, groupby, islice, repeat
+from operator import eq, itemgetter, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -330,28 +330,23 @@ class TimeSeries:
         if tuple(header) != COLUMNS:
             raise ValueError(f"unexpected header {header!r}")
         series = cls()
-        label = series.label
-        times, starts, handles, values = (series._times, series._starts,
-                                          series._label, series._value)
+        label, extend = series.label, series.extend
         # one handle per distinct label text: the ids are parsed once each
         known = {}
-        last = None
-        for t, metric, port, flow, value, unit in filter(None, reader):
-            t = float(t)
-            key = (metric, port, flow, unit)
-            handle = known.get(key)
-            if handle is None:
-                handle = known[key] = label(
-                    metric, None if port == "" else int(port),
-                    None if flow == "" else int(flow), unit)
-            handles.append(handle)
-            # append's run rule, inline, since a call per row costs more
-            if t != last or not t:
-                last = t
-                times.append(t)
-                starts.append(len(values))
-            values.append(float(value))
-        series._last = last
+        # one block per run of rows under one time text, so the run rule
+        # is extend's alone
+        for t, rows in groupby(filter(None, reader), itemgetter(0)):
+            handles, values = [], []
+            for _, metric, port, flow, value, unit in rows:
+                key = (metric, port, flow, unit)
+                handle = known.get(key)
+                if handle is None:
+                    handle = known[key] = label(
+                        metric, None if port == "" else int(port),
+                        None if flow == "" else int(flow), unit)
+                handles.append(handle)
+                values.append(float(value))
+            extend(float(t), handles, values)
         return series
 
 

@@ -18,10 +18,11 @@ bound was frozen.
    config in every feedback mode, and over drawn small configs whose
    policed premium flows have bursts of one to eight packets.
 
-The golden digests pin the CSV bytes of the four shipped configs across
-commits, both as the in-memory series writes them and as the streaming sink
-wrote them during the same run; they reuse the runs of criteria 4 and 5, and
-so do the pinned TCP counts of the two TCP configs. Small inline configs pin
+The golden digests (in tests/pins.py, with every other pinned value) pin
+the CSV bytes of the four shipped configs across commits, both as the
+in-memory series writes them and as the streaming sink wrote them during
+the same run; they reuse the runs of criteria 4 and 5, and so do the
+pinned TCP counts of the two TCP configs. Small inline configs pin
 what the shipped ones leave out: PI mode, a feedback delay, report windows
 shorter and longer than the feedback interval, and a RED average sampled at
 its own period, over two outputs with three flows each.
@@ -60,38 +61,18 @@ from foqsim.switch import (
     SwitchConfig,
 )
 from foqsim.timeseries import CsvSink, TimeSeries
+from pins import (
+    GOLDEN_DIGESTS,
+    TCP_COUNTS,
+    TRACED,
+    TRACED_AT_MOST,
+    check,
+    traced_moved,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 BENCH = ROOT / "bench"
-
-# SHA-256 of `run` CSV output for each shipped config at its shipped seed
-# and for each inline config (INLINE below): the cross-commit behavioural
-# contract. A change that moves one records the old hash, the new hash and
-# the reason, and keeps criteria 4 and 5.
-GOLDEN_DIGESTS = {
-    "cbr_scaled":
-        "d9df36892c33a18d975e339d4af0534a27374cf44c527562e794fed4dab9498d",
-    "cbr_scaled_nofoq":
-        "9b9d022d88a351abf05a621de837d694ad243146b2af1262bf1ffb78cecdecdd",
-    "tcp_scaled":
-        "4253ee71cda1d01eaf87513fac3735148e15c10f737ec17cda26ad5204169cd6",
-    "tcp_scaled_nofoq":
-        "330dbc27ea0138b54fa3679971aeada3ede6215b5eaa6b341d0a531b792c40d5",
-    "inline_gearbox":
-        "befd6c489f94f8ed5180fe3fd1bf3c930615a5fdd20876a35c6189a6f98a075f",
-    "inline_pi":
-        "1d770c247226eed6e9e7eca6949f15f88ec8c0290b027d774737af56ce7cba5c",
-}
-
-# What the TCP sources of each shipped TCP config did at its seed, summed
-# over every source and access link: segments sent (retransmits not
-# counted), retransmits, timeouts, and bytes the access links dropped. The
-# CSV leaves these out, so the golden digests cannot pin them.
-TCP_COUNTS = {
-    "tcp_scaled": (128_012, 30_764, 19_657, 670_904),
-    "tcp_scaled_nofoq": (128_054, 30_782, 19_947, 670_904),
-}
 
 
 def inline_config(switch_lines):
@@ -386,18 +367,48 @@ def test_criterion_5_tcp_experiment_bands(shipped):
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_golden_digest(runs, name):
     series, streamed, _ = runs(name)
-    for text in (series.to_csv(), streamed):
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+    check(*[(f"GOLDEN_DIGESTS[{name!r}] {how}", GOLDEN_DIGESTS[name],
+             hashlib.sha256(text.encode()).hexdigest())
+            for how, text in (("in memory", series.to_csv()),
+                              ("streamed", streamed))])
 
 
 @pytest.mark.parametrize("name", sorted(TCP_COUNTS))
 def test_tcp_counts(runs, name):
     experiment = runs(name)[2]
     sources = experiment.tcp_sources.values()
-    assert (sum(s.packets_sent for s in sources),
+    check((f"TCP_COUNTS[{name!r}]", TCP_COUNTS[name],
+           (sum(s.packets_sent for s in sources),
             sum(s.retransmits for s in sources),
             sum(s.timeouts for s in sources),
-            sum(link.dropped_bytes for link in experiment.links)) == TCP_COUNTS[name]
+            sum(link.dropped_bytes for link in experiment.links))))
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED))
+def test_traced_pins_name_each_moved_value(workload):
+    # traced output as bench/run.py prints it, every pin at its value and
+    # each bound met exactly; the CI check reads it back as it reads a run
+    exact, bounds = TRACED[workload], TRACED_AT_MOST.get(workload, {})
+    lines = [f"absent {name}: never seen" for name in exact]
+    lines += [f"{name} {value} count"
+              for name, value in {**exact, **bounds}.items()]
+    assert traced_moved(workload, "\n".join(lines)) == []
+    name = "events.fired"
+    raised = [f"{name} {exact[name] + 1} count" if line.startswith(name + " ")
+              else line for line in lines]
+    assert traced_moved(workload, "\n".join(raised)) == [
+        f"TRACED[{workload!r}][{name!r}]: pinned {exact[name]}, "
+        f"read {exact[name] + 1}"]
+    assert traced_moved(workload, "") == [
+        f"TRACED[{workload!r}][{name!r}]: pinned {value}, read absent"
+        for name, value in exact.items()] + [
+        f"TRACED_AT_MOST[{workload!r}][{name!r}]: pinned at most {most}, "
+        "read absent" for name, most in bounds.items()]
+    for name, most in bounds.items():
+        over = lines + [f"{name} {most + 1} count"]
+        assert traced_moved(workload, "\n".join(over)) == [
+            f"TRACED_AT_MOST[{workload!r}][{name!r}]: pinned at most {most}, "
+            f"read {most + 1}"]
 
 
 def overload_switch(mode, duration, packet=100, rate=2e6, interval=50e-3,

@@ -14,6 +14,7 @@ import foqsim
 from foqsim.analytic import StepScenario, queue_at
 from foqsim.cli import STABILITY_MSG, main
 from foqsim.timeseries import COLUMNS, TimeSeries
+from pins import ANALYZE_DIGESTS, check
 
 TINY = """\
 switch.num_ports = 2
@@ -182,21 +183,6 @@ def analyze(*extra):
             "--ropt", "0.9", "--sc", "1", *extra]
 
 
-# SHA-256 of analyze's bytes, pinned on the list-of-floats solver: the
-# README example with and without the recurrence, and unstable gains (one
-# with a proportional term) that only the recurrence answers
-ANALYZE_DIGESTS = {
-    ("--k", "0", "--ki", "0.5", "--horizon", "50"):
-        "b55f5801044ddd720d13405e8a2845a0a31c3449b299581cb7fcfaec162847a0",
-    ("--k", "0", "--ki", "0.5", "--horizon", "50", "--recurrence"):
-        "3ac525f4060027ddf1618ffeaab1cb14bd23b2ba681977f003586ed9c3fac9ab",
-    ("--k", "0", "--ki", "2.5", "--horizon", "60", "--recurrence"):
-        "e17a9e43a377ca6e81208d49732ccfe32508cd3e08d435159cd5aa74fff9921d",
-    ("--k", "0.3", "--ki", "1.6", "--horizon", "60", "--recurrence"):
-        "f299f9b054b8b2180381655190817e19231eac915ae7d0a2561856d9cfe22276",
-}
-
-
 class TestAnalyze:
     @pytest.mark.parametrize("gains", ANALYZE_DIGESTS)
     def test_golden_digest(self, gains, capsys):
@@ -204,8 +190,8 @@ class TestAnalyze:
                 *gains]
         assert main(args) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            ANALYZE_DIGESTS[gains]
+        check((f"ANALYZE_DIGESTS[{gains!r}]", ANALYZE_DIGESTS[gains],
+               hashlib.sha256(out.encode()).hexdigest()))
 
     @needs_statm
     def test_long_horizon_streams_in_bounded_memory(self, tmp_path):

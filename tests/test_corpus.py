@@ -27,8 +27,8 @@ the entry on the shared axes; a generator seeded by it draws the rest:
 Each entry also asserts the path it exists for, counted by a probe that
 only reads state (a tied eviction happened, finish tags tied, both ingress
 contracts were honoured, ...), so the corpus cannot drift to runs that
-exercise nothing. A change that moves a digest records the old hash, the
-new hash and the reason, as for the golden digests.
+exercise nothing. The digests and counts are pinned in tests/pins.py,
+whose docstring says how a change that moves one records it.
 """
 
 import hashlib
@@ -40,6 +40,7 @@ import pytest
 from foqsim.config import build_experiment, parse_pairs
 from foqsim.events import NS, RANK_DATA, ns, tx_ns
 from foqsim.experiment import Experiment
+from pins import CORPUS_DIGESTS, CORPUS_TCP_COUNTS, check
 
 SHAPES = ("width", "evict", "police", "tcp")
 FEEDBACK = (("off", "relcong"), ("pi", "relcong"), ("gearbox", "relcong"),
@@ -351,44 +352,6 @@ def path_problems(seed, experiment, series, probe):
     return problems
 
 
-# SHA-256 of each entry's CSV at its seed, and its TCP counts (as
-# tcp_counts gives them) where it has TCP
-CORPUS_DIGESTS = {
-    0: "25e23bddfb23331a801598bf68b6560a8cd37c80b0549d5971af9d81f6e7a806",
-    1: "159b039794bd3ac261b1fe80d72868c959c5e0e667b7da5d1164efce7aabfc90",
-    2: "370be93094ee5a4195f616dda1af19e02b46ea11f8b1d5d63fe4a5fe2b2a23f8",
-    3: "0759d102dcf664aeba7d0543b20ba4db368be03a409a6f4d080b4e5d61f3e05c",
-    4: "7606d86455caae9955b86198cf5d9696fe671e6ba6f04465dc3fd482ca6735c6",
-    5: "ab7a4e0dbc0983e2071ea9ea6b2078bbb51135ca4cc222c0578bfeb959393e8f",
-    6: "50144d0cc91d5c537932815a0f7d78505accad5d47ae730a586a47cfd1e57ef8",
-    7: "2411d19aeb58521d57d5de60cd39252d8d108ab55fc541efd48efba3fe600171",
-    8: "40994159a5feca16383e1725f4494801d88a9ec31a081ceebb5d010a6087012f",
-    9: "ce4ffd9495a7ab462c5c4cc8e77eebd78fd8a601cf1c5b7837574d6794bdc0f0",
-    10: "9bfe4586a740cf1501cec4fd3d553ab8bb16b635ea420949eefd53721ad93b85",
-    11: "682207af9c3228dec5120a3f9f6877e5c3015cd71ad6e6fd62a1dfed6324aed0",
-    12: "e2aca9d7c6f5cae31c4ac764252cee012010aeec1e4462e098112c2ef4d5c292",
-    13: "9d91173076d47419548689b2f7d12f332c27b6ea973402ba6e78d30595ee324f",
-    14: "3d31af59f1e277e14464baad3036d5be5759a892a84981803d8cdffbaae8c126",
-    15: "2a5c56563dafe046b44c23cdafa0e0602ab430f65506dd95179793f10660fd16",
-    16: "9bc15f10577926cbbab2c86e054ea9a0e713d4ebffb629b349cc90f72ec0600f",
-    17: "e26516429d5d0bd156ddc1e94feadacfa09192a5b41e1f734a1366611afc2031",
-    18: "60019b16bb7337dffc48d1b8b6d473d4b9abcacbcbb61ba40d156615119496db",
-    19: "beafa45ee54fdb0f5924c10bd140648c45d3c2e5aa3dd5681de988171dee875f",
-    20: "bb2a364a5aeadfb9b22b83bfc5ecced2e42b447e5d325e948ee808e7216786d0",
-    21: "e9227d31e11a31ad4c8dfafa94845313a4f48cc18a88518da780578508aa4065",
-    22: "c77829133d00e05803495569741c917ee9c9fc6d89c0e62e8a598fde6546491d",
-    23: "b80028bce0cb727278f0d527bfa584fa43be7b0d491768ea79d0636371b872b0",
-}
-CORPUS_TCP_COUNTS = {
-    3: (82, 12, 2, 0),
-    7: (116, 10, 2, 0),
-    11: (50, 8, 2, 0),
-    15: (525, 45, 0, 13500),
-    19: (245, 20, 1, 0),
-    23: (65, 10, 6, 1500),
-}
-
-
 def test_corpus_spans_its_axes():
     seen = [axes(seed) for seed in SEEDS]
     assert {(shape, mode, measure) for shape, mode, measure, *_ in seen} == {
@@ -409,5 +372,7 @@ def test_corpus_entry_takes_its_path(corpus, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_corpus_digest(corpus, seed):
     experiment, _, text, _ = corpus(seed)
-    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[seed]
-    assert tcp_counts(experiment) == CORPUS_TCP_COUNTS.get(seed)
+    check((f"CORPUS_DIGESTS[{seed}]", CORPUS_DIGESTS[seed],
+           hashlib.sha256(text.encode()).hexdigest()),
+          (f"CORPUS_TCP_COUNTS[{seed}]", CORPUS_TCP_COUNTS.get(seed),
+           tcp_counts(experiment)))

@@ -12,7 +12,8 @@ no packet waiting at an idle access link, fabric drain or output line.
 import math
 from collections import defaultdict
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
 from foqsim.events import RANK_DATA, EventLoop, ns
@@ -28,8 +29,9 @@ STAGES = (("throughput_bps", "delivered_bytes_total"),
 
 
 @st.composite
-def config_texts(draw, drained=False):
-    """Config text for a ~20 ms run of traffic sources into a small switch.
+def config_texts(draw, drained=False, mode=None):
+    """Config text for a ~20 ms run of traffic sources into a small switch,
+    in feedback mode `mode`, or a drawn one.
 
     Without drained, up to two TCP groups of 1-4 sources each join them,
     with one-way delays of at most 2 ms so acks return inside the run and
@@ -41,7 +43,7 @@ def config_texts(draw, drained=False):
     ports = draw(st.integers(1, 4))
     line_rate = draw(st.sampled_from((10e6, 20e6, 50e6)))
     report = draw(st.sampled_from((1e-3, 2e-3)))
-    mode = draw(st.sampled_from(("off", "pi", "gearbox")))
+    mode = mode or draw(st.sampled_from(("off", "pi", "gearbox")))
     if drained:
         fabric_memory = draw(st.integers(1500, 8000))
         out_queue_size = draw(st.integers(1500, 5000))
@@ -187,6 +189,54 @@ def test_window_rates_sum_to_run_totals(text):
         assert {f: windowed.get(f, 0) for f in totals} == totals, rate
     assert all(acct["resident"] == 0
                for acct in experiment.switch.conservation().values())
+
+
+# a lone CBR flow at 60% of its line under stable PI gains
+# (K_I 0.5 < 2(1 - K) = 1.4), whose queue drop_prob is 1.0 at the run's end
+LATCHING_PI = """\
+switch.num_ports = 1
+switch.line_rate = 10000000.0
+switch.speedup = 1.28
+switch.fabric_memory = 8000
+switch.out_queue_size = 5000
+switch.report_interval = 0.001
+switch.feedback.mode = pi
+switch.feedback.interval = 0.001
+switch.feedback.delay = 0.0
+switch.feedback.measure = relcong
+switch.feedback.table_size = 16
+switch.feedback.gain_i = 0.5
+switch.feedback.gain_p = 0.3
+experiment.duration = 0.04
+experiment.seed = 1
+flow.0.class = assured
+flow.0.weight = 1
+source.0.flow = 0
+source.0.ingress = 0
+source.0.egress = 0
+source.0.packet_size = 1500
+source.0.kind = cbr
+source.0.rate = 6000000.0
+source.0.start = 0.0
+source.0.stop = 10e-3
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: once PI drives a queue's drop_prob to 1.0, no byte "
+    "reaches its output, the sampler holds on the empty interval and the "
+    "loop never releases; a queue offered nothing once its sources stop "
+    "holds the same way"))
+@SETTINGS
+@given(config_texts(drained=True, mode="pi"))
+@example(LATCHING_PI)
+def test_pi_releases_every_queue_after_the_sources_stop(text):
+    # the sources stop at 10 ms and the run ends at 40 ms, ten or more
+    # feedback intervals later
+    experiment, _, _ = run_text(text)
+    held = [key for key, queue in experiment.switch._queues.items()
+            if queue.drop_prob == 1.0]
+    assert held == [], held
 
 
 @SETTINGS

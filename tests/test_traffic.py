@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from foqsim.config import build_experiment, parse_pairs
 from foqsim.control import pi_update
@@ -704,3 +704,40 @@ def test_gearbox_does_not_throttle_a_light_sparse_flow():
     experiment.run()
     flow = experiment.switch.conservation()[0]
     assert flow["ingress_dropped"] < 0.05 * flow["injected"], flow
+
+
+LONE_CBR = """\
+switch.num_ports = 2
+switch.line_rate = 4e6
+switch.speedup = 1.28
+switch.fabric_memory = 20000
+switch.out_queue_size = 40000
+switch.feedback.mode = gearbox
+flow.0.class = assured
+experiment.duration = 0.5
+source.0.kind = cbr
+source.0.flow = 0
+source.0.ingress = 0
+source.0.egress = 1
+"""
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: the gear-box sampler reads a packet that is in "
+    "service across an interval boundary as congestion 1.0, so a light "
+    "flow of sparse packets is throttled"))
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(64, 1500), interval_ms=st.integers(1, 10),
+       percent=st.integers(1, 50))
+# the 1 ms case above, alone on its line: it loses 49,500 of 63,000 B
+@example(size=500, interval_ms=1, percent=25)
+def test_gearbox_passes_a_lone_light_flow(size, interval_ms, percent):
+    # a flow at no more than half its line never backs up the output, so
+    # the gear-box should leave it all but untouched
+    text = LONE_CBR + (f"switch.feedback.interval = {interval_ms * 1e-3!r}\n"
+                       f"source.0.packet_size = {size}\n"
+                       f"source.0.rate = {4e6 * percent / 100!r}\n")
+    experiment = Experiment(build_experiment(parse_pairs(text)), seed=1)
+    experiment.run()
+    flow = experiment.switch.conservation()[0]
+    assert flow["ingress_dropped"] <= 0.01 * flow["injected"], flow
