@@ -67,14 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
 def _output(out: str | None):
-    """stdout, or the file at out opened for writing and closed after."""
+    """A context over stdout, or over the file at out opened for writing
+    and closed after; None after reporting why to stderr if it cannot be
+    opened."""
     if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w", newline="") as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", newline="")
+    except OSError as err:
+        print(f"{out}: {err.strerror}", file=sys.stderr)
+        return None
 
 
 def _load(path: str, violations):
@@ -99,7 +102,10 @@ def _cmd_run(args) -> int:
     config, code = _load(args.config, sys.stderr)
     if config is None:
         return code
-    with _output(args.out) as fh:
+    output = _output(args.out)
+    if output is None:
+        return 2
+    with output as fh:
         Experiment(config, seed=args.seed, sink=CsvSink(fh)).run()
     return 0
 
@@ -127,7 +133,10 @@ def _cmd_analyze(args) -> int:
         return 2
     stable = is_stable(args.k, args.ki)
     if args.poles_only:
-        with _output(args.out) as fh:
+        output = _output(args.out)
+        if output is None:
+            return 2
+        with output as fh:
             fh.write(f"z1={z1!r} z2={z2!r} stable={stable}\n")
         return 0
     if not stable and not args.recurrence:
@@ -157,7 +166,10 @@ def _cmd_analyze(args) -> int:
     queues = chain(map(repr, queue), repeat(""))
 
     # each row goes out as it is formatted: the CSV is never held whole
-    with _output(args.out) as fh:
+    output = _output(args.out)
+    if output is None:
+        return 2
+    with output as fh:
         fh.write(f"# z1={z1!r} z2={z2!r} n0={n0} {fit}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("n", "rho_closed", "rho_recurrence", "q_n"))

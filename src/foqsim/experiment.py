@@ -61,7 +61,9 @@ class Experiment:
 
     def run(self) -> TimeSeries | CsvSink:
         """Start the sources, run the switch for the configured duration
-        into the sink (a new TimeSeries by default) and return the sink."""
+        into the sink (a new TimeSeries by default) and return the sink.
+        A second call raises ValueError before it starts any source."""
+        self.switch.check_unstarted()
         for src in self.cbr_sources:
             src.start()
         rng = stream(self.seed, "starts")

@@ -649,10 +649,14 @@ class Switch:
 
     # --- run -----------------------------------------------------------
 
-    def run(self, duration: float) -> TimeSeries | CsvSink:
-        """Drive the loop for duration seconds and return the series."""
+    def check_unstarted(self) -> None:
+        """Raise ValueError if run() has been called."""
         if self._started:
             raise ValueError("run() may only be called once")
+
+    def run(self, duration: float) -> TimeSeries | CsvSink:
+        """Drive the loop for duration seconds and return the series."""
+        self.check_unstarted()
         if type(duration) is not float:  # the run totals' time column
             raise TypeError(f"duration must be a float, got {duration!r}")
         self._started = True

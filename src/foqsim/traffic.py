@@ -6,8 +6,9 @@ packets have no receiver. A TCP source transmits through an AccessLink that
 models its subnet uplink, infers loss from duplicate acknowledgements and
 retransmission timeouts, and keeps its receiver state in the same object:
 each packet it sends carries the source's own receive method, which the
-switch calls when the packet leaves the output line. A TCP source starts
-when `start_at` arms it; `foqsim.experiment` draws each start time.
+switch calls when the packet leaves the output line; the segments it holds
+above a gap are bits of one int. A TCP source starts when `start_at` arms
+it; `foqsim.experiment` draws each start time.
 
 An access link is a work-conserving FIFO server: its completion handler
 starts the next queued packet before it returns, so an idle link's queue
@@ -140,8 +141,10 @@ class TcpSource:
     re-arms itself at the deadline. A backed-off deadline is reached in two
     steps: its event goes one un-backed-off RTO out and from there re-arms
     at the deadline, so an ack that resets the backoff inside that RTO only
-    moves the deadline instead of leaving a backed-off event behind. The receiver's reorder
-    set exists only while a gap is open.
+    moves the deadline instead of leaving a backed-off event behind.
+
+    The receiver holds its out-of-order segments as one int bitmask
+    relative to rcv_next; the mask is 0 while no gap is open.
     """
 
     __slots__ = ("loop", "link", "flow_id", "ingress_port", "egress_port",
@@ -190,8 +193,9 @@ class TcpSource:
         self._timer = None  # its handler, built by the first arm
 
         self.rcv_next = 0
-        # seqs received above a gap; None while there is no gap
-        self._ooo: set[int] | None = None
+        # segments held above the gap: bit i is seq rcv_next + 1 + i; 0
+        # while there is no gap
+        self._ooo = 0
 
         self.retransmits = 0
         self.timeouts = 0
@@ -340,20 +344,19 @@ class TcpSource:
         seq = packet.seq
         ackno = self.rcv_next
         if seq == ackno:
+            held = self._ooo
+            if held:
+                # the run of set low bits: the segments held right after seq
+                run = (held ^ (held + 1)).bit_length() - 1
+                ackno += run
+                self._ooo = held >> (run + 1)
             ackno += 1
-            ooo = self._ooo
-            if ooo is not None:
-                while ackno in ooo:
-                    ooo.discard(ackno)
-                    ackno += 1
-                if not ooo:
-                    self._ooo = None  # the gap is closed
             self.rcv_next = ackno
         elif seq > ackno:
-            if self._ooo is None:
-                self._ooo = {seq}
-            else:
-                self._ooo.add(seq)
+            # seq < snd_una + MAX_CWND <= rcv_next + 64, so the mask stays
+            # below 2**64: a segment is sent inside the window, snd_una
+            # only grows, and it never passes rcv_next, whose acks move it
+            self._ooo |= 1 << (seq - ackno - 1)
         loop = self.loop
         loop.at(loop.now + self._rtt_ns,
                 lambda self=self, ackno=ackno: self._handle_ack(ackno),

@@ -160,6 +160,14 @@ class TestRun:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
         assert capsys.readouterr().err != ""
 
+    def test_unwritable_out_refused(self, tiny_cfg, tmp_path, capsys):
+        # exit 2, as for an unreadable config: 1 means config violations
+        target = tmp_path / "no_such_dir" / "series.csv"
+        assert main(["run", tiny_cfg, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{target}: No such file or directory\n"
+
     @needs_statm
     def test_long_run_streams_in_bounded_memory(self, tmp_path):
         # The child caps its address space at its size after the imports
@@ -351,3 +359,10 @@ class TestAnalyze:
         assert capsys.readouterr().out == ""
         assert target.read_text().splitlines()[1] == \
             "n,rho_closed,rho_recurrence,q_n"
+
+    @pytest.mark.parametrize("extra", [(), ("--poles-only",)])
+    def test_unwritable_out_refused(self, extra, tmp_path, capsys):
+        assert main(analyze("--out", str(tmp_path), *extra)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{tmp_path}: Is a directory\n"

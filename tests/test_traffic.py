@@ -3,6 +3,7 @@ congestion control state machine and its send log, and the staged start
 schedule an Experiment draws for its TCP sources."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -474,21 +475,99 @@ def test_pending_timer_entries_stay_bounded_at_width():
 
 
 class TestReceiver:
-    def test_out_of_order_buffering(self):
+    def test_out_of_order_buffering(self, monkeypatch):
         loop, src = tcp_pair()
+        acks = []
+        # TcpSource has __slots__, so _handle_ack is patched on the class
+        monkeypatch.setattr(TcpSource, "_handle_ack",
+                            lambda src, ackno: acks.append(ackno))
         src.on_data_arrival(mk_packet(0))
         assert src.rcv_next == 1
-        assert src._ooo is None  # no gap, no reorder set
+        assert src._ooo == 0  # no gap, nothing held
         src.on_data_arrival(mk_packet(2))
         assert src.rcv_next == 1  # gap at 1 holds the cumulative ack
-        assert src._ooo == {2}  # built at the first gap
+        assert src._ooo == 0b1  # bit i is seq rcv_next + 1 + i
         src.on_data_arrival(mk_packet(4))
+        assert src._ooo == 0b101
         src.on_data_arrival(mk_packet(1))
         assert src.rcv_next == 3  # buffered seq 2 drains with the gap fill
-        assert src._ooo == {4}  # a gap at 3 is still open
+        assert src._ooo == 0b1  # a gap at 3 is still open; seq 4 is held
         src.on_data_arrival(mk_packet(3))
         assert src.rcv_next == 5
-        assert src._ooo is None  # dropped once the gap closes
+        assert src._ooo == 0  # the gap is closed
+        loop.run(ns(1.0))
+        assert acks == [1, 1, 1, 3, 5]  # one per arrival: rcv_next after it
+
+    LAST_SEQ = 200
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 1), st.integers(-4, 63)),
+                    max_size=150))
+    @example([63, 62, 1, 0, 0, 63, 0, -1, 2])
+    def test_matches_a_set_reference(self, offsets):
+        """Arrivals over seqs 0..LAST_SEQ, each drawn as an offset from
+        the receiver's rcv_next, give the same rcv_next as a set-based
+        receiver, and hold a segment exactly when the set does.
+
+        Offsets run to 63 because a sender's segment arrives below
+        rcv_next + 64: it is sent below snd_una + MAX_CWND, and snd_una
+        never passes rcv_next, whose acks move it. Negative offsets are
+        duplicates of acked segments, and an offset drawn twice is a
+        duplicate of a held one.
+        """
+        loop, src = tcp_pair()
+        rcv, held = 0, set()  # the reference receiver
+        for offset in offsets:
+            seq = rcv + offset
+            if not 0 <= seq <= self.LAST_SEQ:
+                continue
+            src.on_data_arrival(mk_packet(seq))
+            if seq == rcv:
+                rcv += 1
+                while rcv in held:
+                    held.remove(rcv)
+                    rcv += 1
+            elif seq > rcv:
+                held.add(seq)
+            assert src.rcv_next == rcv
+            assert (src._ooo == 0) == (not held)
+            assert src._ooo == sum(1 << (s - rcv - 1) for s in held)
+
+    def test_reorder_state_costs_at_most_an_int(self):
+        """Holding one out-of-order segment costs a source at most one int.
+
+        Each of n fresh sources takes one arrival while tracemalloc counts
+        the bytes it keeps: in one batch seq 0, in order, and in the other
+        a seq held above a gap, cycling over the whole window (bits 0-62).
+        The difference is what the held segment costs. The loop's `at`
+        drops the ack event, which both batches schedule: its tuples may
+        come from CPython's free lists, allocated before tracing began,
+        so what it would add is not the same from batch to batch.
+
+        A mask below 2**63 is at most a 3-digit int of 36 B, and a mask
+        below 256 is a cached int of 0 B. The set the receiver held before
+        costs 216 B, so the bound of 40 B admits one int and no set.
+        """
+        n = 2000
+
+        def traced(seqs):
+            loop = EventLoop()
+            loop.at = lambda *event: None
+            sources = [TcpSource(loop, RecordingLink(loop), 1, 0, 1)
+                       for _ in range(n)]
+            packets = [mk_packet(seq) for seq in seqs]
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for src, packet in zip(sources, packets):
+                    src.on_data_arrival(packet)
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        in_order = traced([0] * n)
+        held = traced([1 + i % 63 for i in range(n)])
+        assert (held - in_order) / n <= 40
 
     def test_source_has_no_instance_dict(self):
         loop, src = tcp_pair()
@@ -608,6 +687,25 @@ source.3.one_way = 5e-3
 source.3.window_start = 0
 source.3.window_end = 0.01
 """
+
+
+def test_second_experiment_run_refused_before_anything_is_scheduled():
+    """A second run raises Switch.run's error before it starts a source:
+    the pending events and the clock are as the first run left them."""
+    text = MIXED.replace("experiment.duration = 1.0",
+                         "experiment.duration = 0.01")
+    experiment = Experiment(build_experiment(parse_pairs(text)), seed=1)
+    experiment.run()
+    loop = experiment.loop
+
+    def pending():
+        return (loop.now, list(loop._heap),
+                {delay: list(lane) for delay, lane in loop._lanes.items()})
+
+    before = pending()
+    with pytest.raises(ValueError, match=r"run\(\) may only be called once"):
+        experiment.run()
+    assert pending() == before
 
 
 def test_per_packet_handlers_are_built_once_per_owner(monkeypatch):
