@@ -3,11 +3,11 @@
 One row per (time, metric, port, flow); aggregates leave port/flow blank.
 A sink takes rows through three calls: `label(metric, port, flow, unit)`
 returns a handle, built once by whoever writes that series;
-`append(t, label, value)` adds one row under it; and
 `extend(t, labels, values)` adds the rows of one time as one block, a
 handle and a value per row, in order (the switch writes each report
-window so). A `TimeSeries` keeps its rows by column: each row's value in
-an `array('d')` and its label as a 4-byte handle in an `array('I')`,
+window so); and `append(t, label, value)` is a one-row `extend`. A
+`TimeSeries` keeps its rows by column: each row's value in an
+`array('d')` and its label as a 4-byte handle in an `array('I')`,
 indexing the series' own table of `(metric, port, flow, unit)` tuples;
 and one time per run of rows at one time, in an `array('d')`, with the
 run's first row in an `array('I')`.
@@ -16,15 +16,15 @@ at one time), and at most the 24 bytes it costs when each row starts a
 run. A handle belongs to its series, and `label` makes a new one on every
 call, with no lookup, so a writer builds each label once. Times and
 values must be floats: the arrays would turn an int into a float that
-prints differently, so `append` and `extend` refuse anything else with
-TypeError, and a handle outside the series' table with IndexError, before
-they store anything. A handle made by another series that happens to be
-in range cannot be told apart, and writes the label it indexes here.
+prints differently, so `extend` refuses anything else with TypeError,
+and a handle outside the series' table with IndexError, before it stores
+any of the block. A handle made by another series that happens to be in
+range cannot be told apart, and writes the label it indexes here.
 
-`records` reads the rows as `Record`s, built on access: immutable named
-tuples in column order that compare equal to the plain 6-tuple of their
-fields. `select` decides once per label which it keeps and builds a
-`Record` only for a row under one of those.
+`records` iterates the rows as built, as `Record`s made as they are
+read: immutable named tuples in column order that compare equal to the
+plain 6-tuple of their fields. `select` decides once per label which it
+keeps and builds a `Record` only for a row under one of those.
 
 CSV is UTF-8 with LF newlines and round-trips exactly, unless a metric or
 unit holds a bare carriage return, which csv.writer leaves unquoted (no
@@ -51,7 +51,8 @@ each cut just after a line feed and read through its own `StringIO`. One
 `StringIO` over the whole text would hold it again at 4 bytes a
 character; one slice and its `StringIO` are all the reader holds beside
 the text and the series it builds. It keys its label table on the raw
-field text, so a port and flow are parsed once per distinct label.
+field text, so a port and flow are parsed once per distinct label, and
+names the line of a row it cannot read.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator
 from itertools import chain, groupby, islice, repeat
 from operator import eq, itemgetter, sub
 from types import SimpleNamespace
@@ -173,7 +173,7 @@ def _slices(text: str):
 class TimeSeries:
     """Ordered rows, stored by column, with selection and CSV helpers."""
 
-    def __init__(self, records=None):
+    def __init__(self):
         # one entry per run of rows at one time: its time and its first row
         self._times = array("d")
         self._starts = array("I")
@@ -181,19 +181,6 @@ class TimeSeries:
         self._labels: list[tuple] = []  # (metric, port, flow, unit) by handle
         self._label = array("I")  # each row's handle
         self._value = array("d")
-        # one handle per distinct label whose ids are int or None; an id of
-        # another type can equal one that prints apart (True and 1.0 equal
-        # 1, -0.0 equals 0.0), so its row gets a label of its own
-        handles = {}
-        for t, metric, port, flow, value, unit in records or ():
-            if type(port) in _STORED_IDS and type(flow) in _STORED_IDS:
-                key = (metric, port, flow, unit)
-                handle = handles.get(key)
-                if handle is None:
-                    handle = handles[key] = self.label(*key)
-            else:
-                handle = self.label(metric, port, flow, unit)
-            self.append(t, handle, value)
 
     def label(self, metric, port, flow, unit) -> int:
         """A new handle rows are appended under, valid in this series only."""
@@ -208,22 +195,15 @@ class TimeSeries:
                          f"table of {size} labels")
 
     def append(self, t, label, value):
-        if type(t) is not float or type(value) is not float:
-            _refuse(t, (value,))
-        if not 0 <= label < len(self._labels):
-            self._refuse_handle((label,))
-        self._label.append(label)  # a non-int is refused before a store
-        # 0.0 equals -0.0 but prints apart, and a nan never equals itself
-        if t != self._last or not t:
-            self._last = t
-            self._times.append(t)
-            self._starts.append(len(self._value))
-        self._value.append(value)
+        self.extend(t, (label,), (value,))
 
     def extend(self, t, labels, values):
-        """Append one row at time t per handle in labels, with its value in
-        values, as appending them one by one would, refusing the whole
-        block before it stores any of it."""
+        """Store one row at time t per handle in labels, with its value in
+        values, refusing the whole block before it stores any of it.
+
+        A row starts a new run when t differs from the last run's time, or
+        is zero or nan: 0.0 equals -0.0 but prints apart, and a nan never
+        equals itself."""
         if not _floats(t, values):
             _refuse(t, values)
         if len(labels) != len(values):
@@ -235,8 +215,7 @@ class TimeSeries:
         # fromlist stores all of a list or, refusing a non-int, none of it
         self._label.fromlist(list(labels))
         start = len(self._value)
-        # append's run rule: a zero or nan time starts a run at every row
-        if t != t or not t:
+        if t != t or not t:  # a run at every row
             self._times.fromlist([t] * len(labels))
             self._starts.fromlist(list(range(start, start + len(labels))))
         elif t != self._last:
@@ -249,14 +228,14 @@ class TimeSeries:
         """The row after each run's last."""
         return chain(islice(self._starts, 1, None), (len(self._value),))
 
-    def _row_times(self):
-        """Each row's time, expanded from the runs at C level."""
-        counts = map(sub, self._ends(), self._starts)
-        return chain.from_iterable(map(repeat, self._times, counts))
-
     @property
-    def records(self) -> "Rows":
-        return Rows(self)
+    def records(self) -> Iterator[Record]:
+        """The rows as `Record`s, in order, each built as it is read."""
+        # each row's time, expanded from the runs at C level
+        counts = map(sub, self._ends(), self._starts)
+        times = chain.from_iterable(map(repeat, self._times, counts))
+        return map(_record_builder(self._labels), times, self._label,
+                   self._value)
 
     def select(self, metric: str, port: int | None = None,
                flow: int | None = None) -> list[Record]:
@@ -334,52 +313,24 @@ class TimeSeries:
         # one handle per distinct label text: the ids are parsed once each
         known = {}
         # one block per run of rows under one time text, so the run rule
-        # is extend's alone
-        for t, rows in groupby(filter(None, reader), itemgetter(0)):
-            handles, values = [], []
-            for _, metric, port, flow, value, unit in rows:
-                key = (metric, port, flow, unit)
-                handle = known.get(key)
-                if handle is None:
-                    handle = known[key] = label(
-                        metric, None if port == "" else int(port),
-                        None if flow == "" else int(flow), unit)
-                handles.append(handle)
-                values.append(float(value))
-            extend(float(t), handles, values)
+        # is extend's alone; the time is read before its rows, while the
+        # reader's line is still the group's first
+        try:
+            for t, rows in groupby(filter(None, reader), itemgetter(0)):
+                t, handles, values = float(t), [], []
+                for _, metric, port, flow, value, unit in rows:
+                    key = (metric, port, flow, unit)
+                    handle = known.get(key)
+                    if handle is None:
+                        handle = known[key] = label(
+                            metric, None if port == "" else int(port),
+                            None if flow == "" else int(flow), unit)
+                    handles.append(handle)
+                    values.append(float(value))
+                extend(t, handles, values)
+        except ValueError as error:
+            raise ValueError(f"line {reader.line_num}: {error}") from None
         return series
-
-
-class Rows(Sequence):
-    """A series' rows as `Record`s, each built when it is read."""
-
-    __slots__ = ("_series",)
-
-    def __init__(self, series: TimeSeries):
-        self._series = series
-
-    def __len__(self):
-        return len(self._series)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        s = self._series
-        value = s._value[i]
-        if i < 0:
-            i += len(s._value)
-        t = s._times[bisect_right(s._starts, i) - 1]
-        return _record_builder(s._labels)(t, s._label[i], value)
-
-    def __iter__(self):
-        s = self._series
-        return map(_record_builder(s._labels), s._row_times(), s._label,
-                   s._value)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class CsvSink:
