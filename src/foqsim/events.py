@@ -32,8 +32,10 @@ closure, which would make that method create a cell per captured local
 on every call; so an event allocates no closure and no cell. A bound
 method or `functools.partial` would hold no cells either, but it would
 not keep the `__qualname__` the tracer classifies by. Only the TCP ack
-(which carries its ack number) and the control application (its
-probability) are built per event, with their values bound the same way.
+(which carries its ack number) and the control application (the (queue,
+probability) pairs its sampler tick decided) are built per event, with
+their values bound the same way; a tick schedules one application for
+all its decisions, so every queue's new probability lands at one instant.
 Every caller passes the key to `at` positionally, since CPython 3.11's
 interpreter does not specialise a call that passes keywords.
 """

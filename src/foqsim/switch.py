@@ -7,14 +7,15 @@ into per-flow output queues, which a strict-priority plus weighted-fair
 scheduler empties onto the line, picking from one heap of backlogged queues
 per output at O(log F) cost for F flows; a delivered packet is handed to its
 receiver, if it has one. Each (output, flow) queue is built with the switch,
-with its sink's label for each row it writes and its controller step, and
-is sampled every interval: the sampler measures the interval once and runs
-the queue's step at once, and the drop probability decided reaches the
-ingress droppers one feedback delay later.
+with its sink's label for each row it writes and its controller step. One
+sampler call per interval samples every queue in key order: it measures
+each queue's interval once and runs the queue's step at once, and one
+control application, one feedback delay later, hands the ingress droppers
+every drop probability the tick decided.
 The report's fabric and occupancy labels are built with it too, so no
-label is made per row: a report window is handed to the sink as one block,
-its time and each row's label and value, and a sampler row as one
-(time, label, value).
+label is made per row. Every row reaches the sink in a block, its time and
+each row's label and value: a report window is one block, a sampler tick's
+relative congestion rows another, and the run totals a third.
 
 A flow's service class is read once, into its output queue's tier; every
 branch on the class (policer, fabric priority, WFQ tag and virtual time)
@@ -38,7 +39,7 @@ port as default arguments, so no event allocates a closure and neither
 `_start_drain` nor `_start_out` makes a cell per call. They stay the
 lambdas in those methods, whose `__qualname__` the tracer knows; a bound
 method or `functools.partial` would not. The control application built
-per decision binds its queue and probability the same way.
+per sampler tick binds its tick's (queue, probability) pairs the same way.
 
 The drain and the line are work-conserving FIFO servers: the handler that
 ends one service starts the next before it returns, so an idle drain has
@@ -561,31 +562,47 @@ class Switch:
 
     # --- feedback ----------------------------------------------------------
 
-    def sample_and_feedback(self, oq: _OutQueue) -> None:
-        """Harvest one interval's counters of queue oq and run its step.
+    def sample_and_feedback(self) -> None:
+        """Harvest one interval's counters of every queue, in key order,
+        and run each queue's step.
 
-        An interval that carried nothing, a queue with no step (feedback
-        off, or a premium queue, whose relative congestion is still
-        recorded) and a step that decides nothing schedule no control
-        application.
+        The relative congestion of each queue that carried anything goes
+        to the sink as one block at the tick's time. An interval that
+        carried nothing, a queue with no step (feedback off, or a premium
+        queue, whose relative congestion is still recorded) and a step
+        that decides nothing make no decision. The tick's decisions reach
+        the ingress droppers one feedback delay later, in one control
+        application that sets them in queue order; a tick that decides
+        nothing schedules none.
         """
-        arrived0, delivered0, dropped0 = oq.sampled
-        oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
-        in_b = oq.arrived - arrived0
-        if in_b == 0:
-            # an empty interval records nothing and holds everything as-is
-            return
-        out_b = oq.delivered - delivered0
-        congestion = 1.0 - out_b / in_b
-        self._series.append(self.loop.now / NS, oq.labels[0], congestion)
-        if oq.step is not None:
-            prob = oq.step(oq, congestion, in_b, out_b, dropped0)
-            if prob is not None:
-                # the droppers see it one feedback delay later
-                self.loop.at(self.loop.now + self._delay_ns,
-                             lambda self=self, oq=oq, prob=prob:
-                             self._apply_prob(oq, prob),
-                             RANK_CONTROL, oq.egress, oq.flow_id)
+        loop = self.loop
+        labels: list[int] = []
+        values: list[float] = []
+        decisions: list[tuple[_OutQueue, float]] = []
+        for oq in self._queues.values():
+            arrived0, delivered0, dropped0 = oq.sampled
+            oq.sampled = (oq.arrived, oq.delivered, oq.egress_dropped)
+            in_b = oq.arrived - arrived0
+            if in_b == 0:
+                # an empty interval records nothing and holds everything as-is
+                continue
+            out_b = oq.delivered - delivered0
+            congestion = 1.0 - out_b / in_b
+            labels.append(oq.labels[0])
+            values.append(congestion)
+            if oq.step is not None:
+                prob = oq.step(oq, congestion, in_b, out_b, dropped0)
+                if prob is not None:
+                    decisions.append((oq, prob))
+        self._series.extend(loop.now / NS, labels, values)
+        if decisions:
+            # the droppers see them one feedback delay later, all at one
+            # instant; only the ingress reads drop_prob, at RANK_DATA, so
+            # each lands when an application of its own would have
+            loop.at(loop.now + self._delay_ns,
+                    lambda self=self, decisions=decisions:
+                    self._apply_probs(decisions),
+                    RANK_CONTROL)
 
     def _pi_step(self, oq, congestion, in_b, out_b, dropped0):
         """The PI law's drop probability, from the interval's arrival rate
@@ -611,8 +628,9 @@ class Switch:
             oq.level += step
         return self._drop_table[oq.level]
 
-    def _apply_prob(self, oq: _OutQueue, prob: float) -> None:
-        oq.drop_prob = prob
+    def _apply_probs(self, decisions: list[tuple[_OutQueue, float]]) -> None:
+        for oq, prob in decisions:
+            oq.drop_prob = prob
 
     # --- measurement -------------------------------------------------------
 
@@ -673,18 +691,13 @@ class Switch:
             loop.at(period, handler, RANK_TICK, port)
 
         # One tick per period serves every queue. At a shared instant the
-        # report (port -1) fires first; samplers, RED averages and zero-delay
-        # control applications may then interleave in any order, because
-        # none reads what another writes: samplers read the queue counters
-        # and write the controller state (PI's, or the gear level), RED
-        # reads backlog and writes red_avg and red_p, and a control
-        # application writes only drop_prob.
-        sample = self.sample_and_feedback
-
-        def sample_all():
-            for oq in queues.values():
-                sample(oq)
-        tick(0, sample_all, self._interval_ns)
+        # report (port -1) fires first; the sampler, the RED average and a
+        # zero-delay control application may then run in any order,
+        # because none reads what another writes: the sampler reads the
+        # queue counters and writes the controller state (PI's, or the
+        # gear level), RED reads backlog and writes red_avg and red_p, and
+        # a control application writes only drop_prob.
+        tick(0, self.sample_and_feedback, self._interval_ns)
         red = self.config.red
         if red is not None:
             w = red.weight
@@ -701,14 +714,18 @@ class Switch:
         return self._series
 
     def _emit_totals(self, duration: float) -> None:
+        """Write each flow's run totals as one block at time duration."""
         s = self._series
         ledger = self.conservation()
+        labels: list[int] = []
+        values: list[float] = []
         for fid in sorted(ledger):
             acct = ledger[fid]
             for name, metric in (*_TOTALS.items(),
                                  ("resident", "resident_bytes_total")):
-                s.append(duration, s.label(metric, None, fid, "bytes"),
-                         float(acct[name]))
+                labels.append(s.label(metric, None, fid, "bytes"))
+                values.append(float(acct[name]))
+        s.extend(duration, labels, values)
 
     def _resident_bytes(self) -> dict[int, int]:
         """Bytes still inside the switch, by flow, from the live structures."""

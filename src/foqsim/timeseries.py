@@ -4,13 +4,13 @@ One row per (time, metric, port, flow); aggregates leave port/flow blank.
 A sink takes rows through three calls: `label(metric, port, flow, unit)`
 returns a handle, built once by whoever writes that series;
 `extend(t, labels, values)` adds the rows of one time as one block, a
-handle and a value per row, in order (the switch writes each report
-window so); and `append(t, label, value)` is a one-row `extend`. A
-`TimeSeries` keeps its rows by column: each row's value in an
-`array('d')` and its label as a 4-byte handle in an `array('I')`,
-indexing the series' own table of `(metric, port, flow, unit)` tuples;
-and one time per run of rows at one time, in an `array('d')`, with the
-run's first row in an `array('I')`.
+handle and a value per row, in order (the switch writes every row so: a
+report window, a sampler tick and the run totals are a block each); and
+`append(t, label, value)` is a one-row `extend`. A `TimeSeries` keeps
+its rows by column: each row's value in an `array('d')` and its label as
+a 4-byte handle in an `array('I')`, indexing the series' own table of
+`(metric, port, flow, unit)` tuples; and one time per run of rows at one
+time, in an `array('d')`, with the run's first row in an `array('I')`.
 A row costs 12 bytes plus 8 bytes a run (a report window writes its rows
 at one time), and at most the 24 bytes it costs when each row starts a
 run. A handle belongs to its series, and `label` makes a new one on every

@@ -267,7 +267,7 @@ class Probe:
         sw.out_scheduler_select = out_scheduler_select
         sw._evict_low_priority = evict_low_priority
         sw._enqueue_out = enqueue_out
-        sw._apply_prob = applying(sw._apply_prob)
+        sw._apply_probs = applying(sw._apply_probs)
         loop.at = schedule
 
 

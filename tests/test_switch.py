@@ -37,6 +37,7 @@ from foqsim.switch import (
     SwitchConfig,
     red_drop_probability,
 )
+from foqsim.timeseries import TimeSeries
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -753,12 +754,13 @@ class TestFeedbackLoops:
         sw = Switch(self.overload_config("gearbox", table_size=2), [(1, 1)],
                     seed=1)
         applied = []
-        apply = sw._apply_prob
+        apply = sw._apply_probs
 
-        def record(oq, prob):
-            applied.append((sw.loop.now / NS, oq.level, prob))
-            apply(oq, prob)
-        sw._apply_prob = record
+        def record(decisions):
+            applied.extend((sw.loop.now / NS, oq.level, prob)
+                           for oq, prob in decisions)
+            apply(decisions)
+        sw._apply_probs = record
         feed_cbr(sw, 1, 0, 1, 100, 2e6, 1.0)
         feed_cbr(sw, 1, 0, 1, 100, 0.5e6, 3.0, start=1.0)
         ts = sw.run(3.0)
@@ -941,8 +943,8 @@ class TestTicks:
     def tick_run(self, ports, flows):
         # 20 ms: 20 sampler periods, 40 RED periods, 10 report windows
         cfg = base_config(
-            num_ports=ports, red=RedParams(sample_interval=0.5e-3),
-            report_interval=2e-3,
+            num_ports=ports, line_rate=1e8,
+            red=RedParams(sample_interval=0.5e-3), report_interval=2e-3,
             flows={k: FlowSpec(svc_class="assured")
                    for k in range(flows)},
             feedback=FeedbackConfig(mode="gearbox", interval=1e-3))
@@ -951,23 +953,167 @@ class TestTicks:
         sw = Switch(cfg, [(j, k) for j in reversed(range(ports))
                           for k in reversed(range(flows))],
                     seed=1, loop=loop)
-        sampled = []
+        # a light packet train into every queue, 4 packets per interval
+        for j in range(ports):
+            for k in range(flows):
+                feed_cbr(sw, k, j, j, 100, 3.2e6, 0.02, start=0.1e-3)
+        sampled = []  # the time of each sampler call
         run_sample = sw.sample_and_feedback
 
-        def sample(oq):
-            sampled.append((oq.egress, oq.flow_id))
-            return run_sample(oq)
+        def sample():
+            sampled.append(loop.now)
+            run_sample()
         sw.sample_and_feedback = sample
-        sw.run(0.02)
-        return loop.ticks, sampled
+        ts = sw.run(0.02)
+        rows = [(r.t, r.port, r.flow) for r in ts.records
+                if r.metric == "rel_cong"]
+        return loop.ticks, sampled, rows
 
     def test_ticks_follow_periods_not_queues(self):
-        ticks, sampled = self.tick_run(ports=4, flows=4)
+        ticks, sampled, rows = self.tick_run(ports=4, flows=4)
         assert ticks == 20 + 40 + 10
         assert self.tick_run(ports=1, flows=1)[0] == ticks
-        # every queue is still sampled once per period, in key order
-        queues = [(j, k) for j in range(4) for k in range(4)]
-        assert sampled == queues * 20
+        # one sampler call per period samples every queue once, in key order
+        assert sampled == [ns(k * 1e-3) for k in range(1, 21)]
+        assert rows == [(k / 1000, j, f) for k in range(1, 21)
+                        for j in range(4) for f in range(4)]
+
+
+class BlockSink(TimeSeries):
+    """A series that keeps the time and the (metric, port, flow) of every
+    row of each `extend` call, and counts `append` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = []   # (metric, port, flow) by handle
+        self.blocks = []  # (t, [(metric, port, flow) of each row])
+        self.appends = 0
+
+    def label(self, metric, port, flow, unit):
+        self.names.append((metric, port, flow))
+        return super().label(metric, port, flow, unit)
+
+    def append(self, t, label, value):
+        self.appends += 1
+        super().append(t, label, value)
+
+    def extend(self, t, labels, values):
+        self.blocks.append((t, [self.names[h] for h in labels]))
+        super().extend(t, labels, values)
+
+
+class TestSamplerTick:
+    """A sampler tick is one call, one block of rows and at most one
+    control application, however many queues it samples."""
+
+    QUEUES = [(j, k) for j in (0, 1) for k in (1, 2, 3)]
+
+    def switch(self, delay, sink=None):
+        """Two outputs, each with two assured queues and a premium one, all
+        overloaded by different amounts for 30 ms, under PI."""
+        cfg = base_config(
+            line_rate=1e7, fabric_memory=50_000, out_queue_size=50_000,
+            flows={1: FlowSpec(), 2: FlowSpec(weight=2.0),
+                   3: FlowSpec(svc_class="premium")},
+            feedback=FeedbackConfig(mode="pi", interval=1e-3, delay=delay))
+        sw = Switch(cfg, self.QUEUES, seed=1, sink=sink)
+        rates = {1: 4e6, 2: 6e6, 3: 2e6}
+        for j, k in self.QUEUES:
+            feed_cbr(sw, k, 1 - j, j, 100, rates[k] + j * 0.5e6, 0.03,
+                     start=k * 1e-6)
+        return sw
+
+    def test_one_block_and_at_most_one_application_per_tick(self):
+        sink = BlockSink()
+        sw = self.switch(0.3e-3, sink)
+        loop = sw.loop
+        applications = []  # the time each control application is due
+        at = loop.at
+
+        def schedule(when, fn, rank=RANK_DATA, port=-1, flow=-1):
+            if rank == RANK_CONTROL:
+                applications.append(when)
+            at(when, fn, rank, port, flow)
+        loop.at = schedule
+        per_tick = []  # (blocks written, applications scheduled) per call
+        run_sample = sw.sample_and_feedback
+
+        def sample():
+            blocks, scheduled = len(sink.blocks), len(applications)
+            run_sample()
+            per_tick.append((len(sink.blocks) - blocks,
+                             len(applications) - scheduled))
+        sw.sample_and_feedback = sample
+        sw.run(0.05)
+        assert len(per_tick) == 50
+        assert {blocks for blocks, _ in per_tick} == {1}
+        # a tick that decides anything schedules one application; after
+        # the traffic ends and the queues drain, ticks decide nothing
+        assert {scheduled for _, scheduled in per_tick} == {0, 1}
+        sampler = [(t, rows) for t, rows in sink.blocks
+                   if rows and rows[0][0] == "rel_cong"]
+        # under PI, each row of an assured queue (flows 1 and 2) is a
+        # decision; the premium queue (flow 3) only records
+        deciding = [t for t, rows in sampler
+                    if any(flow != 3 for _, _, flow in rows)]
+        assert applications == [ns(t) + ns(0.3e-3) for t in deciding]
+        # a tick's block holds a row per queue that carried anything, in
+        # key order; most ticks of the traffic hold all six
+        assert all(rows == sorted(rows) for _, rows in sampler)
+        full = [("rel_cong", j, k) for j, k in self.QUEUES]
+        assert sum(rows == full for _, rows in sampler) >= 20
+        # the run totals are one block, the last write, at the duration
+        totals = [(t, rows) for t, rows in sink.blocks
+                  if any(metric.endswith("_total") for metric, _, _ in rows)]
+        assert len(totals) == 1 and totals[0] == sink.blocks[-1]
+        assert totals[0][0] == 0.05 and len(totals[0][1]) == 6 * 3
+        assert sink.appends == 0
+
+    def test_each_decision_reaches_its_queue_one_delay_later(self):
+        # 0.37 ms is not a multiple of the 1 ms interval
+        delay = ns(0.37e-3)
+        sw = self.switch(0.37e-3)
+        loop = sw.loop
+        decided = {}  # tick ns -> [(queue, prob)], in decision order
+        probes = []   # (queue, prob, [drop_prob 1 ns before, and at, due])
+        for key, oq in sw._queues.items():
+            if oq.step is None:
+                continue
+
+            def step(oq, *measured, run=oq.step, key=key):
+                prob = run(oq, *measured)
+                decided.setdefault(loop.now, []).append((key, prob))
+                seen = []
+                due = loop.now + delay
+                loop.at(due - 1, lambda: seen.append(oq.drop_prob))
+                loop.at(due, lambda: seen.append(oq.drop_prob))
+                probes.append((key, prob, seen))
+                return prob
+            oq.step = step
+        applied = []  # (ns, [(queue, prob)]) of each control application
+        apply = sw._apply_probs
+
+        def record(decisions):
+            applied.append((loop.now, [((oq.egress, oq.flow_id), prob)
+                                       for oq, prob in decisions]))
+            apply(decisions)
+        sw._apply_probs = record
+        sw.run(0.05)
+        loop.run(ns(0.051))  # the last tick's application is still due
+        # one application per deciding tick, one delay after it, setting
+        # that tick's decisions in queue order
+        assert applied == [(t + delay, decisions)
+                           for t, decisions in decided.items()]
+        keys = [[key for key, _ in decisions] for _, decisions in applied]
+        assert all(tick == sorted(tick) for tick in keys)
+        assert sum(len(tick) == 4 for tick in keys) >= 20
+        # a probe 1 ns before the due instant sees the queue's previous
+        # decision, and one at that instant sees this one
+        last = {}
+        for key, prob, seen in probes:
+            assert seen == [last.get(key, 0.0), prob], key
+            last[key] = prob
+        assert sum(before != after for _, _, (before, after) in probes) > 100
 
 
 class TestLifecycle:
@@ -1096,11 +1242,16 @@ class TestScaling:
 
     def test_cost_per_kb_does_not_grow_with_the_port_count(self, monkeypatch):
         # the paper's complexity claim in P: at 2, 8 and 32 ports (8 flows
-        # each, so the offered bytes grow with P) the run costs 2,117.2,
-        # 2,078.5 and 2,057.1 opcodes per injected KB, a spread of 2.9%. A
-        # per-packet step that walks the ports or the queues grows 16-fold
-        # from 2 to 32 ports: an empty loop over the ports at each ingress
-        # arrival alone spreads the costs by 7.7%, so the bound is 5%
+        # each, so the offered bytes grow with P) the run costs 2,017.3,
+        # 1,984.2 and 1,965.1 opcodes per injected KB, a spread of 2.7%.
+        # The excess at 2 ports is a fixed cost per run, such as writing
+        # the run totals, spread over the fewest bytes. With a sampler call
+        # and a row write per queue, a control event per decision and a
+        # write per total, the costs read 2,181.5, 2,121.5 and 2,094.6
+        # (4.15%). A per-packet step that walks the ports or the
+        # queues grows 16-fold from 2 to 32 ports: an empty loop over the
+        # ports at each ingress arrival alone spreads the costs by 7.7%,
+        # so the bound is 5%
         monkeypatch.syspath_prepend(str(BENCH))
         costs = [self.opcodes_per_injected_kb(p) for p in (2, 8, 32)]
         assert max(costs) <= 1.05 * min(costs), costs
