@@ -1,24 +1,29 @@
 """Measurement rows, held as columns, and their CSV form.
 
 One row per (time, metric, port, flow); aggregates leave port/flow blank.
-A sink takes rows through three calls: `label(metric, port, flow, unit)`
-returns a handle, built once by whoever writes that series;
+A series is its CSV text: two series are equal when they print the same
+bytes, and a row starts a new run of one time when its time prints
+differently from the last run's.
+
+A sink takes rows through two calls: `label(metric, port, flow, unit)`
+returns a handle, built once by whoever writes that series, and
 `extend(t, labels, values)` adds the rows of one time as one block, a
 handle and a value per row, in order (the switch writes every row so: a
-report window, a sampler tick and the run totals are a block each); and
-`append(t, label, value)` is a one-row `extend`. A `TimeSeries` keeps
-its rows by column: each row's value in an `array('d')` and its label as
-a 4-byte handle in an `array('I')`, indexing the series' own table of
-`(metric, port, flow, unit)` tuples; and one time per run of rows at one
-time, in an `array('d')`, with the run's first row in an `array('I')`.
-A row costs 12 bytes plus 8 bytes a run (a report window writes its rows
-at one time), and at most the 24 bytes it costs when each row starts a
-run. A handle belongs to its series, and `label` makes a new one on every
-call, with no lookup, so a writer builds each label once. Times and
-values must be floats: the arrays would turn an int into a float that
-prints differently, so `extend` refuses anything else with TypeError,
-and a handle outside the series' table with IndexError, before it stores
-any of the block. A handle made by another series that happens to be in
+report window, a sampler tick and the run totals are a block each); a
+`TimeSeries` also takes one row with `append(t, label, value)`. A
+`TimeSeries` keeps its rows by column: each row's value in an
+`array('d')` and its label as a 4-byte handle in an `array('I')`,
+indexing the series' own table of `(metric, port, flow, unit)` tuples;
+and one time per run of rows at one printed time, in an `array('d')`,
+with the run's first row in an `array('I')`. A row costs 12 bytes plus
+12 bytes a run (a report window writes its rows at one time), and at
+most the 24 bytes it costs when each row starts a run. A handle belongs
+to its series, and `label` makes a new one on every call, with no
+lookup, so a writer builds each label once. Times and values must be
+floats: the arrays would turn an int into a float that prints
+differently, so `extend` refuses anything else with TypeError, and a
+handle outside the series' table with IndexError, before it stores any
+of the block. A handle made by another series that happens to be in
 range cannot be told apart, and writes the label it indexes here.
 
 `records` iterates the rows as built, as `Record`s made as they are
@@ -31,20 +36,17 @@ unit holds a bare carriage return, which csv.writer leaves unquoted (no
 label the switch writes does). Its bytes are `csv.writer`'s with
 `lineterminator="\n"`: floats as repr, None as an empty field, other
 fields quoted where csv.writer quotes them, so equal seeds give
-bit-identical files. One encoder writes them, `CsvSink`: its label is the
-label's CSV text, and its `extend` writes a block of rows at one time to a
-stream in one write, with the time printed once (`append` is a one-row
-block), holding none of them after, so a run streamed to a file keeps
-bounded memory however long it is. csv.writer itself encodes each distinct
-metric, unit, port and flow once per sink (`_Fields`); every later
-occurrence is a dict hit, so the caches grow with the distinct labels and
-ids, never with the rows. `TimeSeries.to_csv` encodes every handle's label
-once, then hands the sink one block per run of rows at one time, cut where
-every 4,096 rows its list of written strings is joined into one chunk (a
-`StringIO` on Python 3.11 keeps every written string alive until 100,000
-are pending, so it would hold up to 100k row strings at once); each chunk
-is added to one string that CPython grows in place, so the text is held
-once.
+bit-identical files. One encoder writes them, `CsvSink`: its label is
+the label's CSV text, as csv.writer writes it, and its `extend` writes a
+block of rows at one time to a stream in one write, with the time
+printed once, holding none of them after, so a run streamed to a file
+keeps bounded memory however long it is. `TimeSeries.to_csv` encodes
+every handle's label once, then hands the sink one block per run of rows
+at one time, cut where every 4,096 rows its list of written strings is
+joined into one chunk (a `StringIO` on Python 3.11 keeps every written
+string alive until 100,000 are pending, so it would hold up to 100k row
+strings at once); each chunk is added to one string that CPython grows
+in place, so the text is held once.
 
 `TimeSeries.from_csv` reads the text in slices of about 64K characters,
 each cut just after a line feed and read through its own `StringIO`. One
@@ -62,7 +64,7 @@ import io
 from array import array
 from collections.abc import Iterator
 from itertools import chain, groupby, islice, repeat
-from operator import eq, itemgetter, sub
+from operator import itemgetter, sub
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -100,58 +102,14 @@ def _refuse(t, values):
     raise TypeError(f"t and values must be floats, got {bad!r}")
 
 
-_HEADER = ",".join(COLUMNS) + "\n"
+# a csv.writer whose writerow returns the text of its row: that is what
+# its stream's write returns, and str returns what it is given
+_row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+_HEADER = _row(COLUMNS)
 # rows TimeSeries.to_csv encodes before it joins their strings into one
 _CHUNK_ROWS = 4096
 # characters of text TimeSeries.from_csv reads through one StringIO
 _SLICE_CHARS = 1 << 16
-# the id types _Fields stores: True and 1.0 equal 1 as dict keys, but
-# csv.writer writes them as "True" and "1.0"
-_STORED_IDS = frozenset((int, type(None)))
-
-
-def _encode(field) -> str:
-    """One field as csv.writer writes it inside a row.
-
-    A row holding only an empty string is written as `""`, while an empty
-    field among others is written as nothing, so the field is written as
-    the first of two and the trailing `,\\n` cut off.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((field, ""))
-    return buf.getvalue()[:-2]
-
-
-class _Fields(dict):
-    """The CSV text of each metric, unit, port and flow, encoded on first use.
-
-    Keys are metric and unit strings and int or None ids; an id of any
-    other type goes through `id_text`, which encodes it on every use.
-    """
-
-    def __missing__(self, field):
-        text = self[field] = _encode(field)
-        return text
-
-    def id_text(self, value) -> str:
-        return self[value] if type(value) in _STORED_IDS else _encode(value)
-
-
-def _printed_alike(a: array, b: array) -> bool:
-    """Whether two float columns print alike, each float as its repr: equal
-    bits do, and so do any two nans, which all print `nan`; 0.0 and -0.0
-    do not."""
-    return a.tobytes() == b.tobytes() or len(a) == len(b) and all(
-        map(eq, map(repr, a), map(repr, b)))
-
-
-def _text_ids(*tables: list[tuple]) -> list[list[int]]:
-    """Each table's labels as ids of their CSV text, as `CsvSink` prints
-    it, one id per distinct text across all the tables."""
-    sink = CsvSink(SimpleNamespace(write=len))  # its header is dropped
-    ids: dict[tuple[str, str], int] = {}
-    return [[ids.setdefault(sink.label(*label), len(ids)) for label in table]
-            for table in tables]
 
 
 def _slices(text: str):
@@ -177,7 +135,7 @@ class TimeSeries:
         # one entry per run of rows at one time: its time and its first row
         self._times = array("d")
         self._starts = array("I")
-        self._last = None  # the time of the last run
+        self._last = None  # the printed time of the last run
         self._labels: list[tuple] = []  # (metric, port, flow, unit) by handle
         self._label = array("I")  # each row's handle
         self._value = array("d")
@@ -201,9 +159,8 @@ class TimeSeries:
         """Store one row at time t per handle in labels, with its value in
         values, refusing the whole block before it stores any of it.
 
-        A row starts a new run when t differs from the last run's time, or
-        is zero or nan: 0.0 equals -0.0 but prints apart, and a nan never
-        equals itself."""
+        The rows start a new run when t prints differently from the last
+        run's time."""
         if not _floats(t, values):
             _refuse(t, values)
         if len(labels) != len(values):
@@ -214,14 +171,11 @@ class TimeSeries:
             self._refuse_handle(labels)
         # fromlist stores all of a list or, refusing a non-int, none of it
         self._label.fromlist(list(labels))
-        start = len(self._value)
-        if t != t or not t:  # a run at every row
-            self._times.fromlist([t] * len(labels))
-            self._starts.fromlist(list(range(start, start + len(labels))))
-        elif t != self._last:
+        printed = repr(t)
+        if printed != self._last:
             self._times.append(t)
-            self._starts.append(start)
-        self._last = t
+            self._starts.append(len(self._value))
+            self._last = printed
         self._value.fromlist(list(values))
 
     def _ends(self):
@@ -255,18 +209,7 @@ class TimeSeries:
         return out
 
     def __eq__(self, other):
-        # equal when every row prints alike: times that print alike start
-        # runs at the same rows; handles are each series' own, so each is
-        # mapped to the id of its label's CSV text (True, 1 and 1.0 print
-        # apart though they compare equal), and the rows' ids compare at C
-        # level
-        if not (isinstance(other, TimeSeries) and self._starts == other._starts
-                and _printed_alike(self._times, other._times)
-                and _printed_alike(self._value, other._value)):
-            return False
-        mine, theirs = _text_ids(self._labels, other._labels)
-        return (array("I", map(mine.__getitem__, self._label))
-                == array("I", map(theirs.__getitem__, other._label)))
+        return isinstance(other, TimeSeries) and self.to_csv() == other.to_csv()
 
     def __len__(self):
         return len(self._value)
@@ -338,25 +281,19 @@ class CsvSink:
 
     The one CSV encoder: `TimeSeries.to_csv` runs its rows through a sink
     over a list of strings. The header is written at once and each block of
-    rows as it arrives, in one write; the stream's own buffer and the field
-    cache are all the sink holds. The caller owns the stream and closes it.
+    rows as it arrives, in one write; the stream's own buffer is all the
+    sink holds. The caller owns the stream and closes it.
     """
 
     def __init__(self, stream):
         self._write = stream.write
-        self._fields = _Fields()
         self._write(_HEADER)
 
     def label(self, metric, port, flow, unit) -> tuple[str, str]:
-        """The label rows are appended under: its CSV text, encoded once,
-        in two parts, between the time and the value and after the value,
-        with the separators and the line end they take."""
-        fields = self._fields
-        return (f",{fields[metric]},{fields.id_text(port)},"
-                f"{fields.id_text(flow)},", f",{fields[unit]}\n")
-
-    def append(self, t, label, value):
-        self.extend(t, (label,), (value,))
+        """The label rows are written under: its CSV text, as csv.writer
+        writes it, in two parts, between the time and the value and after
+        the value, with the separators and the line end they take."""
+        return _row(("", metric, port, flow, ""))[:-1], _row(("", unit))
 
     def extend(self, t, labels, values):
         """Write one row at time t per label in labels, with its value in

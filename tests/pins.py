@@ -105,7 +105,9 @@ ANALYZE_DIGESTS = {
 # (foqsim.switch.gb_signal_from_congestion, foqsim.switch.pi_update), a
 # sampler that ran more or fewer steps or ticks, a control application per
 # decision instead of one per tick, any series row written with `append`
-# instead of in a block, or one changed output byte moves one of these. A
+# instead of in a block, an analytic step (initial period, trajectory,
+# closed form, recurrence) called more or fewer times, a ramp scan of
+# another length, or one changed output byte moves one of these. A
 # boundary the run never saw is printed as absent with the value 0.
 TRACED = {
     "tcp_staged": {
@@ -139,6 +141,18 @@ TRACED = {
         "control.apply.fired": 200,
         # as on tcp_staged (11,989 before)
         "timeseries.append.calls": 0,
+    },
+    "analyze_sweep": {
+        "output_digest":
+            "1052e8e3c66f35c668e85f47658998aad25415964395dc4e75ffc5e9a9b611cb",
+        # the analytic solver runs no simulation
+        "events.fired": 0,
+        "analytic.initial_period.calls": 306,
+        "analytic.queue_trajectory.calls": 300,
+        "analytic.closed_form.calls": 300,
+        "analytic.recurrence.calls": 300,
+        # the ramp lengths n0, summed over every scenario
+        "analytic.ramp_intervals": 26037129,
     },
 }
 # Traced lines held under a bound, not an exact value: tcp_staged's event

@@ -148,10 +148,6 @@ class Tee:
     def label(self, *fields):
         return tuple(sink.label(*fields) for sink in self.sinks)
 
-    def append(self, t, labels, value):
-        for sink, label in zip(self.sinks, labels):
-            sink.append(t, label, value)
-
     def extend(self, t, labels, values):
         for n, sink in enumerate(self.sinks):
             sink.extend(t, [label[n] for label in labels], values)

@@ -17,8 +17,9 @@ from foqsim.timeseries import (_CHUNK_ROWS, _SLICE_CHARS, COLUMNS, CsvSink,
 
 
 def put(sink, t, metric, port, flow, value, unit):
-    """Append one 6-tuple row to a TimeSeries or a CsvSink via its label."""
-    sink.append(t, sink.label(metric, port, flow, unit), value)
+    """Write one 6-tuple row to a TimeSeries or a CsvSink as a one-row
+    block under a label of its own."""
+    sink.extend(t, [sink.label(metric, port, flow, unit)], [value])
 
 
 def series_of(rows) -> TimeSeries:
@@ -228,8 +229,8 @@ class TestColumnarStore:
                                           (1.0, "1.0"), (1.0, None)])
     def test_refuses_non_float_time_and_value(self, t, value):
         # the float arrays would print 5 as 5.0, so nothing but a float is
-        # taken, in the store and in the sink alike, row by row or in a
-        # block whose other rows are floats
+        # taken, in the store and in the sink alike, in a one-row block or
+        # in a block whose other rows are floats
         ts, buf = TimeSeries(), io.StringIO()
         for sink, written in ((ts, lambda: (len(ts), ts.to_csv())),
                               (CsvSink(buf), buf.getvalue)):
@@ -237,7 +238,7 @@ class TestColumnarStore:
             label = sink.label("x", 0, 0, "bps")
             before = written()
             with pytest.raises(TypeError):
-                sink.append(t, label, value)
+                sink.extend(t, [label], [value])
             with pytest.raises(TypeError):
                 sink.extend(t, [label] * 3, [1.0, value, 2.0])
             assert written() == before
@@ -292,6 +293,30 @@ class TestColumnarStore:
         # start to the 12 bytes, 24 in all, plus the arrays' growth
         times = array("d", range(100_000))
         assert self.bytes_per_row(times) <= 26
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, math.nan])
+    def test_rows_at_zero_or_nan_are_one_run(self, t):
+        # each prints alike at every row, though 0.0 equals -0.0 and a nan
+        # equals nothing: 12 bytes a row, and the run's 8-byte time and
+        # 4-byte first row once
+        assert self.bytes_per_row(list(repeat(t, 100_000))) <= 16
+        ts = TimeSeries()
+        label = ts.label("x", 0, 0, "s")
+        ts.extend(t, [label] * 3, [1.0, 2.0, 3.0])
+        ts.extend(t, [label] * 2, [4.0, 5.0])
+        assert (list(ts._starts), len(ts._times)) == ([0], 1)
+        assert [repr(r.t) for r in ts.records] == [repr(t)] * 5
+
+    def test_negative_zero_after_zero_starts_a_run(self):
+        # 0.0 equals -0.0 but prints apart
+        ts = TimeSeries()
+        label = ts.label("x", 0, 0, "s")
+        ts.extend(0.0, [label] * 2, [1.0, 2.0])
+        ts.extend(-0.0, [label] * 2, [3.0, 4.0])
+        ts.extend(-0.0, [label], [5.0])
+        assert list(ts._starts) == [0, 2]
+        assert [repr(r.t) for r in ts.records] == ["0.0"] * 2 + ["-0.0"] * 3
+        assert TimeSeries.from_csv(ts.to_csv()) == ts
 
     def test_plain_rows_share_one_label_per_distinct_label(self):
         # from_csv makes one handle per distinct label text
@@ -435,7 +460,7 @@ def awkward_rows(count, seed=11):
 
 
 class TestCsvBytes:
-    """The sink writes csv.writer's bytes, which no cache may change."""
+    """The sink writes csv.writer's bytes."""
 
     @given(ROWS)
     def test_both_writers_match_csv_writer(self, rows):
@@ -459,7 +484,7 @@ class TestCsvBytes:
         self.check_awkward_rows(count)
 
     def test_negative_zero_time_after_zero(self):
-        # equal as floats, and so as memo keys, yet printed differently
+        # equal as floats, yet printed differently
         rows = [(0.0, "x", 0, 0, 0.0, "s"), (-0.0, "x", 0, 0, -0.0, "s"),
                 (0.0, "x", 0, 0, 0.0, "s")]
         text = series_of(rows).to_csv()
@@ -467,13 +492,25 @@ class TestCsvBytes:
                                          "0.0,x,0,0,0.0,s"]
         assert text == reference_csv(rows)
 
-    def test_ids_equal_to_a_cached_int_keep_their_text(self):
-        # True and 1.0 hit 1 in a dict, but csv.writer writes them apart
+    def test_ids_equal_to_an_int_keep_their_text(self):
+        # True and 1.0 equal 1, but csv.writer writes them apart
         rows = [(0.0, "x", 1, 0, 1.0, "s"), (0.0, "x", True, 0.0, 1.0, "s"),
                 (0.0, "x", 1.0, False, 1.0, "s")]
         expected = reference_csv(rows)
         assert "True,0.0" in expected and "1.0,False" in expected
         assert series_of(rows).to_csv() == expected
+
+    @pytest.mark.parametrize("field", [True, 1.0, -0.0, "", ",", '"', "\n"])
+    def test_label_is_csv_writers_text(self, field):
+        # the field as a port, as a flow, and as the metric and the unit
+        sink = CsvSink(io.StringIO())
+        for metric, port, flow, unit in (("x", field, None, "s"),
+                                         ("x", None, field, "s"),
+                                         (field, 1, 2, field)):
+            head, tail = sink.label(metric, port, flow, unit)
+            row = (0.5, metric, port, flow, 1.0, unit)
+            assert reference_csv([]) + f"0.5{head}1.0{tail}" == (
+                reference_csv([row])), row
 
 
 # rows in runs of one time, a zero time right after a negative zero, nan
@@ -550,8 +587,9 @@ class TestRunsAndHandles:
         assert (ts == other) is (other == ts) is (ts.to_csv() == other.to_csv())
 
 
-# a time that starts a run at every row (zeros, nan), one that may continue
-# the last run, and any other float
+# times that print alike though they compare apart (nan) or that compare
+# equal though they print apart (0.0 and -0.0), one that may continue the
+# last run, and any other float
 BLOCK_TIMES = (st.sampled_from((0.0, -0.0, math.nan, math.inf, 0.5))
                | st.floats())
 BLOCKS = st.lists(st.tuples(
@@ -561,27 +599,27 @@ BLOCKS = st.lists(st.tuples(
 
 def run_model(rows) -> tuple[list, list]:
     """The time and first row of each run over rows of (t, handle, value):
-    a row starts a run when its time differs from the last run's (a nan
-    differs from every time), or is zero."""
+    a row starts a run when its time prints differently from the last
+    run's."""
     times, starts = [], []
     for n, (t, _, _) in enumerate(rows):
-        if not times or t != times[-1] or t == 0:
+        if not times or repr(t) != repr(times[-1]):
             times.append(t)
             starts.append(n)
     return times, starts
 
 
 class TestExtend:
-    """A block is stored and written as its rows appended one by one."""
+    """A block is stored and written as its rows one by one."""
 
     @given(BLOCKS)
     @example([(0.5, [(0, 1.0)], True), (0.5, [], True),
               (0.5, [(1, 1.0)], False), (-0.0, [(0, 1.0), (1, 2.0)], True),
               (math.nan, [(2, math.nan)] * 3, True)])
     def test_extend_is_row_by_row_append(self, blocks):
-        # each block goes in whole or row by row, so appends and blocks
-        # continue each other's runs as the reference's appends do; a
-        # series' handles are 0, 1 and 2, and a sink's labels their texts
+        # each block goes in whole or as one-row blocks, so both continue
+        # each other's runs as the reference's one-row blocks do; a series'
+        # handles are 0, 1 and 2, and a sink's labels their texts
         ts, reference = TimeSeries(), TimeSeries()
         streams = io.StringIO(), io.StringIO()
         sink, reference_sink = map(CsvSink, streams)
@@ -597,10 +635,10 @@ class TestExtend:
                     store.extend(t, list(map(label_of, handles)), values)
                 else:
                     for h, value in rows:
-                        store.append(t, label_of(h), value)
+                        store.extend(t, [label_of(h)], [value])
             for h, value in rows:
-                reference.append(t, h, value)
-                reference_sink.append(t, texts[h], value)
+                reference.extend(t, [h], [value])
+                reference_sink.extend(t, [texts[h]], [value])
         for column in ("_times", "_starts", "_label", "_value"):
             assert (getattr(ts, column).tobytes()
                     == getattr(reference, column).tobytes()), column
