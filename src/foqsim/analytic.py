@@ -27,6 +27,8 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
+STABILITY_MSG = "gains outside stability region 0 < K_I < 2(1 - K)"
+
 
 @dataclass(frozen=True)
 class StepScenario:
@@ -213,8 +215,7 @@ def step_response_closed_form(scenario: StepScenario, horizon: int) -> StepRespo
     """
     kp, ki = scenario.gain_p, scenario.gain_i
     if not is_stable(kp, ki):
-        raise ValueError(
-            "closed form diverges: gains outside stability region 0 < K_I < 2(1 - K)")
+        raise ValueError(f"closed form diverges: {STABILITY_MSG}")
     n0, s_n0, _peak = initial_period(scenario)
     z1, z2 = poles(kp, ki)
     gap = scenario.fabric_capacity - scenario.desired_rate

@@ -10,6 +10,7 @@ import sys
 from itertools import chain, repeat
 
 from .analytic import (
+    STABILITY_MSG,
     StepScenario,
     initial_period,
     is_stable,
@@ -22,7 +23,13 @@ from .config import ConfigError, ConfigSyntaxError, load_config
 from .experiment import Experiment
 from .timeseries import CsvSink
 
-STABILITY_MSG = "gains outside stability region 0 < K_I < 2(1 - K)"
+
+class _Refused(Exception):
+    """A command's refusal: main prints its lines, to stderr unless stream
+    names another, and returns its exit code."""
+
+    def __init__(self, code: int, lines: list[str], stream=None):
+        self.code, self.lines, self.stream = code, lines, stream
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,6 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the config seed")
     p_run.add_argument("--out", default=None,
                        help="write the CSV here instead of stdout")
+    p_run.set_defaults(handler=_run)
 
     p_an = sub.add_parser("analyze",
                           help="closed-form step response of the controller")
@@ -61,56 +69,49 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="print the poles and stability verdict only")
     p_an.add_argument("--out", default=None,
                       help="write the CSV here instead of stdout")
+    p_an.set_defaults(handler=_analyze)
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("config", help="experiment config file")
+    p_val.set_defaults(handler=_validate)
     return parser
 
 
 def _output(out: str | None):
     """A context over stdout, or over the file at out opened for writing
-    and closed after; None after reporting why to stderr if it cannot be
-    opened."""
+    and closed after; refused with exit 2 if it cannot be opened."""
     if out is None:
         return contextlib.nullcontext(sys.stdout)
     try:
         return open(out, "w", newline="")
     except OSError as err:
-        print(f"{out}: {err.strerror}", file=sys.stderr)
-        return None
+        raise _Refused(2, [f"{out}: {err.strerror}"]) from None
 
 
-def _load(path: str, violations):
-    """The config at path, or None and the exit code after reporting why:
-    ConfigError violations to the stream `violations`, the rest to stderr."""
+def _load(path: str, violations=None):
+    """The config at path, or refused: exit 1 for ConfigError violations,
+    reported to the stream `violations` (stderr if None), and exit 2 to
+    stderr for the rest."""
     try:
-        return load_config(path), 0
+        return load_config(path)
     except ConfigSyntaxError as err:
-        for v in err.violations:
-            print(f"{path}: {v}", file=sys.stderr)
-        return None, 2
+        raise _Refused(2, [f"{path}: {v}" for v in err.violations]) from None
     except ConfigError as err:
-        for v in err.violations:
-            print(f"{path}: {v}", file=violations)
-        return None, 1
+        raise _Refused(1, [f"{path}: {v}" for v in err.violations],
+                       violations) from None
     except OSError as err:
-        print(f"{path}: {err.strerror}", file=sys.stderr)
-        return None, 2
+        raise _Refused(2, [f"{path}: {err.strerror}"]) from None
 
 
-def _cmd_run(args) -> int:
-    config, code = _load(args.config, sys.stderr)
-    if config is None:
-        return code
-    output = _output(args.out)
-    if output is None:
-        return 2
-    with output as fh:
+def _run(args) -> None:
+    config = _load(args.config)
+    with _output(args.out) as fh:
         Experiment(config, seed=args.seed, sink=CsvSink(fh)).run()
-    return 0
 
 
-def _cmd_analyze(args) -> int:
+def _analysis(args):
+    """The comment line and the CSV rows, header first, that `analyze`
+    writes; --poles-only has its one line and no rows."""
     numbers = (("--k", args.k), ("--ki", args.ki), ("--lambda", args.lam),
                ("--ropt", args.ropt), ("--sc", args.sc),
                ("--interval", args.interval))
@@ -128,69 +129,57 @@ def _cmd_analyze(args) -> int:
                 fabric_capacity=args.sc, gain_p=args.k, gain_i=args.ki,
                 interval=args.interval)
         z1, z2 = poles(args.k, args.ki)
-    except ValueError as err:
-        print(f"analyze: {err}", file=sys.stderr)
-        return 2
-    stable = is_stable(args.k, args.ki)
-    if args.poles_only:
-        output = _output(args.out)
-        if output is None:
-            return 2
-        with output as fh:
-            fh.write(f"z1={z1!r} z2={z2!r} stable={stable}\n")
-        return 0
-    if not stable and not args.recurrence:
-        print(f"analyze: {STABILITY_MSG}", file=sys.stderr)
-        return 1
-
-    horizon = args.horizon
-    if stable:
-        closed = step_response_closed_form(scenario, horizon)
-        n0, queue = closed.n0, closed.queue_sequence
-        fit = (f"a1={closed.coeff1!r} a2={closed.coeff2!r}"
-               f" d={closed.rate_gap!r}")
-        drops = map(repr, closed.drop_sequence)
-    else:
-        # unstable gains can make a ramp that never ends
-        try:
+        stable = is_stable(args.k, args.ki)
+        if args.poles_only:
+            return f"z1={z1!r} z2={z2!r} stable={stable}\n", ()
+        if not stable and not args.recurrence:
+            raise _Refused(1, [f"analyze: {STABILITY_MSG}"])
+        horizon = args.horizon
+        if stable:
+            closed = step_response_closed_form(scenario, horizon)
+            n0, queue = closed.n0, closed.queue_sequence
+            fit = (f"a1={closed.coeff1!r} a2={closed.coeff2!r}"
+                   f" d={closed.rate_gap!r}")
+            drops = map(repr, closed.drop_sequence)
+        else:
+            # unstable gains can make a ramp that never ends
             n0, _s, _peak = initial_period(scenario)
-        except ValueError as err:
-            print(f"analyze: {err}", file=sys.stderr)
-            return 2
-        queue = queue_trajectory(scenario, min(n0, horizon))
-        fit = "a1=nan a2=nan d=nan"
-        drops = repeat("")
-    recs = (map(repr, step_response_recurrence(scenario, horizon))
-            if args.recurrence else repeat(""))
+            queue = queue_trajectory(scenario, min(n0, horizon))
+            fit = "a1=nan a2=nan d=nan"
+            drops = repeat("")
+        recs = (map(repr, step_response_recurrence(scenario, horizon))
+                if args.recurrence else repeat(""))
+    except ValueError as err:
+        raise _Refused(2, [f"analyze: {err}"]) from None
     # q_n models the backlog during the ramp only, so it stops at n0
     queues = chain(map(repr, queue), repeat(""))
+    return (f"# z1={z1!r} z2={z2!r} n0={n0} {fit}\n",
+            chain([("n", "rho_closed", "rho_recurrence", "q_n")],
+                  zip(range(horizon), drops, recs, queues)))
 
+
+def _analyze(args) -> None:
+    comment, rows = _analysis(args)
     # each row goes out as it is formatted: the CSV is never held whole
-    output = _output(args.out)
-    if output is None:
-        return 2
-    with output as fh:
-        fh.write(f"# z1={z1!r} z2={z2!r} n0={n0} {fit}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("n", "rho_closed", "rho_recurrence", "q_n"))
-        writer.writerows(zip(range(horizon), drops, recs, queues))
-    return 0
+    with _output(args.out) as fh:
+        fh.write(comment)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
-def _cmd_validate(args) -> int:
-    config, code = _load(args.config, sys.stdout)
-    if config is not None:
-        print("ok")
-    return code
+def _validate(args) -> None:
+    _load(args.config, sys.stdout)
+    print("ok")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_validate(args)
+    try:
+        args.handler(args)
+    except _Refused as refusal:
+        for line in refusal.lines:
+            print(line, file=refusal.stream or sys.stderr)
+        return refusal.code
+    return 0
 
 
 if __name__ == "__main__":

@@ -83,7 +83,9 @@ class CbrSpec(_Source):
             (self.rate > 0 and self.packet_size > 0
              and tx_ns(self.packet_size, self.rate) < 1,
              "rate: must leave at least 1 ns between packets"),
-            (self.start < 0, "start: must be non-negative")) if broken]
+            (self.start < 0, "start: must be non-negative"),
+            (self.stop is not None and self.stop <= self.start,
+             "stop: must follow start")) if broken]
 
 
 @dataclass

@@ -159,6 +159,7 @@ class TcpSource:
     MAX_CWND = 64.0
     INIT_RTO = 1.0     # seconds, before the first RTT sample
     MIN_RTO = 0.2
+    MAX_RTO = 120.0    # RFC 6298 (2.5) allows any maximum of at least 60 s
     MAX_BACKOFF = 64
 
     def __init__(self, loop, link, flow_id: int, ingress_port: int,
@@ -240,13 +241,13 @@ class TcpSource:
         if when is None:
             now = self.loop.now
             rto = self.rto
-            if 120.0 < rto:  # min(rto, 120.0) seconds
-                rto = 120.0
+            if self.MAX_RTO < rto:  # min(rto, MAX_RTO)
+                rto = self.MAX_RTO
             when = now + int(round(rto * NS))
             if self.backoff > 1:
                 rto = self.rto * self.backoff
-                if 120.0 < rto:
-                    rto = 120.0
+                if self.MAX_RTO < rto:
+                    rto = self.MAX_RTO
                 self.deadline = now + int(round(rto * NS))
             else:
                 self.deadline = when

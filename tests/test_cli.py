@@ -366,3 +366,37 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{tmp_path}: Is a directory\n"
+
+
+# each refusal of run and analyze, with the exit code it ends in; {name} is
+# the path of that config
+REFUSALS = [
+    pytest.param(["run", "{bad_cfg}"], 1, id="config-violation"),
+    pytest.param(["run", "{broken_cfg}"], 2, id="syntax-error"),
+    pytest.param(["run", "{missing_cfg}"], 2, id="missing-config"),
+    pytest.param(analyze("--lambda=nan"), 2, id="non-finite"),
+    pytest.param(analyze("--horizon=0"), 2, id="empty-horizon"),
+    pytest.param(analyze("--ropt=1.5"), 2, id="invalid-scenario"),
+    pytest.param(analyze("--k=-0.1"), 2, id="negative-k"),
+    pytest.param(analyze("--k=-0.1", "--poles-only"), 2,
+                 id="negative-k-poles-only"),
+    pytest.param(analyze("--ki=2.5"), 1, id="unstable"),
+    pytest.param(analyze("--ki=-0.5", "--horizon=5", "--recurrence"), 2,
+                 id="ramp-never-ends"),
+]
+
+
+@pytest.mark.parametrize("argv, code", REFUSALS)
+def test_refusal_writes_nothing(argv, code, bad_cfg, broken_cfg, tmp_path,
+                                capsys):
+    # a command refuses before it opens its output: the reason goes to
+    # stderr, and neither stdout nor the --out file gets a byte
+    paths = {"bad_cfg": bad_cfg, "broken_cfg": broken_cfg,
+             "missing_cfg": str(tmp_path / "nope.cfg")}
+    target = tmp_path / "out.csv"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main([*argv, "--out", str(target)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err != ""
+    assert not target.exists()

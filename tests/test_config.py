@@ -242,6 +242,16 @@ class TestBuildExperiment:
         assert ("source.0.window_end: must not precede window_start"
                 in exc.value.violations)
 
+    @pytest.mark.parametrize("stop", ["0.2", "0.1", "-1"])
+    def test_cbr_stop_must_follow_start(self, stop):
+        # a window that closes when or before it opens used to validate ok
+        # and send nothing
+        pairs = minimal(**{**CBR, "source.0.start": "0.2",
+                           "source.0.stop": stop})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(pairs)
+        assert exc.value.violations == ["source.0.stop: must follow start"]
+
     def test_missing_switch_section(self):
         pairs = {key: value for key, value in minimal().items()
                  if not key.startswith("switch.")}

@@ -254,6 +254,21 @@ class TestLazyTimer:
         loop.run(final + ns(1.0))  # the backed-off deadline is farther out
         assert src.timeouts == 1
 
+    def test_rto_caps_at_120_s(self):
+        # not backed off: without the cap the deadline and the event would
+        # be 150 s out
+        loop, link, src = self.silent_source()
+        src.rto = 150.0
+        src.start_at(0)
+        loop.run(0)
+        assert src.backoff == 1
+        assert TcpSource.MAX_RTO == 120.0
+        assert src.deadline == src._timer_at == ns(120.0)
+        loop.run(ns(120.0) - 1)
+        assert src.timeouts == 0
+        loop.run(ns(120.0))
+        assert src.timeouts == 1
+
     def test_backed_off_rto_caps_at_120_s(self):
         # a 2 s RTO backed off 64-fold would be 128 s
         loop, link, src = self.silent_source()
