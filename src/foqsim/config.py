@@ -220,7 +220,6 @@ class _Reader:
 
     def require(self, key, value_type, required_by: str):
         if key not in self.pairs:
-            self.seen.add(key)
             self.bad.append(f"{key}: required by {required_by}")
             return None
         return self.get(key, value_type)
@@ -293,8 +292,11 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
 
     experiment = reader.section(ExperimentConfig, "experiment.", "the experiment",
                                 switch=switch, sources=sources)
-    if experiment.duration is not None and experiment.duration <= 0:
-        bad.append("experiment.duration: must be positive")
+    # a duration that ns() rounds to 0 would run only t = 0
+    if experiment.duration is not None and experiment.duration * NS <= 0.5:
+        bad.append("experiment.duration: " + (
+            "must be positive" if experiment.duration <= 0
+            else "must be at least 1 ns"))
 
     for key in sorted(pairs):
         if key not in reader.seen:

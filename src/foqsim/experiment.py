@@ -13,7 +13,7 @@ from __future__ import annotations
 from .config import ExperimentConfig
 from .events import EventLoop, ns, stream
 from .switch import Switch
-from .timeseries import CsvSink, TimeSeries
+from .timeseries import CsvSink
 from .traffic import AccessLink, CbrSource, TcpSource
 
 
@@ -21,7 +21,7 @@ class Experiment:
     """Owns the loop, the switch, and every source built from the config."""
 
     def __init__(self, config: ExperimentConfig, seed: int | None = None,
-                 sink: TimeSeries | CsvSink | None = None):
+                 sink: CsvSink | None = None):
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.loop = EventLoop()
@@ -59,7 +59,7 @@ class Experiment:
                 self._starts.append((group, spec.window_start,
                                      spec.window_end))
 
-    def run(self) -> TimeSeries | CsvSink:
+    def run(self) -> CsvSink:
         """Start the sources, run the switch for the configured duration
         into the sink (a new TimeSeries by default) and return the sink.
         A second call raises ValueError before it starts any source."""

@@ -326,7 +326,7 @@ class Switch:
     def __init__(self, config: SwitchConfig,
                  queues: Iterable[tuple[int, int]] = (), seed: int = 0,
                  loop: EventLoop | None = None,
-                 sink: TimeSeries | CsvSink | None = None):
+                 sink: CsvSink | None = None):
         bad = config.validate()
         if bad:
             raise ValueError("invalid switch config: " + "; ".join(bad))
@@ -576,7 +576,7 @@ class Switch:
         nothing schedules none.
         """
         loop = self.loop
-        labels: list[int] = []
+        labels: list = []
         values: list[float] = []
         decisions: list[tuple[_OutQueue, float]] = []
         for oq in self._queues.values():
@@ -638,7 +638,7 @@ class Switch:
         """Write the window's rows as one block, in queue order and then
         port order, the occupancy last."""
         span = self._report_ns / NS
-        labels: list[int] = []
+        labels: list = []
         values: list[float] = []
         for oq in self._queues.values():
             _, thr, ingress, fabric, egress, backlog, mean, p99 = oq.labels
@@ -672,7 +672,7 @@ class Switch:
         if self._started:
             raise ValueError("run() may only be called once")
 
-    def run(self, duration: float) -> TimeSeries | CsvSink:
+    def run(self, duration: float) -> CsvSink:
         """Drive the loop for duration seconds and return the series."""
         self.check_unstarted()
         if type(duration) is not float:  # the run totals' time column
@@ -717,7 +717,7 @@ class Switch:
         """Write each flow's run totals as one block at time duration."""
         s = self._series
         ledger = self.conservation()
-        labels: list[int] = []
+        labels: list = []
         values: list[float] = []
         for fid in sorted(ledger):
             acct = ledger[fid]

@@ -302,6 +302,18 @@ class TestBuildExperiment:
             build_experiment(minimal(**{"experiment.duration": "0"}))
         assert "experiment.duration: must be positive" in exc.value.violations
 
+    @pytest.mark.parametrize("duration", ["1e-10", "0.4e-9"])
+    def test_duration_must_be_at_least_1_ns(self, duration):
+        # ns() would round it to 0, and the run would simulate only t = 0
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(minimal(**{"experiment.duration": duration}))
+        assert exc.value.violations == [
+            "experiment.duration: must be at least 1 ns"]
+
+    def test_duration_of_1_ns_after_rounding_is_taken(self):
+        config = build_experiment(minimal(**{"experiment.duration": "0.6e-9"}))
+        assert config.duration == 0.6e-9
+
     def test_bad_section_id(self):
         with pytest.raises(ConfigError) as exc:
             build_experiment(minimal(**{"flow.x.class": "assured"}))

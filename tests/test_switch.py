@@ -981,24 +981,27 @@ class TestTicks:
 
 class BlockSink(TimeSeries):
     """A series that keeps the time and the (metric, port, flow) of every
-    row of each `extend` call, and counts `append` calls."""
+    row of each `extend` call, and counts `label` and `append` calls."""
 
     def __init__(self):
         super().__init__()
-        self.names = []   # (metric, port, flow) by handle
+        self.names = {}   # (metric, port, flow) by label text
         self.blocks = []  # (t, [(metric, port, flow) of each row])
+        self.labels = 0
         self.appends = 0
 
     def label(self, metric, port, flow, unit):
-        self.names.append((metric, port, flow))
-        return super().label(metric, port, flow, unit)
+        self.labels += 1
+        text = super().label(metric, port, flow, unit)
+        self.names[text] = (metric, port, flow)
+        return text
 
     def append(self, t, label, value):
         self.appends += 1
         super().append(t, label, value)
 
     def extend(self, t, labels, values):
-        self.blocks.append((t, [self.names[h] for h in labels]))
+        self.blocks.append((t, [self.names[text] for text in labels]))
         super().extend(t, labels, values)
 
 
@@ -1155,16 +1158,14 @@ class TestLifecycle:
         assert rngs[0] is not rngs[1]
 
     def test_each_label_built_once(self, monkeypatch):
-        # label() makes a new handle on every call, so a label built per
-        # row would grow the series' label table with the rows
+        # a label built per row would call label() once per row
         monkeypatch.syspath_prepend(str(BENCH))
         from workloads import wide_cbr_pi_text
         config = build_experiment(parse_pairs(wide_cbr_pi_text(1, ports=2)))
-        series = Experiment(config).run()
+        sink = BlockSink()
+        Experiment(config, sink=sink).run()
         # 2 x 8 queues of 8 rows, 2 fabric rows, occupancy, 8 flows' 6 totals
-        assert len(series._labels) == len(set(series._labels)) == (
-            16 * 8 + 2 + 1 + 8 * 6)
-        assert set(series._label) <= set(range(len(series._labels)))
+        assert sink.labels == len(sink.names) == 16 * 8 + 2 + 1 + 8 * 6
 
     def test_out_of_range_ingress_refused(self):
         # a policed premium flow, so a wrapped index would also skip the

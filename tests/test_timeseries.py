@@ -4,16 +4,14 @@ import csv
 import io
 import math
 import random
+import sys
 import tracemalloc
-from array import array
-from itertools import repeat
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from foqsim.timeseries import (_CHUNK_ROWS, _SLICE_CHARS, COLUMNS, CsvSink,
-                               Record, TimeSeries)
+from foqsim.timeseries import _SLICE_CHARS, COLUMNS, CsvSink, Record, TimeSeries
 
 
 def put(sink, t, metric, port, flow, value, unit):
@@ -23,18 +21,10 @@ def put(sink, t, metric, port, flow, value, unit):
 
 
 def series_of(rows) -> TimeSeries:
-    """A series of 6-tuple rows, under one label per distinct printed label.
-
-    The label is keyed on its fields' reprs, so ids that compare equal but
-    print apart (True, 1 and 1.0; 0.0 and -0.0) get handles of their own.
-    """
+    """A series of 6-tuple rows, written one by one."""
     ts = TimeSeries()
-    labels = {}
-    for t, metric, port, flow, value, unit in rows:
-        key = tuple(map(repr, (metric, port, flow, unit)))
-        if key not in labels:  # label() makes a new handle on every call
-            labels[key] = ts.label(metric, port, flow, unit)
-        ts.append(t, labels[key], value)
+    for row in rows:
+        put(ts, *row)
     return ts
 
 
@@ -81,21 +71,6 @@ class TestSelection:
         assert zero != series_of([(0.5, "x", 1, 2, -0.0, "s")])
         assert series_of([(0.0, "x", 1, 2, 1.0, "s")]) != series_of(
             [(-0.0, "x", 1, 2, 1.0, "s")])
-
-    def test_eq_compares_labels_as_printed(self):
-        # True, 1 and 1.0 equal one another, and 0.0 equals -0.0, but each
-        # id prints apart, so each makes a series of its own
-        ids = (True, 1, 1.0, 0.0, -0.0)
-        for field in (2, 3):  # the port, then the flow
-            series = []
-            for x in ids:
-                row = [0.5, "x", 1, 2, 1.0, "s"]
-                row[field] = x
-                series.append(series_of([tuple(row)]))
-            assert len({ts.to_csv() for ts in series}) == len(ids)
-            for i, a in enumerate(series):
-                for j, b in enumerate(series):
-                    assert (a == b) is (i == j), (ids[i], ids[j])
 
     def test_eq_holds_for_labels_built_in_another_order(self):
         # the same rows under label tables of another order, one with a
@@ -192,7 +167,27 @@ def random_rows(count, seed=5):
             for _ in range(count)]
 
 
+class Counted(TimeSeries):
+    """A series that keeps the fields of each `label` call and the row
+    count of each `extend` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.labels = []
+        self.blocks = []
+
+    def label(self, *fields):
+        self.labels.append(fields)
+        return super().label(*fields)
+
+    def extend(self, t, labels, values):
+        self.blocks.append(len(values))
+        super().extend(t, labels, values)
+
+
 class TestColumnarStore:
+    """The rows a series holds, as its text, and how it reads them."""
+
     def test_round_trip_with_blank_ports_and_flows(self):
         ts = series_of(random_rows(200))
         again = TimeSeries.from_csv(ts.to_csv())
@@ -228,9 +223,9 @@ class TestColumnarStore:
     @pytest.mark.parametrize("t, value", [(5, 1.0), (1.0, 5), (1.0, True),
                                           (1.0, "1.0"), (1.0, None)])
     def test_refuses_non_float_time_and_value(self, t, value):
-        # the float arrays would print 5 as 5.0, so nothing but a float is
-        # taken, in the store and in the sink alike, in a one-row block or
-        # in a block whose other rows are floats
+        # a time or value is written as its repr, and 5 would read back as
+        # 5.0, so nothing but a float is taken, by the series and the sink
+        # alike, in a one-row block or in a block whose other rows are floats
         ts, buf = TimeSeries(), io.StringIO()
         for sink, written in ((ts, lambda: (len(ts), ts.to_csv())),
                               (CsvSink(buf), buf.getvalue)):
@@ -243,93 +238,51 @@ class TestColumnarStore:
                 sink.extend(t, [label] * 3, [1.0, value, 2.0])
             assert written() == before
 
-    @pytest.mark.parametrize("labels, error", [
-        ([0, 2], IndexError), ([0, -1], IndexError), ([0, 2**40], IndexError),
-        ([0, 1.0], TypeError), ([0, "1"], TypeError), ([0, None], TypeError),
-        ([0, 1, 1], ValueError)])
-    def test_refuses_a_bad_handle_and_stores_nothing(self, labels, error):
-        # a handle must index the series' own table of 2 labels; the error
-        # comes at the call, before any row of the block is stored
+    def test_refuses_a_block_of_unequal_lengths_and_writes_nothing(self):
         ts = TimeSeries()
-        first = ts.label("x", 0, 0, "bps")
-        ts.label("y", None, 1, "s")
-        ts.append(0.5, first, 1.0)
+        label = ts.label("x", 0, 0, "bps")
+        ts.append(0.5, label, 1.0)
         before = ts.to_csv()
-        with pytest.raises(error):
-            ts.extend(0.5, labels, [1.0, 2.0])
-        if error is not ValueError:  # a length mismatch needs a block
-            with pytest.raises(error):
-                ts.append(0.5, labels[1], 1.0)
-        assert len(ts) == 1
-        assert ts.to_csv() == before
-
-    def test_a_handle_past_the_table_is_named(self):
-        ts = TimeSeries()
-        ts.label("x", 0, 0, "bps")
-        with pytest.raises(IndexError, match=r"handle 3 .* table of 1 label"):
-            ts.append(0.5, 3, 1.0)
-        with pytest.raises(IndexError, match=r"handle 5 .* table of 1 label"):
-            ts.extend(0.5, [0, 5, 0], [1.0, 1.0, 1.0])
-
-    @staticmethod
-    def bytes_per_row(times) -> float:
-        """The traced growth per row of appending a row at each time."""
-        ts = TimeSeries()
-        label = ts.label("throughput_bps", 3, 1, "bps")
-
-        def fill():
-            for t in times:
-                ts.append(t, label, 1.0)
-        _, _, grown = traced(fill)
-        return grown / len(times)
-
-    def test_a_row_costs_at_most_16_bytes(self):
-        # a 4-byte handle and an 8-byte value; the time is held once per
-        # run, and an array grows by up to 1/16 past what it holds
-        assert self.bytes_per_row(list(repeat(0.001, 100_000))) <= 16
-
-    def test_a_row_at_its_own_time_costs_at_most_26_bytes(self):
-        # the worst case: a run per row adds its 8-byte time and 4-byte
-        # start to the 12 bytes, 24 in all, plus the arrays' growth
-        times = array("d", range(100_000))
-        assert self.bytes_per_row(times) <= 26
+        with pytest.raises(ValueError):
+            ts.extend(0.5, [label] * 3, [1.0, 2.0])
+        assert (len(ts), ts.to_csv()) == (1, before)
 
     @pytest.mark.parametrize("t", [0.0, -0.0, math.nan])
     def test_rows_at_zero_or_nan_are_one_run(self, t):
         # each prints alike at every row, though 0.0 equals -0.0 and a nan
-        # equals nothing: 12 bytes a row, and the run's 8-byte time and
-        # 4-byte first row once
-        assert self.bytes_per_row(list(repeat(t, 100_000))) <= 16
+        # equals nothing: from_csv reads two blocks at t back as one, and
+        # every row keeps its printed time
         ts = TimeSeries()
         label = ts.label("x", 0, 0, "s")
         ts.extend(t, [label] * 3, [1.0, 2.0, 3.0])
         ts.extend(t, [label] * 2, [4.0, 5.0])
-        assert (list(ts._starts), len(ts._times)) == ([0], 1)
-        assert [repr(r.t) for r in ts.records] == [repr(t)] * 5
+        again = Counted.from_csv(ts.to_csv())
+        assert again.blocks == [5]
+        assert [repr(r.t) for r in again.records] == [repr(t)] * 5
+        assert again == ts
 
     def test_negative_zero_after_zero_starts_a_run(self):
-        # 0.0 equals -0.0 but prints apart
+        # 0.0 equals -0.0 but prints apart, so from_csv reads the -0.0 rows
+        # back as a block of their own, at their own time
         ts = TimeSeries()
         label = ts.label("x", 0, 0, "s")
         ts.extend(0.0, [label] * 2, [1.0, 2.0])
         ts.extend(-0.0, [label] * 2, [3.0, 4.0])
         ts.extend(-0.0, [label], [5.0])
-        assert list(ts._starts) == [0, 2]
-        assert [repr(r.t) for r in ts.records] == ["0.0"] * 2 + ["-0.0"] * 3
-        assert TimeSeries.from_csv(ts.to_csv()) == ts
+        again = Counted.from_csv(ts.to_csv())
+        assert again.blocks == [2, 3]
+        assert [repr(r.t) for r in again.records] == ["0.0"] * 2 + ["-0.0"] * 3
+        assert again == ts
 
     def test_plain_rows_share_one_label_per_distinct_label(self):
-        # from_csv makes one handle per distinct label text
+        # from_csv builds one label per distinct label text
         rows = random_rows(40_000)
-        ts = TimeSeries.from_csv(reference_csv(rows))
+        ts = Counted.from_csv(reference_csv(rows))
         labels = {(metric, port, flow, unit)
                   for _, metric, port, flow, _, unit in rows}
-        assert len(ts._labels) == len(labels)
-        assert set(ts._labels) == labels
-        # a label per row would encode a label text per row
-        text, peak, _ = traced(ts.to_csv)
-        assert text == reference_csv(rows)
-        assert peak <= 1.5 * len(text)
+        assert len(ts.labels) == len(set(ts.labels)) == len(labels)
+        assert set(ts.labels) == labels
+        assert ts.to_csv() == reference_csv(rows)
 
     def test_select_matches_a_full_scan(self):
         ts = series_of(random_rows(500))
@@ -373,16 +326,40 @@ def rows_with_quoted_newline_at(index, newline):
 
 
 class TestCsvHeldOnce:
-    """to_csv and from_csv hold at most one copy of the text."""
+    """A series holds its text once, and a read holds no second copy."""
 
     def test_to_csv_peak_is_near_one_text(self):
         ts = series_of(random_rows(40_000))
         text, peak, _ = traced(ts.to_csv)
         assert len(text) >= 2_000_000 and text.isascii()
         assert text == reference_csv(ts.records)
-        # the text, one chunk and its rows: a list of chunks joined at
-        # the end would hold the text twice
-        assert peak <= 1.5 * len(text)
+        # the string the series holds, copied nowhere
+        assert text is ts.to_csv()
+        assert peak <= 0.001 * len(text)
+
+    def test_a_series_peaks_near_its_text(self):
+        # the text grows in place, block by block, as the switch writes
+        # it; a list of blocks joined at the end would hold it twice
+        ts = TimeSeries()
+        labels = [ts.label("throughput_bps", port, 1, "bps")
+                  for port in range(100)]
+        values = [float(v) for v in range(100)]
+
+        def fill():
+            for k in range(1024):
+                ts.extend(k / 1000, labels, values)
+        _, peak, _ = traced(fill)
+        assert len(ts) == 102_400
+        assert len(ts.to_csv()) >= 3_000_000
+        assert peak <= 1.1 * len(ts.to_csv())
+
+    def test_a_full_read_holds_under_one_text(self):
+        ts = series_of(random_rows(40_000))
+        text = ts.to_csv()
+        for read in (lambda: sum(1 for _ in ts.records),
+                     lambda: ts.select("absent")):
+            _, peak, _ = traced(read)
+            assert peak <= len(text)
 
     def test_from_csv_peak_above_the_series_is_under_one_text(self):
         ts = series_of(random_rows(40_000))
@@ -436,9 +413,19 @@ def reference_csv(rows) -> str:
     return buf.getvalue()
 
 
-# labels that need quoting or are empty; ids signed and past 64 bits
-AWKWARD_LABELS = ("", ",", '"', "\r", "\n", 'say "a,b"\r\n', "débit µs", " ")
-LABELS = st.text() | st.sampled_from(AWKWARD_LABELS)
+def bare_cr(field) -> bool:
+    """Whether csv.writer writes field with a carriage return unquoted, which
+    csv.reader cannot read back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([field, ""])
+    return "\r" in buf.getvalue() and not buf.getvalue().startswith('"')
+
+
+# labels that need quoting or are empty, and a carriage return csv.writer
+# quotes; ids signed and past 64 bits
+AWKWARD_LABELS = ("", ",", '"', ",\r", "\n", 'say "a,b"\r\n', "débit µs", " ")
+LABELS = (st.text() | st.sampled_from(AWKWARD_LABELS)).filter(
+    lambda field: not bare_cr(field))
 IDS = (st.none() | st.integers() | st.integers(max_value=-1)
        | st.integers(min_value=2**63))
 FLOATS = st.floats() | st.sampled_from(
@@ -464,24 +451,19 @@ class TestCsvBytes:
 
     @given(ROWS)
     def test_both_writers_match_csv_writer(self, rows):
-        assert series_of(rows).to_csv() == reference_csv(rows)
-
-    @staticmethod
-    def check_awkward_rows(count):
-        rows = awkward_rows(count)
-        expected = reference_csv(rows)
-        assert expected.count("\n") > count + 1  # some fields hold newlines
-        assert series_of(rows).to_csv() == expected
+        buf = io.StringIO()
+        sink = CsvSink(buf)
+        for row in rows:
+            put(sink, *row)
+        assert series_of(rows).to_csv() == buf.getvalue() == reference_csv(rows)
 
     def test_awkward_rows(self):
-        self.check_awkward_rows(10_007)
-
-    # to_csv joins its rows every _CHUNK_ROWS: one row short of a chunk,
-    # exactly one, and one row into the next
-    @pytest.mark.parametrize("count", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
-                                       _CHUNK_ROWS + 1])
-    def test_awkward_rows_at_chunk_edges(self, count):
-        self.check_awkward_rows(count)
+        rows = awkward_rows(10_007)
+        expected = reference_csv(rows)
+        assert expected.count("\n") > 10_007 + 1  # some fields hold newlines
+        ts = series_of(rows)
+        assert ts.to_csv() == expected
+        assert list(TimeSeries.from_csv(expected).records) == rows
 
     def test_negative_zero_time_after_zero(self):
         # equal as floats, yet printed differently
@@ -492,42 +474,97 @@ class TestCsvBytes:
                                          "0.0,x,0,0,0.0,s"]
         assert text == reference_csv(rows)
 
-    def test_ids_equal_to_an_int_keep_their_text(self):
-        # True and 1.0 equal 1, but csv.writer writes them apart
-        rows = [(0.0, "x", 1, 0, 1.0, "s"), (0.0, "x", True, 0.0, 1.0, "s"),
-                (0.0, "x", 1.0, False, 1.0, "s")]
-        expected = reference_csv(rows)
-        assert "True,0.0" in expected and "1.0,False" in expected
-        assert series_of(rows).to_csv() == expected
-
-    @pytest.mark.parametrize("field", [True, 1.0, -0.0, "", ",", '"', "\n"])
+    @pytest.mark.parametrize("field", ["", ",", '"', "\n"])
     def test_label_is_csv_writers_text(self, field):
-        # the field as a port, as a flow, and as the metric and the unit
+        # the field as the metric and the unit, beside blank, negative and
+        # wide ids
         sink = CsvSink(io.StringIO())
-        for metric, port, flow, unit in (("x", field, None, "s"),
-                                         ("x", None, field, "s"),
-                                         (field, 1, 2, field)):
+        for metric, port, flow, unit in ((field, 1, 2, field),
+                                         (field, None, -3, "s"),
+                                         ("x", 2**64, None, field)):
             head, tail = sink.label(metric, port, flow, unit)
             row = (0.5, metric, port, flow, 1.0, unit)
             assert reference_csv([]) + f"0.5{head}1.0{tail}" == (
                 reference_csv([row])), row
 
 
-# rows in runs of one time, a zero time right after a negative zero, nan
-# times, and ids that compare equal but print apart
+class TestLabel:
+    """`label` takes what reads back, and refuses the rest, writing
+    nothing."""
+
+    @staticmethod
+    def sinks():
+        """A series and a streaming sink, each holding one row."""
+        ts, buf = TimeSeries(), io.StringIO()
+        for sink, written in ((ts, lambda: (len(ts), ts.to_csv())),
+                              (CsvSink(buf), buf.getvalue)):
+            put(sink, 0.5, "x", 0, 0, 1.0, "bps")
+            yield sink, written
+
+    # True and 1.0 equal 1 and -0.0 equals 0, but each prints apart from
+    # it; "1" would read back as 1
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", -0.0])
+    def test_refuses_an_id_that_is_not_an_int(self, bad):
+        for sink, written in self.sinks():
+            before = written()
+            for port, flow in ((bad, 1), (None, bad)):
+                with pytest.raises(TypeError) as refused:
+                    sink.label("x", port, flow, "s")
+                assert str(refused.value) == (
+                    "port and flow must be ints or None, got "
+                    f"{port!r} and {flow!r}")
+            assert written() == before
+
+    @pytest.mark.parametrize("field", ["\r", "a\rb", "x\r"])
+    def test_refuses_a_bare_carriage_return(self, field):
+        # csv.writer leaves it unquoted, and csv.reader cannot read it
+        assert bare_cr(field)
+        for sink, written in self.sinks():
+            before = written()
+            for metric, unit in ((field, "s"), ("x", field)):
+                with pytest.raises(ValueError) as refused:
+                    sink.label(metric, 1, 2, unit)
+                assert str(refused.value) == (
+                    f"metric or unit {field!r} holds a bare carriage return, "
+                    "which csv.writer leaves unquoted")
+            assert written() == before
+
+    @pytest.mark.parametrize("bad", [None, 1, b"x"])
+    def test_refuses_a_metric_or_unit_that_is_not_a_str(self, bad):
+        for sink, _ in self.sinks():
+            for metric, unit in ((bad, "s"), ("x", bad)):
+                with pytest.raises(TypeError, match=(
+                        f"metric and unit must be str, got {bad!r}$")):
+                    sink.label(metric, 1, 2, unit)
+
+    @given(LABELS, LABELS, IDS, IDS)
+    def test_a_label_it_takes_reads_back(self, metric, unit, port, flow):
+        # csv.reader refuses a line holding NUL before Python 3.11
+        assume(sys.version_info >= (3, 11) or "\0" not in metric + unit)
+        ts = TimeSeries()
+        ts.extend(0.5, [ts.label(metric, port, flow, unit)], [1.0])
+        again = TimeSeries.from_csv(ts.to_csv())
+        assert list(again.records) == [(0.5, metric, port, flow, 1.0, unit)]
+        assert again == ts
+
+
+# rows in runs of one time, a zero time right after a negative zero, and
+# nan times
 RUN_TIMES = st.sampled_from((0.0, -0.0, math.nan, 0.5, 2.0)) | st.floats()
-IDS = (None, 1, 1.0, True, 0, 0.0, -0.0)
-EQUAL_IDS = st.sampled_from(IDS)
-RUN_ROW = st.tuples(st.sampled_from(("a", "b")), EQUAL_IDS, EQUAL_IDS,
+RUN_IDS = st.sampled_from((None, 0, 1, 2))
+RUN_ROW = st.tuples(st.sampled_from(("a", "b")), RUN_IDS, RUN_IDS,
                     FLOATS, st.sampled_from(("s", "bps")))
 RUNS = st.lists(
     st.tuples(RUN_TIMES, st.lists(RUN_ROW, min_size=1, max_size=4)),
     max_size=10)
+# each float that equals another but prints apart, or that prints alike
+# but equals nothing
+ALIKE = {0.0: (0.0, -0.0), -0.0: (0.0, -0.0), "nan": (math.nan, -math.nan)}
 
 
-def alike(field) -> list:
-    """The ids of IDS that equal field, itself among them."""
-    return [x for x in IDS if x == field]
+def alike(x) -> list:
+    """x and the floats that equal it or print as it does."""
+    return list(ALIKE.get("nan" if math.isnan(x) else x, (x,)))
 
 
 def printed(rows) -> list[tuple]:
@@ -535,17 +572,26 @@ def printed(rows) -> list[tuple]:
     return [tuple(map(repr, row)) for row in rows]
 
 
+def rows_of(runs) -> list[tuple]:
+    return [(t, metric, port, flow, value, unit)
+            for t, run in runs for metric, port, flow, value, unit in run]
+
+
 class TestRunsAndHandles:
-    """The runs of one time and the label handles read back every row."""
+    """The rows of runs at one time, written in blocks under labels built
+    per block, read back as written."""
 
     @given(RUNS)
     @example([(-0.0, [("a", 1, None, 1.0, "s")]),
               (0.0, [("a", 1, None, 1.0, "s")]),
-              (math.nan, [("a", True, 1.0, 1.0, "s")] * 2)])
+              (math.nan, [("a", 1, 0, 1.0, "s")] * 2)])
     def test_rows_read_back_as_appended(self, runs):
-        rows = [(t, metric, port, flow, value, unit)
-                for t, run in runs for metric, port, flow, value, unit in run]
-        ts = series_of(rows)
+        rows = rows_of(runs)
+        ts = TimeSeries()
+        for t, run in runs:
+            ts.extend(t, [ts.label(metric, port, flow, unit)
+                          for metric, port, flow, _, unit in run],
+                      [value for _, _, _, value, _ in run])
         assert len(ts) == len(rows)
         assert printed(ts.records) == printed(rows)
         for metric in ("a", "b", "absent"):
@@ -556,40 +602,29 @@ class TestRunsAndHandles:
                                 and (flow is None or row[3] == flow)]
                     assert printed(ts.select(metric, port, flow)) == (
                         printed(expected))
-        one_by_one = TimeSeries()
-        for row in rows:
-            put(one_by_one, *row)
+        one_by_one = series_of(rows)
         assert printed(one_by_one.records) == printed(rows)
         assert ts == one_by_one
         assert ts.to_csv() == one_by_one.to_csv() == reference_csv(rows)
+        assert TimeSeries.from_csv(ts.to_csv()) == ts
 
     @given(RUNS, st.data())
     def test_equal_exactly_when_printed_alike(self, runs, data):
-        # the same rows with some ids swapped for equal ones that may print
-        # apart (1 for True, -0.0 for 0.0), under a label table built in
-        # reverse order
-        rows = [(t, metric, port, flow, value, unit)
-                for t, run in runs for metric, port, flow, value, unit in run]
-        swapped = [(t, metric, data.draw(st.sampled_from(alike(port))),
-                    data.draw(st.sampled_from(alike(flow))), value, unit)
+        # the same rows with some times and values swapped for floats that
+        # equal them but print apart (-0.0 for 0.0) or that print alike but
+        # equal nothing (a nan of the other sign)
+        rows = rows_of(runs)
+        swapped = [(data.draw(st.sampled_from(alike(t))), metric, port, flow,
+                    data.draw(st.sampled_from(alike(value))), unit)
                    for t, metric, port, flow, value, unit in rows]
-        labels = {}  # each label by its fields' reprs, first seen first
-        for t, metric, port, flow, value, unit in swapped:
-            label = (metric, port, flow, unit)
-            labels.setdefault(tuple(map(repr, label)), label)
-        other = TimeSeries()
-        handles = {key: other.label(*label)
-                   for key, label in reversed(labels.items())}
-        for t, metric, port, flow, value, unit in swapped:
-            key = tuple(map(repr, (metric, port, flow, unit)))
-            other.append(t, handles[key], value)
-        ts = series_of(rows)
-        assert (ts == other) is (other == ts) is (ts.to_csv() == other.to_csv())
+        ts, other = series_of(rows), series_of(swapped)
+        assert (ts == other) is (other == ts) is (
+            printed(rows) == printed(swapped))
 
 
 # times that print alike though they compare apart (nan) or that compare
 # equal though they print apart (0.0 and -0.0), one that may continue the
-# last run, and any other float
+# last block's, and any other float
 BLOCK_TIMES = (st.sampled_from((0.0, -0.0, math.nan, math.inf, 0.5))
                | st.floats())
 BLOCKS = st.lists(st.tuples(
@@ -597,58 +632,33 @@ BLOCKS = st.lists(st.tuples(
     st.booleans()), max_size=12)
 
 
-def run_model(rows) -> tuple[list, list]:
-    """The time and first row of each run over rows of (t, handle, value):
-    a row starts a run when its time prints differently from the last
-    run's."""
-    times, starts = [], []
-    for n, (t, _, _) in enumerate(rows):
-        if not times or repr(t) != repr(times[-1]):
-            times.append(t)
-            starts.append(n)
-    return times, starts
-
-
 class TestExtend:
-    """A block is stored and written as its rows one by one."""
+    """A block is written as its rows one by one."""
 
     @given(BLOCKS)
     @example([(0.5, [(0, 1.0)], True), (0.5, [], True),
               (0.5, [(1, 1.0)], False), (-0.0, [(0, 1.0), (1, 2.0)], True),
               (math.nan, [(2, math.nan)] * 3, True)])
     def test_extend_is_row_by_row_append(self, blocks):
-        # each block goes in whole or as one-row blocks, so both continue
-        # each other's runs as the reference's one-row blocks do; a series'
-        # handles are 0, 1 and 2, and a sink's labels their texts
+        # each block goes in whole or as one-row blocks, to a series and to
+        # a sink, and the reference takes every row through append
         ts, reference = TimeSeries(), TimeSeries()
-        streams = io.StringIO(), io.StringIO()
-        sink, reference_sink = map(CsvSink, streams)
-        for series in ts, reference:
-            for metric in "abc":
-                series.label(metric, 0, None, "s")
+        stream = io.StringIO()
+        sink = CsvSink(stream)
         texts = [sink.label(metric, 0, None, "s") for metric in "abc"]
         for t, rows, whole in blocks:
-            handles = [h for h, _ in rows]
-            values = [value for _, value in rows]
-            for store, label_of in ((ts, int), (sink, texts.__getitem__)):
+            for store in (ts, sink):
                 if whole:
-                    store.extend(t, list(map(label_of, handles)), values)
+                    store.extend(t, [texts[h] for h, _ in rows],
+                                 [value for _, value in rows])
                 else:
                     for h, value in rows:
-                        store.extend(t, [label_of(h)], [value])
+                        store.extend(t, [texts[h]], [value])
             for h, value in rows:
-                reference.extend(t, [h], [value])
-                reference_sink.extend(t, [texts[h]], [value])
-        for column in ("_times", "_starts", "_label", "_value"):
-            assert (getattr(ts, column).tobytes()
-                    == getattr(reference, column).tobytes()), column
-        # and the columns the run rule gives, modelled row by row
-        flat = [(t, h, value) for t, rows, _ in blocks for h, value in rows]
-        times, starts = run_model(flat)
-        model = {"_times": array("d", times), "_starts": array("I", starts),
-                 "_label": array("I", [h for _, h, _ in flat]),
-                 "_value": array("d", [value for _, _, value in flat])}
-        for column, expected in model.items():
-            assert getattr(ts, column).tobytes() == expected.tobytes(), column
-        assert streams[0].getvalue() == streams[1].getvalue()
-        assert ts.to_csv() == streams[0].getvalue()
+                reference.append(t, texts[h], value)
+        assert len(ts) == len(reference) == sum(len(r) for _, r, _ in blocks)
+        assert ts.to_csv() == stream.getvalue() == reference.to_csv()
+        assert ts == reference
+        assert printed(reference.records) == printed(
+            (t, "abc"[h], 0, None, value, "s")
+            for t, rows, _ in blocks for h, value in rows)
