@@ -212,7 +212,7 @@ class _Reader:
                 self.bad.append(f"{key}: expected an integer, got {raw!r}")
                 return default
             return int(value)
-        if value_type == Seconds and not math.isfinite(value * NS):
+        if value_type is Seconds and not math.isfinite(value * NS):
             self.bad.append(f"{key}: expected seconds that fit in integer "
                             f"nanoseconds, got {raw!r}")
             return default

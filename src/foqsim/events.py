@@ -12,8 +12,11 @@ Handlers schedule with `at(now + delay, ...)`. Most events carry one of a
 few fixed delays (a serialisation time, the fabric drain, a TCP round
 trip), so the loop keeps one FIFO lane per delay registered with `lane`:
 such an event is appended to its lane instead of being pushed onto the
-heap. Timers are lazy: a TCP source keeps one live retransmission event
-and a deadline, so an ack that only moves the deadline later pushes nothing.
+heap. `TxTimes` registers each serialisation time it computes, and the
+experiment registers each TCP group's round trip once, for all of the
+group's sources. Timers are lazy: a TCP source keeps one live
+retransmission event and a deadline, so an ack that only moves the
+deadline later pushes nothing.
 A backed-off deadline's event is pushed one un-backed-off RTO out and
 re-arms at the deadline from there, so an ack that resets the backoff
 within that RTO pushes nothing either. An event superseded by an earlier

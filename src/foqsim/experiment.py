@@ -36,26 +36,27 @@ class Experiment:
         self._build()
 
     def _build(self) -> None:
-        next_tcp_id = 0
+        loop = self.loop
+        next_id = 0
         for spec in sorted(self.config.sources, key=lambda s: s.source_id):
             if spec.kind == "cbr":
                 self.cbr_sources.append(CbrSource(
-                    self.loop, self.switch.ingress_arrival, spec.flow,
+                    loop, self.switch.ingress_arrival, spec.flow,
                     spec.ingress, spec.egress, spec.packet_size, spec.rate,
                     start=spec.start, stop=spec.stop))
             else:
-                link = AccessLink(self.loop, spec.link_rate, spec.link_buffer,
+                link = AccessLink(loop, spec.link_rate, spec.link_buffer,
                                   self.switch.ingress_arrival)
                 self.links.append(link)
-                group = []
-                for _ in range(spec.count):
-                    src = TcpSource(self.loop, link, spec.flow,
-                                    spec.ingress, spec.egress,
-                                    packet_size=spec.packet_size,
-                                    one_way=spec.one_way)
-                    self.tcp_sources[next_tcp_id] = src
-                    group.append(src)
-                    next_tcp_id += 1
+                # the group's round trip: one int and one lane for all of it
+                rtt = 2 * ns(spec.one_way)
+                loop.lane(rtt)
+                flow, ingress, egress = spec.flow, spec.ingress, spec.egress
+                size = spec.packet_size
+                group = [TcpSource(loop, link, flow, ingress, egress, size, rtt)
+                         for _ in range(spec.count)]
+                self.tcp_sources.update(enumerate(group, next_id))
+                next_id += spec.count
                 self._starts.append((group, spec.window_start,
                                      spec.window_end))
 

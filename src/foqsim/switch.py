@@ -71,6 +71,7 @@ from .timeseries import CsvSink, TimeSeries
 
 # service classes in tier order: a queue's tier is its class's index
 ServiceClass = Literal["premium", "assured", "besteffort"]
+_TIER = {svc: tier for tier, svc in enumerate(get_args(ServiceClass))}
 
 
 @dataclass(slots=True)
@@ -152,7 +153,7 @@ class SwitchConfig:
         if not self.flows:
             bad.append("flow: at least one flow must be defined")
         for fid, spec in self.flows.items():
-            if spec.svc_class not in get_args(ServiceClass):
+            if spec.svc_class not in _TIER:
                 bad.append(f"flow.{fid}.class: "
                            "must be premium, assured or besteffort")
             if spec.weight <= 0:
@@ -356,7 +357,7 @@ class Switch:
                 raise ValueError(f"flow {flow_id} not defined in the switch config")
             if not 0 <= egress < config.num_ports:
                 raise ValueError(f"egress port {egress} out of range")
-            tier = get_args(ServiceClass).index(spec.svc_class)
+            tier = _TIER[spec.svc_class]
             labels = tuple(label(metric, egress, flow_id, unit)
                            for metric, unit in _QUEUE_ROWS)
             rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")

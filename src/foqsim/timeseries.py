@@ -115,7 +115,8 @@ def _slices(text: str):
 
 def _rows(text: str) -> Iterator[tuple[float, tuple, float]]:
     """Each row of a CSV text as (t, (metric, port, flow, unit), value),
-    refusing a row it cannot read with ValueError naming its line.
+    refusing a row it cannot read, or whose label no sink could write
+    back, with ValueError naming its line.
 
     The rows of a run at one time text share one t, parsed once; the next
     run's t is made while it is held, so no two runs in a row share an id.
@@ -134,6 +135,9 @@ def _rows(text: str) -> Iterator[tuple[float, tuple, float]]:
         for raw, metric, port, flow, value, unit in filter(None, reader):
             label = labels.get((metric, port, flow, unit))
             if label is None:
+                # build each field's text, or refuse here, with the line,
+                # a label no sink could write back
+                _FIELDS[metric], _FIELDS[unit]
                 label = labels[metric, port, flow, unit] = (
                     metric, None if port == "" else int(port),
                     None if flow == "" else int(flow), unit)

@@ -128,9 +128,13 @@ class TcpSource:
     duplicate acks, retransmission timeout with exponential backoff and
     RFC 6298 RTT smoothing (Karn's rule: no samples from retransmits).
     Receiver side: cumulative acks with out-of-order buffering. The forward
-    path is the access link plus the switch; 'one_way' covers propagation of
-    the delivered data to the receiver and of the ack back, so the base
-    round trip is twice that plus queueing. The send log `_sent` holds one
+    path is the access link plus the switch; `rtt_ns` is the round trip it
+    is handed, the propagation of the delivered data to the receiver and of
+    the ack back (twice its group's `one_way`), so the base round trip is
+    that plus queueing. `Experiment` computes it once per TCP group and
+    registers it as a lane of the loop, so every source of a group holds
+    the same int; a source built on its own registers no lane, and its acks
+    go through the heap in the same order. The send log `_sent` holds one
     entry per outstanding segment; the next new sequence number and the
     count of segments sent are both snd_una + len(_sent).
 
@@ -164,7 +168,7 @@ class TcpSource:
 
     def __init__(self, loop, link, flow_id: int, ingress_port: int,
                  egress_port: int, packet_size: int = 1040,
-                 one_way: float = 20e-3):
+                 rtt_ns: int = 2 * ns(20e-3)):
         self.loop = loop
         self.link = link
         self.flow_id = flow_id
@@ -173,8 +177,8 @@ class TcpSource:
         self.packet_size = packet_size
         # bound once: every packet sent carries it as its receiver
         self._receive = self.on_data_arrival
-        self._rtt_ns = 2 * ns(one_way)
-        loop.lane(self._rtt_ns)
+        # ns from a delivery to its ack: the round trip less the forward path
+        self._rtt_ns = rtt_ns
 
         self.cwnd = self.INIT_CWND
         self.ssthresh = self.INIT_SSTHRESH

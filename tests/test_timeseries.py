@@ -144,6 +144,20 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"line 2: "):
             TimeSeries.from_csv(text)
 
+    # a quoted bare carriage return parses, but no sink could write it back
+    @pytest.mark.parametrize("rows, line", [
+        ('0.1,"a\rb",1,2,3.0,bps\n', 2),
+        ('0.1,x,1,2,3.0,"a\rb"\n', 2),
+        ('0.1,x,1,2,3.0,bps\n0.2,"a\rb",1,2,3.0,bps\n', 3),
+    ])
+    def test_unwritable_label_refused_with_its_line(self, rows, line):
+        text = "t_sec,metric,port,flow,value,unit\n" + rows
+        with pytest.raises(ValueError) as refused:
+            TimeSeries.from_csv(text)
+        assert str(refused.value) == (
+            f"line {line}: metric or unit 'a\\rb' holds a bare carriage "
+            "return, which csv.writer leaves unquoted")
+
 
 class TestRecord:
     def test_frozen(self):

@@ -655,6 +655,42 @@ class TestStagedStart:
         assert self.starts(monkeypatch, 5) != self.starts(monkeypatch, 6)
 
 
+class TestGroupRoundTrip:
+    """Each TCP group's ack round trip is computed and registered as a lane
+    once, and every source of the group holds it."""
+
+    # 3 sources at 1 ms each way and 2 at 2 ms; no serialisation time of
+    # 1000 bytes at these rates is 2 or 4 ms
+    TEXT = (STAGED.replace("source.0.count = 2", "source.0.count = 3\n"
+                           "source.0.one_way = 1e-3")
+            .replace("source.1.count = 1", "source.1.count = 2\n"
+                     "source.1.one_way = 2e-3"))
+
+    def test_one_round_trip_and_one_lane_per_group(self, monkeypatch):
+        delays = []
+        lane = EventLoop.lane
+        monkeypatch.setattr(EventLoop, "lane", lambda loop, delay: (
+            delays.append(delay), lane(loop, delay))[1])
+        experiment = Experiment(build_experiment(parse_pairs(self.TEXT)),
+                                seed=1)
+        sources = experiment.tcp_sources
+        groups = ([sources[i] for i in (0, 1, 2)],
+                  [sources[i] for i in (3, 4)])
+        assert len(sources) == 5
+        for group, one_way in zip(groups, (1e-3, 2e-3)):
+            rtt = group[0]._rtt_ns
+            assert rtt == 2 * ns(one_way)
+            assert all(src._rtt_ns is rtt for src in group)
+        assert [d for d in delays if d in (ns(2e-3), ns(4e-3))] == [
+            ns(2e-3), ns(4e-3)]
+
+    def test_a_lone_source_takes_the_default_and_registers_no_lane(self):
+        loop = EventLoop()
+        src = TcpSource(loop, RecordingLink(loop), 1, 0, 1)
+        assert src._rtt_ns == 2 * ns(20e-3)
+        assert loop._lanes == {}
+
+
 MIXED = """\
 switch.num_ports = 3
 switch.line_rate = 4e6
