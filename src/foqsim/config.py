@@ -1,4 +1,5 @@
-"""Experiment config files: flat `key = value` lines with dotted keys.
+"""The experiment config contract: every section's dataclass, its keys and
+rules, and the reader of config files.
 
 Lines are `key = value`, blank, or `#` comments. Keys group into sections by
 their first dotted component: switch.*, flow.<id>.*, source.<id>.*, and
@@ -10,7 +11,9 @@ the annotation gives the type (int, float, or a Literal's choices) and
 the default the default; a field without one is required.
 `metadata={"key": ...}` renames a field's key, and None there means none.
 A field annotated `Seconds` is a time, which must also fit the event
-loop's integer nanoseconds.
+loop's integer nanoseconds. Times are judged as the event loop will run
+them, in whole nanoseconds: a span that `ns()` rounds to nothing runs
+nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +22,142 @@ import math
 import types
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import ClassVar, Literal, Union, get_args, get_origin, get_type_hints
+from typing import (Annotated, ClassVar, Literal, Union, get_args, get_origin,
+                    get_type_hints)
 
-from .events import NS, Seconds, tx_ns
-from .switch import FeedbackConfig, FlowSpec, RedParams, SwitchConfig
+from .events import NS, ns, tx_ns
+
+# the annotation of a config field that holds seconds, which ns() must take
+Seconds = Annotated[float, "seconds"]
+
+# service classes in tier order: a queue's tier is its class's index
+ServiceClass = Literal["premium", "assured", "besteffort"]
+_TIER = {svc: tier for tier, svc in enumerate(get_args(ServiceClass))}
+
+
+def _empty(start: float, end: float) -> bool:
+    """Whether the span from start to end holds no whole nanosecond once
+    ns() rounds both ends."""
+    return ns(end) <= ns(start)
+
+
+def _short_periods(*periods) -> list[str]:
+    """The violation of each (key, seconds) period or duration that ns()
+    rounds to 0, which would divide by zero, re-arm its tick at the same
+    instant forever or run only t = 0; seconds of None is no period."""
+    return [f"{key}: must be "
+            + ("positive" if seconds <= 0 else "at least 1 ns")
+            for key, seconds in periods
+            if seconds is not None and _empty(0.0, seconds)]
+
+
+@dataclass(frozen=True)
+class RedParams:
+    """Random early detection on an output queue."""
+
+    max_p: float = 0.5
+    min_th: int = 1000   # bytes
+    max_th: int = 3000   # bytes
+    weight: float = 0.1  # EWMA weight at the sampling cadence
+    sample_interval: Seconds = 1e-3
+
+
+@dataclass(frozen=True)
+class FlowSpec:
+    svc_class: ServiceClass = field(default="assured",
+                                    metadata={"key": "class"})  # flow.<id>.class
+    weight: float = 1.0
+    police_rate: float | None = None  # bits/s token bucket, premium only
+    police_burst: int = 6000          # bytes
+
+
+FeedbackMode = Literal["off", "pi", "gearbox"]
+Measure = Literal["relcong", "dropprob"]
+
+
+@dataclass(frozen=True)
+class FeedbackConfig:
+    mode: FeedbackMode = "off"
+    interval: Seconds = 1e-3
+    delay: Seconds = 0.0  # signal propagation back to the ingress
+    alpha: float = 0.95
+    gain_p: float = 0.0
+    gain_i: float = 0.5
+    d_max: float = 0.17
+    d_min: float = 0.02
+    table_size: int = 64
+    measure: Measure = "relcong"
+
+
+@dataclass(frozen=True)
+class SwitchConfig:
+    num_ports: int
+    line_rate: float           # bits/s per port
+    speedup: float             # fabric-to-line ratio, > 1
+    fabric_memory: int         # bytes, shared pool
+    out_queue_size: int        # bytes per output queue
+    flows: dict[int, FlowSpec] = field(default_factory=dict)
+    red: RedParams | None = None  # None means plain drop-tail
+    feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
+    report_interval: Seconds | None = None  # defaults to the feedback interval
+
+    def validate(self) -> list[str]:
+        """Every violation, not just the first."""
+        bad = []
+        if self.num_ports < 1:
+            bad.append("switch.num_ports: must be at least 1")
+        if self.line_rate <= 0:
+            bad.append("switch.line_rate: must be positive")
+        if self.speedup <= 1.0:
+            bad.append("switch.speedup: must exceed 1")
+        if self.fabric_memory <= 0:
+            bad.append("switch.fabric_memory: must be positive")
+        if self.out_queue_size <= 0:
+            bad.append("switch.out_queue_size: must be positive")
+        if not self.flows:
+            bad.append("flow: at least one flow must be defined")
+        for fid, spec in self.flows.items():
+            if spec.svc_class not in _TIER:
+                bad.append(f"flow.{fid}.class: "
+                           "must be premium, assured or besteffort")
+            if spec.weight <= 0:
+                bad.append(f"flow.{fid}.weight: must be positive")
+            if spec.police_rate is not None:
+                if spec.police_rate <= 0:
+                    bad.append(f"flow.{fid}.police_rate: must be positive")
+                if spec.svc_class != "premium":
+                    bad.append(f"flow.{fid}.police_rate: "
+                               "only premium flows are policed")
+            if spec.police_burst <= 0:
+                bad.append(f"flow.{fid}.police_burst: must be positive")
+        # each feedback mode is judged only on the keys it reads; off
+        # applies no control, so it reads no delay
+        fb = self.feedback
+        pi, gearbox = fb.mode == "pi", fb.mode == "gearbox"
+        bad += [f"switch.feedback.{message}" for broken, message in (
+            (fb.mode not in get_args(FeedbackMode),
+             "mode: must be off, pi or gearbox"),
+            ((pi or gearbox) and fb.delay < 0, "delay: must be non-negative"),
+            (pi and not 0.0 < fb.alpha <= 1.0, "alpha: must be in (0, 1]"),
+            (pi and fb.gain_p < 0, "gain_p: must be non-negative"),
+            (pi and fb.gain_i <= 0, "gain_i: must be positive"),
+            (gearbox and not 0.0 <= fb.d_min < fb.d_max < 1.0,
+             "d_min/d_max: need 0 <= d_min < d_max < 1"),
+            (gearbox and fb.table_size < 2, "table_size: must be at least 2"),
+            (gearbox and fb.measure not in get_args(Measure),
+             "measure: must be relcong or dropprob")) if broken]
+        red = self.red
+        if red is not None:
+            if not 0.0 < red.max_p <= 1.0:
+                bad.append("switch.red.max_p: must be in (0, 1]")
+            if not 0 <= red.min_th < red.max_th:
+                bad.append("switch.red.min_th/max_th: need 0 <= min_th < max_th")
+            if not 0.0 < red.weight <= 1.0:
+                bad.append("switch.red.weight: must be in (0, 1]")
+        return bad + _short_periods(
+            ("switch.feedback.interval", fb.interval),
+            ("switch.report_interval", self.report_interval),
+            ("switch.red.sample_interval", red and red.sample_interval))
 
 
 class ConfigError(Exception):
@@ -84,7 +219,7 @@ class CbrSpec(_Source):
              and tx_ns(self.packet_size, self.rate) < 1,
              "rate: must leave at least 1 ns between packets"),
             (self.start < 0, "start: must be non-negative"),
-            (self.stop is not None and self.stop <= self.start,
+            (self.stop is not None and _empty(self.start, self.stop),
              "stop: must follow start")) if broken]
 
 
@@ -292,11 +427,7 @@ def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
 
     experiment = reader.section(ExperimentConfig, "experiment.", "the experiment",
                                 switch=switch, sources=sources)
-    # a duration that ns() rounds to 0 would run only t = 0
-    if experiment.duration is not None and experiment.duration * NS <= 0.5:
-        bad.append("experiment.duration: " + (
-            "must be positive" if experiment.duration <= 0
-            else "must be at least 1 ns"))
+    bad += _short_periods(("experiment.duration", experiment.duration))
 
     for key in sorted(pairs):
         if key not in reader.seen:

@@ -1,6 +1,8 @@
 """Deterministic discrete-event kernel.
 
-Timestamps are integer nanoseconds. Events at equal timestamps order by
+Timestamps are integer nanoseconds; a config's times in seconds (its
+`Seconds` fields, defined in `foqsim.config`) reach the loop through `ns()`,
+and `run` never moves the clock back. Events at equal timestamps order by
 (rank, port, flow, insertion sequence): control updates first, then sampler
 and reporter ticks, then packet motion, so an interval boundary always sees
 feedback applied and counters harvested before the next interval's traffic.
@@ -50,16 +52,12 @@ import random
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 from itertools import count
-from typing import Annotated
 
 RANK_CONTROL = 0  # feedback applications
 RANK_TICK = 1     # samplers, reporters, queue-average updates
 RANK_DATA = 2     # packet motion, source emissions, timers
 
 NS = 1_000_000_000
-
-# the annotation of a config field that holds seconds, which ns() must take
-Seconds = Annotated[float, "seconds"]
 
 
 def ns(seconds: float) -> int:
@@ -148,7 +146,11 @@ class EventLoop:
             heappush(self._heap, entry)
 
     def run(self, until: int) -> None:
-        """Process every event with timestamp <= until."""
+        """Process every event with timestamp <= until, then stand at until;
+        an until before now is refused, since the clock never goes back."""
+        if until < self.now:
+            raise ValueError(f"cannot run into the past: until {until} is "
+                             f"before now {self.now}")
         heap = self._heap
         heads = self._heads
         while True:

@@ -17,6 +17,9 @@ label is made per row. Every row reaches the sink in a block, its time and
 each row's label and value: a report window is one block, a sampler tick's
 relative congestion rows another, and the run totals a third.
 
+The switch's config (`SwitchConfig`, its flow, feedback and RED sections,
+and the service classes' tier table) lives in `foqsim.config`.
+
 A flow's service class is read once, into its output queue's tier; every
 branch on the class (policer, fabric priority, WFQ tag and virtual time)
 reads the tier, and a premium queue is built with no controller step.
@@ -56,22 +59,18 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from heapq import heappop, heappush, heapreplace
-from typing import Callable, Literal, get_args
+from typing import Callable
 
+from .config import _TIER, RedParams, SwitchConfig
 from .control import (
     derive_beta,
     drop_level_table,
     gb_signal_from_congestion,
     pi_update,
 )
-from .events import (NS, RANK_CONTROL, RANK_DATA, RANK_TICK, EventLoop, Seconds,
-                     TxTimes, ns, stream)
+from .events import (NS, RANK_CONTROL, RANK_DATA, RANK_TICK, EventLoop, TxTimes,
+                     ns, stream)
 from .timeseries import CsvSink, TimeSeries
-
-
-# service classes in tier order: a queue's tier is its class's index
-ServiceClass = Literal["premium", "assured", "besteffort"]
-_TIER = {svc: tier for tier, svc in enumerate(get_args(ServiceClass))}
 
 
 @dataclass(slots=True)
@@ -85,124 +84,6 @@ class Packet:
     arrived_at: int = -1  # ns, stamped at the ingress dropper
     # its (egress, flow) queue, stamped next to arrived_at
     queue: _OutQueue | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class RedParams:
-    """Random early detection on an output queue."""
-
-    max_p: float = 0.5
-    min_th: int = 1000   # bytes
-    max_th: int = 3000   # bytes
-    weight: float = 0.1  # EWMA weight at the sampling cadence
-    sample_interval: Seconds = 1e-3
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    svc_class: ServiceClass = field(default="assured",
-                                    metadata={"key": "class"})  # flow.<id>.class
-    weight: float = 1.0
-    police_rate: float | None = None  # bits/s token bucket, premium only
-    police_burst: int = 6000          # bytes
-
-
-FeedbackMode = Literal["off", "pi", "gearbox"]
-Measure = Literal["relcong", "dropprob"]
-
-
-@dataclass(frozen=True)
-class FeedbackConfig:
-    mode: FeedbackMode = "off"
-    interval: Seconds = 1e-3
-    delay: Seconds = 0.0  # signal propagation back to the ingress
-    alpha: float = 0.95
-    gain_p: float = 0.0
-    gain_i: float = 0.5
-    d_max: float = 0.17
-    d_min: float = 0.02
-    table_size: int = 64
-    measure: Measure = "relcong"
-
-
-@dataclass(frozen=True)
-class SwitchConfig:
-    num_ports: int
-    line_rate: float           # bits/s per port
-    speedup: float             # fabric-to-line ratio, > 1
-    fabric_memory: int         # bytes, shared pool
-    out_queue_size: int        # bytes per output queue
-    flows: dict[int, FlowSpec] = field(default_factory=dict)
-    red: RedParams | None = None  # None means plain drop-tail
-    feedback: FeedbackConfig = field(default_factory=FeedbackConfig)
-    report_interval: Seconds | None = None  # defaults to the feedback interval
-
-    def validate(self) -> list[str]:
-        """Every violation, not just the first."""
-        bad = []
-        if self.num_ports < 1:
-            bad.append("switch.num_ports: must be at least 1")
-        if self.line_rate <= 0:
-            bad.append("switch.line_rate: must be positive")
-        if self.speedup <= 1.0:
-            bad.append("switch.speedup: must exceed 1")
-        if self.fabric_memory <= 0:
-            bad.append("switch.fabric_memory: must be positive")
-        if self.out_queue_size <= 0:
-            bad.append("switch.out_queue_size: must be positive")
-        if not self.flows:
-            bad.append("flow: at least one flow must be defined")
-        for fid, spec in self.flows.items():
-            if spec.svc_class not in _TIER:
-                bad.append(f"flow.{fid}.class: "
-                           "must be premium, assured or besteffort")
-            if spec.weight <= 0:
-                bad.append(f"flow.{fid}.weight: must be positive")
-            if spec.police_rate is not None:
-                if spec.police_rate <= 0:
-                    bad.append(f"flow.{fid}.police_rate: must be positive")
-                if spec.svc_class != "premium":
-                    bad.append(f"flow.{fid}.police_rate: "
-                               "only premium flows are policed")
-            if spec.police_burst <= 0:
-                bad.append(f"flow.{fid}.police_burst: must be positive")
-        fb = self.feedback
-        if fb.mode not in get_args(FeedbackMode):
-            bad.append("switch.feedback.mode: must be off, pi or gearbox")
-        if fb.delay < 0:
-            bad.append("switch.feedback.delay: must be non-negative")
-        if not 0.0 < fb.alpha <= 1.0:
-            bad.append("switch.feedback.alpha: must be in (0, 1]")
-        if fb.mode == "pi":
-            if fb.gain_p < 0:
-                bad.append("switch.feedback.gain_p: must be non-negative")
-            if fb.gain_i <= 0:
-                bad.append("switch.feedback.gain_i: must be positive")
-        if fb.mode == "gearbox":
-            if not 0.0 <= fb.d_min < fb.d_max < 1.0:
-                bad.append("switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1")
-            if fb.table_size < 2:
-                bad.append("switch.feedback.table_size: must be at least 2")
-            if fb.measure not in get_args(Measure):
-                bad.append("switch.feedback.measure: must be relcong or dropprob")
-        if self.red is not None:
-            r = self.red
-            if not 0.0 < r.max_p <= 1.0:
-                bad.append("switch.red.max_p: must be in (0, 1]")
-            if not 0 <= r.min_th < r.max_th:
-                bad.append("switch.red.min_th/max_th: need 0 <= min_th < max_th")
-            if not 0.0 < r.weight <= 1.0:
-                bad.append("switch.red.weight: must be in (0, 1]")
-        # a period that ns() rounds to 0 would divide by zero or re-arm its
-        # tick at the same instant forever
-        for key, seconds in (
-                ("feedback.interval", fb.interval),
-                ("report_interval", self.report_interval),
-                ("red.sample_interval", self.red.sample_interval if self.red else None)):
-            if seconds is not None and seconds * NS <= 0.5:
-                bad.append(f"switch.{key}: " + ("must be positive" if seconds <= 0
-                                                 else "must be at least 1 ns"))
-        return bad
 
 
 def red_drop_probability(avg: float, params: RedParams) -> float:

@@ -43,7 +43,15 @@ from foqsim.analytic import (
     step_response_closed_form,
     step_response_recurrence,
 )
-from foqsim.config import build_experiment, load_config, parse_pairs
+from foqsim.config import (
+    FeedbackConfig,
+    FlowSpec,
+    RedParams,
+    SwitchConfig,
+    build_experiment,
+    load_config,
+    parse_pairs,
+)
 from foqsim.control import (
     admit_level_table,
     d_mid,
@@ -52,14 +60,7 @@ from foqsim.control import (
 )
 from foqsim.events import NS, ns, tx_ns
 from foqsim.experiment import Experiment
-from foqsim.switch import (
-    FeedbackConfig,
-    FlowSpec,
-    Packet,
-    RedParams,
-    Switch,
-    SwitchConfig,
-)
+from foqsim.switch import Packet, Switch
 from foqsim.timeseries import CsvSink, TimeSeries
 from pins import (
     GOLDEN_DIGESTS,

@@ -1,11 +1,15 @@
 """Config file tests: pair syntax, typed building, violation collection,
 and the shipped experiment files."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import foqsim
 from foqsim.config import (
     ConfigError,
     ConfigSyntaxError,
@@ -13,8 +17,7 @@ from foqsim.config import (
     load_config,
     parse_pairs,
 )
-from foqsim.config import CbrSpec, TcpGroupSpec
-from foqsim.switch import RedParams
+from foqsim.config import CbrSpec, RedParams, TcpGroupSpec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,6 +254,18 @@ class TestBuildExperiment:
         with pytest.raises(ConfigError) as exc:
             build_experiment(pairs)
         assert exc.value.violations == ["source.0.stop: must follow start"]
+
+    def test_cbr_stop_is_judged_in_whole_nanoseconds(self):
+        # a stop that ns() rounds onto its start used to validate ok and
+        # send nothing
+        at_start = minimal(**{**CBR, "source.0.start": "0",
+                              "source.0.stop": "0.4e-9"})
+        with pytest.raises(ConfigError) as exc:
+            build_experiment(at_start)
+        assert exc.value.violations == ["source.0.stop: must follow start"]
+        one_ns = build_experiment(minimal(**{**CBR, "source.0.start": "0",
+                                             "source.0.stop": "0.6e-9"}))
+        assert one_ns.sources[0].stop == 0.6e-9
 
     def test_missing_switch_section(self):
         pairs = {key: value for key, value in minimal().items()
@@ -504,3 +519,15 @@ class TestShippedConfigs:
     def test_missing_file_raises_oserror(self):
         with pytest.raises(OSError):
             load_config(CONFIGS / "does_not_exist.cfg")
+
+
+def test_config_does_not_load_the_switch_model():
+    # the config contract sits below the model: reading a config loads
+    # only foqsim.config and foqsim.events
+    child = ("import sys, foqsim.config\n"
+             "print(sorted(m for m in sys.modules if m.startswith('foqsim')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(foqsim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == str(["foqsim", "foqsim.config",
+                                       "foqsim.events"])

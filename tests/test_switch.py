@@ -13,7 +13,16 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foqsim.config import build_experiment, parse_pairs
+from foqsim.config import (
+    FeedbackConfig,
+    FeedbackMode,
+    FlowSpec,
+    RedParams,
+    ServiceClass,
+    SwitchConfig,
+    build_experiment,
+    parse_pairs,
+)
 from foqsim.control import derive_beta, drop_level_table
 from foqsim.events import (
     NS,
@@ -26,17 +35,7 @@ from foqsim.events import (
     tx_ns,
 )
 from foqsim.experiment import Experiment
-from foqsim.switch import (
-    FeedbackConfig,
-    FeedbackMode,
-    FlowSpec,
-    Packet,
-    RedParams,
-    ServiceClass,
-    Switch,
-    SwitchConfig,
-    red_drop_probability,
-)
+from foqsim.switch import Packet, Switch, red_drop_probability
 from foqsim.timeseries import TimeSeries
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -340,6 +339,26 @@ class TestEventKernel:
         loop.run(123)
         assert loop.now == 123
 
+    def test_run_refuses_an_until_before_now(self):
+        # running back would fire an event at 7 after one at 10
+        loop = EventLoop()
+        order = []
+        loop.at(10, lambda: order.append(10))
+        loop.run(20)
+        loop.at(27, lambda: order.append(27))
+        with pytest.raises(ValueError, match="past"):
+            loop.run(5)
+        assert loop.now == 20 and order == [10]
+        loop.run(20)  # until == now is allowed
+        loop.run(30)
+        assert loop.now == 30 and order == [10, 27]
+
+    def test_a_negative_duration_runs_nothing(self):
+        sw = Switch(base_config(), [(1, 1)])
+        with pytest.raises(ValueError, match="past"):
+            sw.run(-1.0)
+        assert len(sw._series) == 0
+
     def test_named_streams(self):
         a = stream(1, "ingress.0")
         b = stream(1, "ingress.0")
@@ -370,14 +389,15 @@ class TestConfigValidation:
     def test_flow_and_feedback_violations(self):
         cfg = base_config(
             flows={1: FlowSpec(weight=0.0), 9: FlowSpec(police_rate=-5)},
-            feedback=FeedbackConfig(mode="magic", interval=0, alpha=2.0),
+            feedback=FeedbackConfig(mode="magic", interval=0),
         )
         bad = cfg.validate()
         assert "flow.1.weight: must be positive" in bad
         assert "flow.9.police_rate: must be positive" in bad
         assert "switch.feedback.mode: must be off, pi or gearbox" in bad
         assert "switch.feedback.interval: must be positive" in bad
-        assert "switch.feedback.alpha: must be in (0, 1]" in bad
+        pi = base_config(feedback=FeedbackConfig(mode="pi", alpha=2.0)).validate()
+        assert pi == ["switch.feedback.alpha: must be in (0, 1]"]
         gearbox = base_config(feedback=FeedbackConfig(
             mode="gearbox", d_min=0.2, d_max=0.1, table_size=1)).validate()
         assert "switch.feedback.d_min/d_max: need 0 <= d_min < d_max < 1" in gearbox
@@ -388,7 +408,7 @@ class TestConfigValidation:
             measure="magic")).validate() == []
 
     @pytest.mark.parametrize("feedback, message", [
-        (FeedbackConfig(delay=-1e-3),
+        (FeedbackConfig(mode="pi", delay=-1e-3),
          "switch.feedback.delay: must be non-negative"),
         (FeedbackConfig(mode="pi", gain_p=-0.1),
          "switch.feedback.gain_p: must be non-negative"),
@@ -397,9 +417,22 @@ class TestConfigValidation:
         # a config file refuses the choice before validate() sees it
         (FeedbackConfig(mode="gearbox", measure="magic"),
          "switch.feedback.measure: must be relcong or dropprob"),
+        (FeedbackConfig(mode="gearbox", delay=-1e-3),
+         "switch.feedback.delay: must be non-negative"),
     ])
     def test_each_feedback_violation_alone(self, feedback, message):
         assert base_config(feedback=feedback).validate() == [message]
+
+    @pytest.mark.parametrize("feedback", [
+        FeedbackConfig(mode="off", alpha=0.0),
+        FeedbackConfig(mode="off", alpha=2.0),
+        FeedbackConfig(mode="gearbox", alpha=0.0),
+        FeedbackConfig(mode="gearbox", alpha=2.0),
+        FeedbackConfig(mode="off", delay=-1e-3),
+    ])
+    def test_each_mode_is_judged_on_the_keys_it_reads(self, feedback):
+        # only pi reads alpha, and off applies no control, so never its delay
+        assert base_config(feedback=feedback).validate() == []
 
     def test_unknown_class_refused_with_its_key(self):
         bad = base_config(flows={4: FlowSpec(svc_class="gold")}).validate()
