@@ -6,6 +6,16 @@ their first dotted component: switch.*, flow.<id>.*, source.<id>.*, and
 experiment.*. Validation is collecting, not fail-fast: every violation in
 the file is reported, each prefixed by the offending key.
 
+The reader makes one pass over the pairs. It files each raw value under
+its field in the group of its prefix, everything up to and with the key's
+last dot. The flow and source ids are read from those prefixes with int(),
+once per prefix. Each section then pops its own fields from the group of
+its canonical prefix (`source.1.`, never `source.01.`) and parses each
+value once; whatever no section took is an unknown key. The same rules
+judge a config built by hand: `ExperimentConfig.validate()`, which
+`Experiment` calls, gives the messages this reader gives for a file whose
+values all parse, in the same order.
+
 A section's keys are its dataclass's scalar fields, read once at import:
 the annotation gives the type (int, float, or a Literal's choices) and
 the default the default; a field without one is required.
@@ -103,17 +113,13 @@ class SwitchConfig:
 
     def validate(self) -> list[str]:
         """Every violation, not just the first."""
-        bad = []
-        if self.num_ports < 1:
-            bad.append("switch.num_ports: must be at least 1")
-        if self.line_rate <= 0:
-            bad.append("switch.line_rate: must be positive")
-        if self.speedup <= 1.0:
-            bad.append("switch.speedup: must exceed 1")
-        if self.fabric_memory <= 0:
-            bad.append("switch.fabric_memory: must be positive")
-        if self.out_queue_size <= 0:
-            bad.append("switch.out_queue_size: must be positive")
+        bad = [f"switch.{message}" for broken, message in (
+            (self.num_ports < 1, "num_ports: must be at least 1"),
+            (self.line_rate <= 0, "line_rate: must be positive"),
+            (self.speedup <= 1.0, "speedup: must exceed 1"),
+            (self.fabric_memory <= 0, "fabric_memory: must be positive"),
+            (self.out_queue_size <= 0, "out_queue_size: must be positive"),
+        ) if broken]
         if not self.flows:
             bad.append("flow: at least one flow must be defined")
         for fid, spec in self.flows.items():
@@ -147,13 +153,12 @@ class SwitchConfig:
             (gearbox and fb.measure not in get_args(Measure),
              "measure: must be relcong or dropprob")) if broken]
         red = self.red
-        if red is not None:
-            if not 0.0 < red.max_p <= 1.0:
-                bad.append("switch.red.max_p: must be in (0, 1]")
-            if not 0 <= red.min_th < red.max_th:
-                bad.append("switch.red.min_th/max_th: need 0 <= min_th < max_th")
-            if not 0.0 < red.weight <= 1.0:
-                bad.append("switch.red.weight: must be in (0, 1]")
+        bad += [f"switch.red.{message}" for broken, message in (
+            (not 0.0 < red.max_p <= 1.0, "max_p: must be in (0, 1]"),
+            (not 0 <= red.min_th < red.max_th,
+             "min_th/max_th: need 0 <= min_th < max_th"),
+            (not 0.0 < red.weight <= 1.0, "weight: must be in (0, 1]"),
+        ) if broken] if red is not None else []
         return bad + _short_periods(
             ("switch.feedback.interval", fb.interval),
             ("switch.report_interval", self.report_interval),
@@ -197,8 +202,8 @@ class _Source:
             # a bucket that never holds a packet admits none
             bad.append(f"packet_size: exceeds flow {self.flow}'s police_burst")
         if num_ports is not None and num_ports >= 1:
-            for key in ("ingress", "egress"):
-                if not 0 <= getattr(self, key) < num_ports:
+            for key, port in (("ingress", self.ingress), ("egress", self.egress)):
+                if not 0 <= port < num_ports:
                     bad.append(f"{key}: port out of range")
         return [f"source.{self.source_id}.{v}" for v in bad]
 
@@ -211,16 +216,18 @@ class CbrSpec(_Source):
     stop: Seconds | None = None
 
     def _problems(self) -> list[str]:
-        # a period that tx_ns rounds to 0 would emit at the same instant
-        # forever
-        return [message for broken, message in (
-            (self.rate <= 0, "rate: must be positive"),
-            (self.rate > 0 and self.packet_size > 0
-             and tx_ns(self.packet_size, self.rate) < 1,
-             "rate: must leave at least 1 ns between packets"),
-            (self.start < 0, "start: must be non-negative"),
-            (self.stop is not None and _empty(self.start, self.stop),
-             "stop: must follow start")) if broken]
+        bad = []
+        if self.rate <= 0:
+            bad.append("rate: must be positive")
+        elif self.packet_size > 0 and tx_ns(self.packet_size, self.rate) < 1:
+            # a period that tx_ns rounds to 0 would emit at the same
+            # instant forever
+            bad.append("rate: must leave at least 1 ns between packets")
+        if self.start < 0:
+            bad.append("start: must be non-negative")
+        if self.stop is not None and _empty(self.start, self.stop):
+            bad.append("stop: must follow start")
+        return bad
 
 
 @dataclass
@@ -255,6 +262,15 @@ class ExperimentConfig:
     duration: Seconds
     sources: list[SourceSpec] = field(default_factory=list)
     seed: int = 1
+
+    def validate(self) -> list[str]:
+        """Every violation of the switch, source and duration rules, in the
+        text path's order: a file whose values all parse, with no red key
+        under droptail, is refused with these and then its unknown keys."""
+        sw = self.switch
+        return (sw.validate() + [v for spec in self.sources
+                                 for v in spec.validate(sw.num_ports, sw.flows)]
+                + _short_periods(("experiment.duration", self.duration)))
 
 
 def _value_type(hint):
@@ -309,129 +325,137 @@ def parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
-class _Reader:
-    """Typed access over the raw pairs, accumulating violations."""
-
-    def __init__(self, pairs: dict[str, str], bad: list[str]):
-        self.pairs = pairs
-        self.bad = bad
-        self.seen: set[str] = set()
-
-    def get(self, key, value_type, default=None):
-        """The parsed value, or default when the key is absent or bad;
-        value_type is int, float, Seconds or a dict of the allowed strings."""
-        self.seen.add(key)
-        raw = self.pairs.get(key)
-        if raw is None:
-            return default
-        if isinstance(value_type, dict):
-            if raw not in value_type:
-                self.bad.append(f"{key}: must be one of {', '.join(value_type)}")
-                return default
-            return value_type[raw]
-        if value_type is int:
-            try:
-                return int(raw)  # exact, where float would round past 2**53
-            except ValueError:
-                pass  # 1e3 or 2.0 may still name an integer
+def _parse(raw: str, value_type):
+    """raw read as value_type: int, float, Seconds, or a dict from each
+    allowed string to its value; ValueError says why it cannot be."""
+    if isinstance(value_type, dict):
+        if raw not in value_type:
+            raise ValueError(f"must be one of {', '.join(value_type)}")
+        return value_type[raw]
+    if value_type is int:
         try:
-            value = float(raw)
+            return int(raw)  # exact, where float would round past 2**53
         except ValueError:
-            self.bad.append(f"{key}: expected a number, got {raw!r}")
-            return default
-        if not math.isfinite(value):
-            self.bad.append(f"{key}: expected a finite number, got {raw!r}")
-            return default
-        if value_type is int:
-            if value != int(value):
-                self.bad.append(f"{key}: expected an integer, got {raw!r}")
-                return default
-            return int(value)
-        if value_type is Seconds and not math.isfinite(value * NS):
-            self.bad.append(f"{key}: expected seconds that fit in integer "
-                            f"nanoseconds, got {raw!r}")
-            return default
-        return value
-
-    def require(self, key, value_type, required_by: str):
-        if key not in self.pairs:
-            self.bad.append(f"{key}: required by {required_by}")
-            return None
-        return self.get(key, value_type)
-
-    def section(self, cls, prefix: str, required_by: str = "", **given):
-        """cls built from the keys under prefix plus the given fields; a
-        required key that is missing or bad leaves its field None."""
-        values = dict(given)
-        for key, (name, value_type, default) in _SCHEMAS[cls].items():
-            if default is MISSING:
-                values[name] = self.require(prefix + key, value_type, required_by)
-            else:
-                values[name] = self.get(prefix + key, value_type, default)
-        return cls(**values)
+            pass  # 1e3 or 2.0 may still name an integer
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    if value_type is int:
+        if value != int(value):
+            raise ValueError(f"expected an integer, got {raw!r}")
+        return int(value)
+    if value_type is Seconds and not math.isfinite(value * NS):
+        raise ValueError("expected seconds that fit in integer "
+                         f"nanoseconds, got {raw!r}")
+    return value
 
 
-def _section_ids(pairs, prefix, bad):
-    ids = set()
-    for key in pairs:
-        if not key.startswith(prefix + "."):
-            continue
-        part = key.split(".", 2)[1]
+def _pop(group, prefix, key, value_type, default, bad, required_by=""):
+    """The value of prefix + key, popped from its section's group and
+    parsed. A bad value is reported, and so is an absent one whose default
+    is MISSING (a required key); either gives the default, None for
+    MISSING."""
+    raw = group.pop(key, None)
+    if raw is None and default is MISSING:
+        bad.append(f"{prefix}{key}: required by {required_by}")
+    elif raw is not None:
         try:
-            ids.add(int(part))
-        except ValueError:
-            bad.append(f"{key}: {prefix} id must be an integer")
-    return sorted(ids)
+            return _parse(raw, value_type)
+        except ValueError as error:
+            bad.append(f"{prefix}{key}: {error}")
+    return None if default is MISSING else default
+
+
+def _section(cls, groups, prefix, bad, required_by="", **given):
+    """cls built from the fields it pops from the group of prefix, plus the
+    given fields; a required key that is missing or bad leaves its field
+    None."""
+    group = groups.get(prefix, {})
+    for key, (name, value_type, default) in _SCHEMAS[cls].items():
+        given[name] = _pop(group, prefix, key, value_type, default, bad,
+                           required_by)
+    return cls(**given)
 
 
 def build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
     """Typed experiment from raw pairs; raises ConfigError with every
     violation when anything is wrong."""
-    bad: list[str] = []
-    reader = _Reader(pairs, bad)
+    # the one pass: each raw value under its field, in the group of its
+    # prefix (everything up to and with its last dot, "" for no dot)
+    groups: dict[str, dict[str, str]] = {}
+    for key, raw in pairs.items():
+        prefix, dot, name = key.rpartition(".")
+        groups.setdefault(prefix + dot, {})[name] = raw
+    # the flow and source ids, as int() reads them: flow.<id>.<field>
+    # holds its id in its prefix, flow.<id> in its field
+    ids: dict[str, set[int]] = {"flow": set(), "source": set()}
+    unread: set[str] = set()  # the keys of an id int() cannot read
+    for prefix, group in groups.items():
+        head, _, rest = prefix.partition(".")
+        if head in ids:
+            # each id text with the fields of its keys
+            texts = ({rest.partition(".")[0]: group} if rest
+                     else {name: (name,) for name in group})
+            for text, names in texts.items():
+                try:
+                    ids[head].add(int(text))
+                except ValueError:
+                    unread.update(prefix + name for name in names)
 
-    if not any(k.startswith("switch.") for k in pairs):
+    def refused(head):
+        """The keys under head whose id int() cannot read, in file order."""
+        return [f"{key}: {head} id must be an integer" for key in pairs
+                if key in unread and key.startswith(head + ".")] if unread else []
+
+    bad: list[str] = []
+    if not any(prefix.startswith("switch.") for prefix in groups):
         bad.append("missing switch section")
     # the one switch key that is no field: it says whether red is used
-    use_red = reader.get("switch.queue_mgmt", {"droptail": False, "red": True},
-                         False)
-    red = reader.section(RedParams, "switch.red.")
-    if not use_red and any(k.startswith("switch.red.") for k in pairs):
+    use_red = _pop(groups.get("switch.", {}), "switch.", "queue_mgmt",
+                   {"droptail": False, "red": True}, False, bad)
+    red = _section(RedParams, groups, "switch.red.", bad)
+    if not use_red and any(prefix.startswith("switch.red.") for prefix in groups):
         bad.append("switch.red: red parameters given but queue_mgmt is droptail")
-    flows = {fid: reader.section(FlowSpec, f"flow.{fid}.")
-             for fid in _section_ids(pairs, "flow", bad)}
+    bad += refused("flow")
+    flows = {fid: _section(FlowSpec, groups, f"flow.{fid}.", bad)
+             for fid in sorted(ids["flow"])}
     # required keys pass through as parsed (None only when already
     # reported), so validate() judges the value the file gave
-    switch = reader.section(
-        SwitchConfig, "switch.", "the switch section", flows=flows,
-        red=red if use_red else None,
-        feedback=reader.section(FeedbackConfig, "switch.feedback."))
+    switch = _section(
+        SwitchConfig, groups, "switch.", bad, "the switch section",
+        flows=flows, red=red if use_red else None,
+        feedback=_section(FeedbackConfig, groups, "switch.feedback.", bad))
     # range checks only make sense once every number of the switch parses
     if not bad:
         bad.extend(switch.validate())
 
+    bad += refused("source")
     sources: list[SourceSpec] = []
-    for sid in _section_ids(pairs, "source", bad):
+    for sid in sorted(ids["source"]):
         p = f"source.{sid}."
-        cls = reader.require(p + "kind", _KINDS, "every source")
+        cls = _pop(groups.get(p, {}), p, "kind", _KINDS, MISSING, bad,
+                   "every source")
         if cls is None:
             # which keys a source takes depends on its kind: report the
             # kind alone, not each other key as unknown
-            reader.seen.update(key for key in pairs if key.startswith(p))
+            groups = {q: left for q, left in groups.items() if not q.startswith(p)}
             continue
         parsed = len(bad)
-        spec = reader.section(cls, p, f"{cls.kind} sources", source_id=sid)
+        spec = _section(cls, groups, p, bad, f"{cls.kind} sources", source_id=sid)
         if len(bad) == parsed:
             bad.extend(spec.validate(switch.num_ports, flows))
         sources.append(spec)
 
-    experiment = reader.section(ExperimentConfig, "experiment.", "the experiment",
-                                switch=switch, sources=sources)
+    experiment = _section(ExperimentConfig, groups, "experiment.", bad,
+                          "the experiment", switch=switch, sources=sources)
     bad += _short_periods(("experiment.duration", experiment.duration))
 
-    for key in sorted(pairs):
-        if key not in reader.seen:
-            bad.append(f"{key}: unknown key")
+    # whatever no section took
+    bad += [f"{key}: unknown key" for key in sorted(
+        prefix + name for prefix, left in groups.items() for name in left)]
     if bad:
         raise ConfigError(bad)
     return experiment

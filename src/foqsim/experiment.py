@@ -10,7 +10,7 @@ config's groups.
 
 from __future__ import annotations
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .events import EventLoop, ns, stream
 from .switch import Switch
 from .timeseries import CsvSink
@@ -22,6 +22,10 @@ class Experiment:
 
     def __init__(self, config: ExperimentConfig, seed: int | None = None,
                  sink: CsvSink | None = None):
+        # a hand-built config is judged by the rules a parsed one passed
+        bad = config.validate()
+        if bad:
+            raise ConfigError(bad)
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.loop = EventLoop()

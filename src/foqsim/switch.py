@@ -239,8 +239,8 @@ class Switch:
             if not 0 <= egress < config.num_ports:
                 raise ValueError(f"egress port {egress} out of range")
             tier = _TIER[spec.svc_class]
-            labels = tuple(label(metric, egress, flow_id, unit)
-                           for metric, unit in _QUEUE_ROWS)
+            labels = [label(metric, egress, flow_id, unit)
+                      for metric, unit in _QUEUE_ROWS]
             rng = None if red is None else stream(seed, f"red.{egress}.{flow_id}")
             self._queues[egress, flow_id] = _OutQueue(
                 egress, flow_id, labels, tier, spec.weight, rng, step)

@@ -97,6 +97,17 @@ class _Fields(dict):
 _FIELDS = _Fields()
 
 
+class _Ids(dict):
+    """The text of each port or flow id that `label` has let through: an
+    int's digits, None's empty field."""
+
+    def __missing__(self, n):
+        return self.setdefault(n, str(n))
+
+
+_IDS = _Ids({None: ""})
+
+
 def _slices(text: str):
     """`text` in slices of about _SLICE_CHARS characters, each cut just
     after a line feed.
@@ -168,8 +179,9 @@ class CsvSink:
                 and (flow is None or type(flow) is int)):
             raise TypeError("port and flow must be ints or None, got "
                             f"{port!r} and {flow!r}")
-        return (f",{_FIELDS[metric]},{'' if port is None else port},"
-                f"{'' if flow is None else flow},", f",{_FIELDS[unit]}\n")
+        # only an int or None reaches _IDS, where 1.0 or True would find 1
+        return (f",{_FIELDS[metric]},{_IDS[port]},{_IDS[flow]},",
+                f",{_FIELDS[unit]}\n")
 
     def extend(self, t, labels, values):
         """Write one row at time t per label in labels, with its value in

@@ -113,6 +113,15 @@ class TestValidate:
         assert "switch.speedup: must exceed 1" in captured.out
         assert captured.err == ""
 
+    def test_ids_are_matched_in_canonical_form(self, tmp_path, capsys):
+        # source.01 names source 1, whose kind key is source.1.kind
+        path = tmp_path / "id.cfg"
+        path.write_text(TINY + "source.01.kind = cbr\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"{path}: source.1.kind: required by every source\n"
+            f"{path}: source.01.kind: unknown key\n")
+
     def test_syntax_error_on_stderr(self, broken_cfg, capsys):
         assert main(["validate", broken_cfg]) == 2
         captured = capsys.readouterr()

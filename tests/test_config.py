@@ -1,13 +1,16 @@
 """Config file tests: pair syntax, typed building, violation collection,
 and the shipped experiment files."""
 
+import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields, replace
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import foqsim
 from foqsim.config import (
@@ -17,9 +20,15 @@ from foqsim.config import (
     load_config,
     parse_pairs,
 )
-from foqsim.config import CbrSpec, RedParams, TcpGroupSpec
+from foqsim.config import (_KINDS, _SCHEMAS, CbrSpec, ExperimentConfig,
+                           FeedbackConfig, FlowSpec, RedParams, Seconds,
+                           SwitchConfig, TcpGroupSpec, _short_periods)
+from foqsim.events import NS
+from foqsim.experiment import Experiment
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+BENCH = ROOT / "bench"
 
 MINIMAL = {
     "switch.num_ports": "2",
@@ -471,6 +480,115 @@ class TestBuildExperiment:
         assert exc.value.violations == [f"source.0.{key}: unknown key"]
 
 
+# a valid switch and sources, built by hand as MINIMAL, CBR and TCP read
+SWITCH = SwitchConfig(num_ports=2, line_rate=1e6, speedup=1.28,
+                      fabric_memory=50000, out_queue_size=50000,
+                      flows={1: FlowSpec()})
+HAND_CBR = CbrSpec(source_id=0, flow=1, ingress=0, egress=1, packet_size=1000,
+                   rate=1e6)
+HAND_TCP = TcpGroupSpec(source_id=0, flow=1, ingress=0, egress=1,
+                        packet_size=104, count=10, link_rate=1e6,
+                        window_start=0.0, window_end=1.0)
+
+
+def replace_in(config, old, new):
+    """config with the section old, one of its own, replaced by new."""
+    sw = config.switch
+    if old is sw:
+        return replace(config, switch=new)
+    if old is config:
+        return new
+    if old in (sw.feedback, sw.red):
+        return replace(config, switch=replace(sw, **{
+            "feedback" if old is sw.feedback else "red": new}))
+    if old in config.sources:
+        return replace(config, sources=[new if s is old else s
+                                        for s in config.sources])
+    fid = next(fid for fid, spec in sw.flows.items() if spec is old)
+    return replace(config, switch=replace(sw, flows={**sw.flows, fid: new}))
+
+
+class TestHandBuiltConfigs:
+    """`Experiment` judges a config built from dataclasses by the rules a
+    parsed one passed, and refuses it with the text path's messages."""
+
+    def test_the_hand_built_configs_are_the_parsed_ones(self):
+        for source, spec in ((CBR, HAND_CBR), (TCP, HAND_TCP)):
+            config = ExperimentConfig(SWITCH, 1.0, [spec])
+            assert build_experiment(minimal(**source)) == config
+            assert config.validate() == []
+
+    @pytest.mark.parametrize("over, hand", [
+        # each of these ran and injected 0 B when built by hand
+        ({**TCP, "source.0.count": "0"},
+         ExperimentConfig(SWITCH, 1.0, [replace(HAND_TCP, count=0)])),
+        ({**TCP, "source.0.window_start": "0.5", "source.0.window_end": "0.2"},
+         ExperimentConfig(SWITCH, 1.0, [replace(
+             HAND_TCP, window_start=0.5, window_end=0.2)])),
+        ({**TCP, "source.0.link_buffer": "50"},
+         ExperimentConfig(SWITCH, 1.0, [replace(HAND_TCP, link_buffer=50)])),
+        ({**CBR, "source.0.start": "0.1", "source.0.stop": "0.1"},
+         ExperimentConfig(SWITCH, 1.0, [replace(HAND_CBR, start=0.1,
+                                                stop=0.1)])),
+        ({"experiment.duration": "0"}, ExperimentConfig(SWITCH, 0.0)),
+        ({"switch.speedup": "0.5"},
+         ExperimentConfig(replace(SWITCH, speedup=0.5), 1.0)),
+    ])
+    def test_refused_with_the_text_paths_messages(self, over, hand):
+        with pytest.raises(ConfigError) as parsed:
+            build_experiment(minimal(**over))
+        with pytest.raises(ConfigError) as built:
+            Experiment(hand)
+        assert built.value.violations == parsed.value.violations
+        assert hand.validate() == parsed.value.violations
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_value_by_hand_or_by_text(self, data):
+        name = data.draw(st.sampled_from(sorted(SHIPPED)))
+        key = data.draw(st.sampled_from(sorted(
+            key for key in SHIPPED[name] if not key.endswith(
+                ("kind", "mode", "measure", "class", "queue_mgmt")))))
+        raw = data.draw(st.sampled_from(["0", "-1", "1", "50", "0.2",
+                                         "1e-10", "1e7"]))
+        self.check_one_value(name, key, raw)
+
+    def test_a_short_link_buffer_by_hand_or_by_text(self):
+        self.check_one_value("tcp_scaled", "source.0.link_buffer", "50")
+
+    @staticmethod
+    def check_one_value(name, key, raw):
+        """A shipped config with one number changed, in its text and in its
+        dataclasses: refused with the same violations, or the same config."""
+        parsed = outcome(build_experiment, {**SHIPPED[name], key: raw})
+        config = build_experiment(SHIPPED[name])
+        prefix, _, field_key = key.rpartition(".")
+        owner = {"switch": config.switch, "switch.feedback":
+                 config.switch.feedback, "switch.red": config.switch.red,
+                 "experiment": config}.get(prefix)
+        if owner is None:
+            head, fid = prefix.split(".")
+            owner = (config.switch.flows[int(fid)] if head == "flow"
+                     else config.sources[int(fid)])
+        field_name, value_type, _ = _SCHEMAS[type(owner)][field_key]
+        if value_type is int and float(raw) != int(float(raw)):
+            return  # refused at parse, which a dataclass cannot be
+        value = int(float(raw)) if value_type is int else float(raw)
+        hand = replace_in(config, owner, replace(owner, **{field_name: value}))
+        if isinstance(parsed, ExperimentConfig):
+            # Experiment is not built: it could be 1e7 ports wide
+            assert parsed == hand and hand.validate() == []
+        else:
+            assert (ConfigError, hand.validate()) == parsed
+            with pytest.raises(ConfigError) as built:
+                Experiment(hand)
+            assert built.value.violations == hand.validate()
+
+    def test_shipped_configs_pass(self):
+        for name in SHIPPED:
+            assert load_config(CONFIGS / f"{name}.cfg").validate() == []
+
+
 class TestShippedConfigs:
     def test_all_fixture_files_load(self):
         for name in ("cbr_scaled.cfg", "cbr_scaled_nofoq.cfg",
@@ -531,3 +649,272 @@ def test_config_does_not_load_the_switch_model():
                           text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == str(["foqsim", "foqsim.config",
                                        "foqsim.events"])
+
+
+# The reader that the one-pass reader in foqsim.config replaced, kept word
+# for word as its reference, as HeapLoop is kept for the event kernel: a
+# _Reader over the pairs with the set of keys it has read, a whole-file
+# scan for each section's ids, and the unread keys reported unknown.
+
+class _Reader:
+    """Typed access over the raw pairs, accumulating violations."""
+
+    def __init__(self, pairs: dict[str, str], bad: list[str]):
+        self.pairs = pairs
+        self.bad = bad
+        self.seen: set[str] = set()
+
+    def get(self, key, value_type, default=None):
+        """The parsed value, or default when the key is absent or bad;
+        value_type is int, float, Seconds or a dict of the allowed strings."""
+        self.seen.add(key)
+        raw = self.pairs.get(key)
+        if raw is None:
+            return default
+        if isinstance(value_type, dict):
+            if raw not in value_type:
+                self.bad.append(f"{key}: must be one of {', '.join(value_type)}")
+                return default
+            return value_type[raw]
+        if value_type is int:
+            try:
+                return int(raw)  # exact, where float would round past 2**53
+            except ValueError:
+                pass  # 1e3 or 2.0 may still name an integer
+        try:
+            value = float(raw)
+        except ValueError:
+            self.bad.append(f"{key}: expected a number, got {raw!r}")
+            return default
+        if not math.isfinite(value):
+            self.bad.append(f"{key}: expected a finite number, got {raw!r}")
+            return default
+        if value_type is int:
+            if value != int(value):
+                self.bad.append(f"{key}: expected an integer, got {raw!r}")
+                return default
+            return int(value)
+        if value_type is Seconds and not math.isfinite(value * NS):
+            self.bad.append(f"{key}: expected seconds that fit in integer "
+                            f"nanoseconds, got {raw!r}")
+            return default
+        return value
+
+    def require(self, key, value_type, required_by: str):
+        if key not in self.pairs:
+            self.bad.append(f"{key}: required by {required_by}")
+            return None
+        return self.get(key, value_type)
+
+    def section(self, cls, prefix: str, required_by: str = "", **given):
+        """cls built from the keys under prefix plus the given fields; a
+        required key that is missing or bad leaves its field None."""
+        values = dict(given)
+        for key, (name, value_type, default) in _SCHEMAS[cls].items():
+            if default is MISSING:
+                values[name] = self.require(prefix + key, value_type, required_by)
+            else:
+                values[name] = self.get(prefix + key, value_type, default)
+        return cls(**values)
+
+
+def _section_ids(pairs, prefix, bad):
+    ids = set()
+    for key in pairs:
+        if not key.startswith(prefix + "."):
+            continue
+        part = key.split(".", 2)[1]
+        try:
+            ids.add(int(part))
+        except ValueError:
+            bad.append(f"{key}: {prefix} id must be an integer")
+    return sorted(ids)
+
+
+def reference_build_experiment(pairs: dict[str, str]) -> ExperimentConfig:
+    """Typed experiment from raw pairs; raises ConfigError with every
+    violation when anything is wrong."""
+    bad: list[str] = []
+    reader = _Reader(pairs, bad)
+
+    if not any(k.startswith("switch.") for k in pairs):
+        bad.append("missing switch section")
+    # the one switch key that is no field: it says whether red is used
+    use_red = reader.get("switch.queue_mgmt", {"droptail": False, "red": True},
+                         False)
+    red = reader.section(RedParams, "switch.red.")
+    if not use_red and any(k.startswith("switch.red.") for k in pairs):
+        bad.append("switch.red: red parameters given but queue_mgmt is droptail")
+    flows = {fid: reader.section(FlowSpec, f"flow.{fid}.")
+             for fid in _section_ids(pairs, "flow", bad)}
+    # required keys pass through as parsed (None only when already
+    # reported), so validate() judges the value the file gave
+    switch = reader.section(
+        SwitchConfig, "switch.", "the switch section", flows=flows,
+        red=red if use_red else None,
+        feedback=reader.section(FeedbackConfig, "switch.feedback."))
+    # range checks only make sense once every number of the switch parses
+    if not bad:
+        bad.extend(switch.validate())
+
+    sources: list = []
+    for sid in _section_ids(pairs, "source", bad):
+        p = f"source.{sid}."
+        cls = reader.require(p + "kind", _KINDS, "every source")
+        if cls is None:
+            # which keys a source takes depends on its kind: report the
+            # kind alone, not each other key as unknown
+            reader.seen.update(key for key in pairs if key.startswith(p))
+            continue
+        parsed = len(bad)
+        spec = reader.section(cls, p, f"{cls.kind} sources", source_id=sid)
+        if len(bad) == parsed:
+            bad.extend(spec.validate(switch.num_ports, flows))
+        sources.append(spec)
+
+    experiment = reader.section(ExperimentConfig, "experiment.", "the experiment",
+                                switch=switch, sources=sources)
+    bad += _short_periods(("experiment.duration", experiment.duration))
+
+    for key in sorted(pairs):
+        if key not in reader.seen:
+            bad.append(f"{key}: unknown key")
+    if bad:
+        raise ConfigError(bad)
+    return experiment
+
+
+def outcome(build, pairs):
+    """What `build` makes of a copy of pairs: the config, or the type and
+    the violations (or text) of what it raised."""
+    try:
+        return build(dict(pairs))
+    except ConfigError as error:
+        return type(error), error.violations
+    except Exception as error:  # noqa: BLE001 - compared, not hidden
+        return type(error), str(error)
+
+
+@cache
+def wide_pairs(seed: int) -> dict[str, str]:
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import wide_cbr_pi_text
+    finally:
+        sys.path.remove(str(BENCH))
+    return parse_pairs(wide_cbr_pi_text(seed, ports=2))
+
+
+SHIPPED = {name: parse_pairs((CONFIGS / f"{name}.cfg").read_text())
+           for name in ("cbr_scaled", "cbr_scaled_nofoq", "tcp_scaled",
+                        "tcp_scaled_nofoq")}
+
+# values that parse, parse to a refused value, or do not parse as the
+# field's type; "" is one parse_pairs never gives, but a caller may
+VALUES = ("abc", "0", "-1", "1", "2.5", "1e300", "inf", "nan", "1e-12",
+          "0.5", "65000", "premium", "red", "pi", "cbr", "tcp_group", "")
+
+
+def _id_forms(sid: str) -> list[str]:
+    """Non-canonical spellings that int() reads as the same id."""
+    forms = ["0" + sid, "+" + sid]
+    if len(sid) > 1:
+        forms.append("_".join(sid))
+    return forms
+
+
+@st.composite
+def perturbed(draw) -> dict[str, str]:
+    """A shipped or wide config with up to three edits."""
+    base = draw(st.sampled_from([*SHIPPED, "wide"]))
+    pairs = dict(SHIPPED[base] if base != "wide"
+                 else wide_pairs(draw(st.integers(1, 200))))
+    for _ in range(draw(st.integers(0, 3))):
+        keys = sorted(pairs)
+        edit = draw(st.sampled_from(["drop", "section", "value", "kind",
+                                     "rename", "nested", "dotless", "bad_id"]))
+        if edit == "drop":
+            del pairs[draw(st.sampled_from(keys))]
+        elif edit == "section":
+            # every key that shares a drawn key's prefix
+            prefix = draw(st.sampled_from(keys)).rpartition(".")[0] + "."
+            pairs = {key: raw for key, raw in pairs.items()
+                     if key.rpartition(".")[0] + "." != prefix}
+        elif edit == "value":
+            pairs[draw(st.sampled_from(keys))] = draw(st.sampled_from(VALUES))
+        elif edit == "kind":
+            kinds = [key for key in keys if key.endswith(".kind")]
+            if kinds:
+                del pairs[draw(st.sampled_from(kinds))]
+        elif edit == "rename":
+            # one key, or every key, of a flow or source to another
+            # spelling of its id
+            ided = [key for key in keys
+                    if key.startswith(("flow.", "source."))]
+            if not ided:
+                continue
+            head, sid = draw(st.sampled_from(ided)).split(".")[:2]
+            form = draw(st.sampled_from(_id_forms(sid)))
+            section = [key for key in keys
+                       if key.startswith(f"{head}.{sid}.")]
+            if draw(st.booleans()):
+                section = [draw(st.sampled_from(section))]
+            for key in section:
+                pairs[f"{head}.{form}.{key.split('.', 2)[2]}"] = pairs.pop(key)
+        elif edit == "nested":
+            prefix = draw(st.sampled_from([
+                "switch.", "switch.red.", "switch.feedback.", "flow.1.",
+                "source.1.", "source.0.", "experiment."]))
+            pairs[prefix + "x.y"] = draw(st.sampled_from(VALUES))
+        elif edit == "dotless":
+            name = draw(st.sampled_from(["mystery", "switch", "flow", "1"]))
+            pairs[name] = draw(st.sampled_from(VALUES))
+        else:
+            key = draw(st.sampled_from([
+                "flow.x.class", "flow..class", "source.a.kind",
+                "source.1.5.kind", "flow.2", "source.3", "flow.", "source.-1.kind"]))
+            pairs[key] = draw(st.sampled_from(VALUES))
+    return pairs
+
+
+# each read from the reference on MINIMAL with these keys added
+READ_AT_THE_REFERENCE = [
+    ({"source.01.kind": "cbr"},
+     ["source.1.kind: required by every source",
+      "source.01.kind: unknown key"]),
+    ({"source.1.x.y": "1", "source.1.flow": "1"},
+     ["source.1.kind: required by every source"]),
+    ({"flow.x.class": "assured"},
+     ["flow.x.class: flow id must be an integer",
+      "flow.x.class: unknown key"]),
+    ({"flow.1": "2", "mystery": "1"},
+     ["flow.1: unknown key", "mystery: unknown key"]),
+    ({"switch.red.max_p": "0.5", "switch.red.foo": "1"},
+     ["switch.red: red parameters given but queue_mgmt is droptail",
+      "switch.red.foo: unknown key"]),
+    ({"source.1_0.kind": "cbr"},
+     ["source.10.kind: required by every source",
+      "source.1_0.kind: unknown key"]),
+]
+
+
+@pytest.mark.parametrize("added, violations", READ_AT_THE_REFERENCE)
+def test_non_canonical_and_stray_keys(added, violations):
+    for build in (build_experiment, reference_build_experiment):
+        assert outcome(build, minimal(**added)) == (ConfigError, violations)
+
+
+def _with_examples(test):
+    for added, _ in READ_AT_THE_REFERENCE:
+        test = example(pairs=minimal(**added))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=perturbed())
+@_with_examples
+@example(pairs=SHIPPED["tcp_scaled"])
+def test_reader_matches_the_reference(pairs):
+    # the same config, or the same violations in the same order
+    assert outcome(build_experiment, pairs) == outcome(
+        reference_build_experiment, pairs)
